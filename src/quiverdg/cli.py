@@ -30,7 +30,7 @@ from .fields import GroundField, format_scalar
 from .ginzburg import cy_completion, ginzburg, jacobi_basis, verify_koszul_pair
 from .koszul import completeness_report, dual_bar
 from .quiver import (Arrow, PathAlgebraElement, QuiverPresentation,
-                     Superpotential)
+                     Superpotential, UnknownArrow)
 from .reflexivity import SymbolicFamily, check
 from .surfaces import (BoundaryComponent, DualNumbersFactor, MalformedRibbon,
                        MarkedSurfaceArcSystem, NoMarkedInterval, NotFormal,
@@ -111,6 +111,10 @@ def _parse_element(quiver, field, raw, location):
             coeff = field.of(coeff_raw)
             path = quiver.path([str(x) for x in labels],
                                base=None if base is None else str(base))
+        except UnknownArrow as err:
+            raise InputError(where, "unknown generator %s" % err)
+        except ZeroDivisionError:
+            raise InputError(where, "scalar %r divides by zero" % (coeff_raw,))
         except (ValueError, KeyError) as err:
             raise InputError(where, str(err))
         total = total + PathAlgebraElement.from_path(path, coeff)
@@ -153,7 +157,17 @@ def _parse_superpotential(raw, field, location):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise InputError(where, "a term is [[labels...], coeff]")
         labels, coeff = entry
-        terms[tuple(str(x) for x in labels)] = field.of(coeff)
+        labels = tuple(str(x) for x in labels)
+        try:
+            for name in labels:
+                quiver.arrow(name)
+            terms[labels] = field.of(coeff)
+        except UnknownArrow as err:
+            raise InputError(where, "unknown arrow %s" % err)
+        except ZeroDivisionError:
+            raise InputError(where, "scalar %r divides by zero" % (coeff,))
+        except ValueError as err:
+            raise InputError(where, str(err))
     try:
         return quiver, Superpotential(quiver, terms, field=field)
     except ValueError as err:

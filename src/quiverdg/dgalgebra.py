@@ -184,7 +184,9 @@ class TruncatedDgAlgebra:
     scopes what is reported and classified.  differential_ledger lists the
     words whose differential escaped the weight bound (their columns are
     omitted), and mul_overflow counts composable basis pairs whose product
-    escapes, keyed by the degree the product would land in.
+    escapes, keyed by the degree the product would land in.  word_weight
+    maps each basis word to its weight, and word_product memoises the reduced
+    products of words for the life of the truncation.
     """
 
     def __init__(self, presentation, window, weight_bound):
@@ -198,6 +200,8 @@ class TruncatedDgAlgebra:
             presentation.quiver, presentation.relations, weight_bound,
             field=presentation.field, weights=presentation.weights)
         self._check_relation_differentials()
+        self.word_weight = {w: self.qb.weight_of(w) for w in self.qb.basis}
+        self._products = {}
         self.basis_by_degree = {}
         for path in self.qb.basis:
             self.basis_by_degree.setdefault(presentation.degree_of(path), []).append(path)
@@ -238,7 +242,7 @@ class TruncatedDgAlgebra:
     def _count_mul_overflow(self):
         histogram = {}
         for word, (degree, _) in self._index.items():
-            key = (word.source, word.target, degree, self.qb.weight_of(word))
+            key = (word.source, word.target, degree, self.word_weight[word])
             histogram[key] = histogram.get(key, 0) + 1
         overflow = {}
         for (s1, t1, d1, w1), n1 in histogram.items():
@@ -252,7 +256,7 @@ class TruncatedDgAlgebra:
     def _certify_finite_dimensional(self):
         if not self.presentation.generators:
             return True
-        top = max((self.qb.weight_of(w) for w in self.qb.basis), default=0)
+        top = max(self.word_weight.values(), default=0)
         heaviest_generator = max(self.presentation.weights.values())
         return top + heaviest_generator <= self.weight_bound
 
@@ -292,34 +296,46 @@ class TruncatedDgAlgebra:
 
     def product(self, left, right):
         """Reduced product of two elements; None when a term pair escapes the
-        weight bound (mismatched endpoints just multiply to zero).
-
-        When the truncation is certified finite-dimensional the overflow case
-        is recovered exactly: the right factor is multiplied on one generator
-        at a time, and each intermediate product stays under the bound because
-        the heaviest reduced word plus one generator does.
+        weight bound (mismatched endpoints just multiply to zero).  It is the
+        bilinear extension of word_product.
         """
-        out = PathAlgebraElement.zero()
+        total = {}
         for p, cp in left.terms.items():
             for q, cq in right.terms.items():
-                if p.target != q.source:
-                    continue
-                if self.qb.weight_of(p) + self.qb.weight_of(q) > self.weight_bound:
-                    if not self.certified_finite_dimensional:
-                        return None
-                    out = out + self._reduce_letterwise(p, q, cp * cq)
-                    continue
-                word = Path(p.labels + q.labels, p.source, q.target)
-                out = out + self.qb.reduce(PathAlgebraElement({word: cp * cq}))
-        return out
+                pq = self.word_product(p, q)
+                if pq is None:
+                    return None
+                vec_axpy(total, cp * cq, pq)
+        return PathAlgebraElement(total)
 
-    def _reduce_letterwise(self, p, q, coeff):
-        quiver = self.presentation.quiver
-        acc = self.qb.reduce(PathAlgebraElement.from_path(p, coeff))
-        for label in q.labels:
-            step = PathAlgebraElement.from_path(quiver.path([label]))
-            acc = self.qb.reduce(acc * step)
-        return acc
+    def word_product(self, p, q):
+        """Reduced product of two words as {path: coeff}, memoised on the
+        truncation; None when it escapes the weight bound.  The returned dict
+        is the memo entry itself and must not be modified.
+
+        When the truncation is certified finite-dimensional the overflow case
+        is recovered exactly: q is multiplied onto p one generator at a time,
+        and each intermediate product stays under the bound because the
+        heaviest reduced word plus one generator does.
+        """
+        if p.target != q.source:
+            return {}
+        key = (p, q)
+        if key in self._products:
+            return self._products[key]
+        if self.qb.weight_of(p) + self.qb.weight_of(q) <= self.weight_bound:
+            word = Path(p.labels + q.labels, p.source, q.target)
+            pq = self.qb.reduce(PathAlgebraElement.from_path(word, self.field.one())).terms
+        elif self.certified_finite_dimensional:
+            quiver = self.presentation.quiver
+            acc = self.qb.reduce(PathAlgebraElement.from_path(p, self.field.one()))
+            for label in q.labels:
+                acc = self.qb.reduce(acc * PathAlgebraElement.from_path(quiver.path([label])))
+            pq = acc.terms
+        else:
+            pq = None
+        self._products[key] = pq
+        return pq
 
     def unit_element(self):
         one = self.field.one()
@@ -366,9 +382,11 @@ class DifferentialReport:
 def verify_differential(t):
     """Recompute d*d = 0 and the Leibniz rule on all in-bounds data.
 
-    Words and pairs whose differentials or products escape the weight bound
-    are skipped (counted), never trusted.  Returns a DifferentialReport whose
-    failures list carries witnesses; it never raises.
+    The Leibniz pass visits only the composable pairs (p, q) whose total
+    weight fits the bound, in basis order.  Words and pairs whose
+    differentials or products escape the weight bound are skipped (counted),
+    never trusted.  Returns a DifferentialReport whose failures list carries
+    witnesses; it never raises.
     """
     report = DifferentialReport(0, 0, 0, 0)
     words = [w for d in sorted(t.basis_by_degree) for w in t.basis_by_degree[d]]
@@ -384,50 +402,50 @@ def verify_differential(t):
         report.checked_words += 1
         if not dd.is_zero():
             report.failures.append(("d_squared", str(w), repr(dd)))
-    bound = t.weight_bound
-    weight = t.qb.weight_of
+    weight = t.word_weight
+    # by_source[vertex][degree] lists words in `words` order, so weights
+    # ascend within each list and a scan stops at the first too heavy word
+    by_source = {}
+    for w in words:
+        by_source.setdefault(w.source, {}).setdefault(t._index[w][0], []).append(w)
+    signs = (t.field.one(), t.field.of(-1))
     for p in words:
         dp = t.d_of(p)
-        wp = weight(p)
-        degree_p = t.presentation.degree_of(p)
-        sign = t.field.of(-1 if degree_p % 2 else 1)
-        for q in words:
-            if p.target != q.source or wp + weight(q) > bound:
-                continue
-            dq = t.d_of(q)
-            if dp is None or dq is None:
-                report.skipped_pairs += 1
-                continue
-            pq = t.product(PathAlgebraElement.from_path(p, t.field.one()),
-                           PathAlgebraElement.from_path(q, t.field.one()))
-            lhs = t.d_element(pq)
-            if lhs is None:
-                report.skipped_pairs += 1
-                continue
-            rhs = PathAlgebraElement.zero()
-            overflow = False
-            for u, cu in dp.items():
-                piece = t.product(PathAlgebraElement({u: cu}),
-                                  PathAlgebraElement.from_path(q, t.field.one()))
-                if piece is None:
-                    overflow = True
+        room = t.weight_bound - weight[p]
+        sign = signs[t._index[p][0] % 2]
+        for run in by_source.get(p.target, {}).values():
+            for q in run:
+                if weight[q] > room:
                     break
-                rhs = rhs + piece
-            if not overflow:
-                for v, cv in dq.items():
-                    piece = t.product(PathAlgebraElement.from_path(p, sign),
-                                      PathAlgebraElement({v: cv}))
-                    if piece is None:
-                        overflow = True
-                        break
-                    rhs = rhs + piece
-            if overflow:
-                report.skipped_pairs += 1
-                continue
-            report.checked_pairs += 1
-            if lhs != rhs:
-                report.failures.append(("leibniz", str(p), str(q)))
+                dq = t.d_of(q)
+                if dp is None or dq is None:
+                    report.skipped_pairs += 1
+                    continue
+                lhs = t.d_element(PathAlgebraElement(t.word_product(p, q)))
+                rhs = None if lhs is None else _leibniz_rhs(t, p, q, dp, dq, sign)
+                if rhs is None:
+                    report.skipped_pairs += 1
+                    continue
+                report.checked_pairs += 1
+                if lhs.terms != rhs:
+                    report.failures.append(("leibniz", str(p), str(q)))
     return report
+
+
+def _leibniz_rhs(t, p, q, dp, dq, sign):
+    """(dp)q + sign p(dq) as {path: coeff}; None when a product escapes."""
+    rhs = {}
+    for u, cu in dp.items():
+        piece = t.word_product(u, q)
+        if piece is None:
+            return None
+        vec_axpy(rhs, cu, piece)
+    for v, cv in dq.items():
+        piece = t.word_product(p, v)
+        if piece is None:
+            return None
+        vec_axpy(rhs, sign * cv, piece)
+    return rhs
 
 
 class CohomologyResult:

@@ -20,24 +20,6 @@ class DSquaredNonzero(Exception):
         )
 
 
-def vec_add(u, v):
-    out = dict(u)
-    for i, c in v.items():
-        s = out.get(i)
-        s = c if s is None else s + c
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
-
-
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {i: c * x for i, x in u.items()}
-
-
 def vec_axpy(out, coeff, vec):
     """In-place out += coeff * vec."""
     for j, v in vec.items():

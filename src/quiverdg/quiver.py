@@ -283,7 +283,8 @@ def cyclic_derivative(potential, arrow_name):
 
 
 def enumerate_paths(quiver, bound, weights=None):
-    """All paths of weight <= bound, sorted by (weight, labels).
+    """All paths of weight <= bound, as a dict path -> weight in
+    (weight, labels) order.
 
     The weight of a path is the sum of its arrow weights; by default every
     arrow weighs 1, so the bound is a length bound.  Weights must be
@@ -300,16 +301,13 @@ def enumerate_paths(quiver, bound, weights=None):
     stack = [(quiver.trivial(v), 0) for v in sorted(quiver.vertices)]
     while stack:
         path, w = stack.pop()
-        found.append(path)
+        found.append((path, w))
         for a in out_by_vertex[path.target]:
             w2 = w + weights[a.name]
             if w2 <= bound:
                 stack.append((Path(path.labels + (a.name,), path.source, a.target), w2))
-
-    def key(path):
-        return (sum(weights[name] for name in path.labels), path.labels)
-
-    return sorted(found, key=key)
+    found.sort(key=lambda item: (item[1], item[0].labels))
+    return dict(found)
 
 
 class QuotientBasis:
@@ -317,16 +315,18 @@ class QuotientBasis:
 
     `basis` lists the surviving paths in (length, labels) order; `reduce`
     rewrites any element supported in lengths <= bound to its normal form on
-    that basis.
+    that basis.  path_weights holds the weight of every path within the
+    bound, as enumerate_paths returns it.
     """
 
     def __init__(self, quiver, length_bound, field, basis, rows, column_of, path_at,
-                 weights=None):
+                 weights, path_weights):
         self.quiver = quiver
         self.length_bound = length_bound
         self.field = field
         self.basis = basis
-        self.weights = weights if weights is not None else {a.name: 1 for a in quiver.arrows}
+        self.weights = weights
+        self._path_weights = path_weights
         self._rows = rows
         self._column_of = column_of
         self._path_at = path_at
@@ -335,7 +335,10 @@ class QuotientBasis:
         return len(self.basis)
 
     def weight_of(self, path):
-        return sum(self.weights[name] for name in path.labels)
+        w = self._path_weights.get(path)
+        if w is None:
+            w = sum(self.weights[name] for name in path.labels)
+        return w
 
     def reduce(self, element):
         vec = {}
@@ -366,11 +369,8 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     if weights is None:
         weights = {a.name: 1 for a in quiver.arrows}
 
-    def weight(path):
+    def term_weight(path):
         return sum(weights[name] for name in path.labels)
-
-    def key(path):
-        return (weight(path), path.labels)
 
     cleaned = []
     for r in relations:
@@ -388,19 +388,31 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
             raise ValueError("relation terms must have length >= 1: %r" % (element,))
         cleaned.append(element)
 
-    paths = enumerate_paths(quiver, length_bound, weights)
+    weight = enumerate_paths(quiver, length_bound, weights)
+    paths = list(weight)
+
+    def key(path):
+        return (weight[path], path.labels)
+
     ordered = sorted(paths, key=key, reverse=True)
     column_of = {p: i for i, p in enumerate(ordered)}
+    # paths by endpoint, each list in `paths` order, so weights ascend in it
+    by_source = {}
+    by_target = {}
+    for p in paths:
+        by_source.setdefault(p.source, []).append(p)
+        by_target.setdefault(p.target, []).append(p)
     rows = RowSpace()
     for r in cleaned:
         src, tgt = r.endpoints()
-        heaviest = max(weight(p) for p in r.terms)
-        lefts = [u for u in paths if u.target == src and weight(u) + heaviest <= length_bound]
-        for u in lefts:
-            room = length_bound - weight(u) - heaviest
-            for v in paths:
-                if v.source != tgt or weight(v) > room:
-                    continue
+        heaviest = max(term_weight(p) for p in r.terms)
+        for u in by_target.get(src, ()):
+            room = length_bound - weight[u] - heaviest
+            if room < 0:
+                break
+            for v in by_source.get(tgt, ()):
+                if weight[v] > room:
+                    break
                 vec = {}
                 for t, c in r.terms.items():
                     full = Path(u.labels + t.labels + v.labels, u.source, v.target)
@@ -416,4 +428,4 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     basis = [p for p in ordered if column_of[p] not in rows.pivot_index]
     basis.sort(key=key)
     return QuotientBasis(quiver, length_bound, field, basis, rows, column_of, ordered,
-                         weights=weights)
+                         weights, weight)

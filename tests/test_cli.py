@@ -182,3 +182,34 @@ def test_surface_validation_errors_exit_one(capsys, tmp_path):
     code, _, err = run_cli(["gentle", str(document)], capsys)
     assert code == 1
     assert "input error" in err
+
+
+LOOP_POTENTIAL = {"kind": "superpotential",
+                  "quiver": {"vertices": ["v"], "arrows": [["x", "v", "v", 0]]}}
+CONE = {"kind": "dg-presentation", "vertices": ["v"],
+        "generators": [["x", "v", "v", 0], ["y", "v", "v", -1]]}
+
+
+@pytest.mark.parametrize("command,document_object,location,message", [
+    ("ginzburg", dict(LOOP_POTENTIAL, terms=[[["x", "y", "x"], "1"]]),
+     "document.object.terms[0]", "unknown arrow y"),
+    ("ginzburg", dict(LOOP_POTENTIAL, terms=[[["x", "x", "x"], "1/0"]]),
+     "document.object.terms[0]", "divides by zero"),
+    ("koszul-dual", dict(CONE, differential={"y": [["1/0", ["x"], None]]}),
+     "document.object.differential.y[0]", "divides by zero"),
+    ("koszul-dual", dict(CONE, differential={"y": [["1", ["q"], None]]}),
+     "document.object.differential.y[0]", "unknown generator q"),
+], ids=["superpotential-unknown-arrow", "superpotential-zero-denominator",
+        "element-zero-denominator", "element-unknown-generator"])
+def test_document_term_faults_exit_one(capsys, tmp_path, command,
+                                       document_object, location, message):
+    document = tmp_path / "fault.json"
+    document.write_text(json.dumps({
+        "characteristic": 0,
+        "object": document_object,
+        "bounds": {"window": [-2, 0], "words": 3, "paths": 4},
+    }))
+    code, _, err = run_cli([command, str(document)], capsys)
+    assert code == 1, err
+    assert "input error at %s: " % location in err
+    assert message in err

@@ -61,6 +61,31 @@ def preprojective_a2_presentation():
         weights={"z1": 2, "z2": 2})
 
 
+def cone_presentation():
+    arrows = [Arrow("x", "v", "v", 0), Arrow("y", "v", "v", -1)]
+    q = QuiverPresentation(["v"], arrows)
+    return DgAlgebraPresentation(["v"], arrows,
+                                 differential={"y": element(q, (1, ["x"], None))})
+
+
+def odd_square_presentation():
+    arrows = [Arrow("x", "v", "v", 1)]
+    q = QuiverPresentation(["v"], arrows)
+    return DgAlgebraPresentation(["v"], arrows,
+                                 differential={"x": element(q, (1, ["x", "x"], None))})
+
+
+def d_squared_failure_presentation():
+    arrows = [Arrow("x", "v", "v", 1), Arrow("y", "v", "v", 2)]
+    q = QuiverPresentation(["v"], arrows)
+    return DgAlgebraPresentation(
+        ["v"], arrows,
+        differential={
+            "x": element(q, (1, ["y"], None)),
+            "y": element(q, (1, ["x", "y"], None), (-1, ["y", "x"], None)),
+        })
+
+
 def test_presentation_validation():
     loop = [Arrow("x", "v", "v", 0)]
     q = QuiverPresentation(["v"], loop)
@@ -129,10 +154,7 @@ def test_cone_is_acyclic_away_from_degree_zero():
     # underlying complex of generators is acyclic, so the tensor algebra has
     # cohomology k in degree 0 and nothing else.  d preserves word weight,
     # so every truncation window is safe.
-    arrows = [Arrow("x", "v", "v", 0), Arrow("y", "v", "v", -1)]
-    q = QuiverPresentation(["v"], arrows)
-    p = DgAlgebraPresentation(["v"], arrows,
-                              differential={"y": element(q, (1, ["x"], None))})
+    p = cone_presentation()
     assert p.is_weight_graded()
     t = realize(p, (-2, 0), 5)
     assert t.differential_ledger == []
@@ -149,10 +171,7 @@ def test_odd_generator_with_square_differential():
     # alternate, so d(x^k) = (1 - 1 + 1 - ...) x^(k+1): zero for even k and
     # x^(k+1) for odd k.  Cohomology is k in degree 0 alone, and the only
     # word whose differential escapes weight 5 is x^5.
-    arrows = [Arrow("x", "v", "v", 1)]
-    q = QuiverPresentation(["v"], arrows)
-    p = DgAlgebraPresentation(["v"], arrows,
-                              differential={"x": element(q, (1, ["x", "x"], None))})
+    p = odd_square_presentation()
     assert not p.is_weight_graded()
     t = realize(p, (0, 4), 5)
     assert [(e.degree, e.word) for e in t.differential_ledger] == [(5, "x*x*x*x*x")]
@@ -167,15 +186,7 @@ def test_odd_generator_with_square_differential():
 
 
 def test_d_squared_failure_is_reported_not_raised():
-    arrows = [Arrow("x", "v", "v", 1), Arrow("y", "v", "v", 2)]
-    q = QuiverPresentation(["v"], arrows)
-    p = DgAlgebraPresentation(
-        ["v"], arrows,
-        differential={
-            "x": element(q, (1, ["y"], None)),
-            "y": element(q, (1, ["x", "y"], None), (-1, ["y", "x"], None)),
-        })
-    t = realize(p, (0, 3), 3)
+    t = realize(d_squared_failure_presentation(), (0, 3), 3)
     report = verify_differential(t)
     assert not report.ok
     assert any(kind == "d_squared" and witness == "x"
