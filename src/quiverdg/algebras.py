@@ -63,14 +63,6 @@ class FiniteDimAlgebra:
                     vec_axpy(out, a * b, vec)
         return out
 
-    def left_matrix(self, vec):
-        m = SparseMatrix(self.dim, self.dim)
-        for j in range(self.dim):
-            col = self.mul(vec, {j: self.field.one()})
-            for i, c in col.items():
-                m.set(i, j, c)
-        return m
-
     def trace_of_left(self, vec):
         total = self.field.zero()
         for k in range(self.dim):

@@ -26,7 +26,7 @@ from .certificates import replay_certificate
 from .dgalgebra import (DgAlgebraPresentation, DSquaredNonzero,
                         InconsistentPresentation, NotStabilized, UnsafeWindow,
                         cohomology, h0_algebra, realize, verify_differential)
-from .fields import GroundField, format_scalar
+from .fields import GroundField
 from .ginzburg import cy_completion, ginzburg, jacobi_basis, verify_koszul_pair
 from .koszul import completeness_report, dual_bar
 from .quiver import (Arrow, PathAlgebraElement, QuiverPresentation,
@@ -352,11 +352,6 @@ def _differential_block(report):
         "skipped_pairs": report.skipped_pairs,
         "failures": [str(f) for f in report.failures],
     }
-
-
-def _element_strings(element):
-    return sorted("%s * %s" % (format_scalar(c), p)
-                  for p, c in element.terms.items())
 
 
 # ---------------------------------------------------------------------------

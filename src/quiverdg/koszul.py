@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from operator import itemgetter
 
 from .dgalgebra import (
     DgAlgebraPresentation,
@@ -59,8 +60,39 @@ class BarWord:
         return "[" + "|".join(str(p) for p in self.letters) + "]"
 
 
-def _ideal_basis(t):
-    return [e for e in t.qb.basis if not e.is_trivial()]
+class _LetterTable:
+    """The augmentation-ideal basis of a truncation, as numbered letters.
+
+    letters lists the ideal basis words in basis order; letter i has degree
+    degree[i], and starting_at maps each vertex to the ids of the letters
+    that start there, in id order.  d[i] is the reduced differential of
+    letter i as {letter id: coeff}, or None when it escaped the weight bound.
+    products[i] maps each letter j that composes after letter i (target of
+    i = source of j), in id order, to their reduced product as {letter id:
+    coeff}, or to None when it escapes the weight bound.  Each product is
+    taken once.
+    """
+
+    def __init__(self, t):
+        self.letters = [e for e in t.qb.basis if not e.is_trivial()]
+        ids = {e: i for i, e in enumerate(self.letters)}
+        degree_of = t.presentation.degree_of
+        self.degree = [degree_of(e) for e in self.letters]
+        self.d = []
+        for e in self.letters:
+            column = t.d_of(e)
+            self.d.append(None if column is None
+                          else {ids[f]: c for f, c in column.items()})
+        self.starting_at = {}
+        for j, e in enumerate(self.letters):
+            self.starting_at.setdefault(e.source, []).append(j)
+        self.products = []
+        for e in self.letters:
+            row = {}
+            for j in self.starting_at.get(e.target, ()):
+                pq = t.word_product(e, self.letters[j])
+                row[j] = None if pq is None else {ids[g]: c for g, c in pq.items()}
+            self.products.append(row)
 
 
 def _weight_homogeneous_relations(presentation):
@@ -72,10 +104,16 @@ def _weight_homogeneous_relations(presentation):
 class BarComplex:
     """Tensor words of length <= word_bound with the bar differential.
 
-    Columns whose internal or merge data escape the underlying algebra's
-    weight bound are dropped and ledgered, mirroring the truncation
-    discipline of the dg engine.  d of d is checked word by word along
-    fully honest column chains at construction time.
+    Everything is read off one letter table of the augmentation ideal: each
+    letter's degree, string and differential, and the reduced product of each
+    composable letter pair, taken once.  Words are generated layer by layer
+    in their final order, by (length, letter strings, vertex), and each word
+    inherits its degree and whether its column is dropped from its prefix.
+    A column is dropped, and ledgered, when some letter's differential or
+    some adjacent product escapes the underlying algebra's weight bound,
+    mirroring the truncation discipline of the dg engine; no column is ever
+    assembled for a dropped word.  d of d is checked word by word along fully
+    honest column chains at construction time.
     """
 
     def __init__(self, t, word_bound, window):
@@ -87,58 +125,92 @@ class BarComplex:
         self.field = t.field
         self.word_bound = word_bound
         self.window = tuple(window)
-        degree_of = t.presentation.degree_of
-        ideal = _ideal_basis(t)
-        words = [BarWord((), v) for v in sorted(t.presentation.vertices)]
-        layer = words
-        for _ in range(word_bound):
-            layer = [BarWord(w.letters + (e,), w.source)
-                     for w in layer for e in ideal if w.target == e.source]
-            words.extend(layer)
-        words.sort(key=lambda w: (len(w.letters), tuple(str(p) for p in w.letters), w.vertex))
+        table = _LetterTable(t)
+        self._letters = frozenset(table.letters)
+        honest = self._generate_words(table, sorted(t.presentation.vertices))
+        by_ids = {ids: self._column(table, ids) for _, _, ids in honest}
+        self._check_d_squared(honest, by_ids)
+        letters = table.letters
+
+        def bar_word(ids):
+            return BarWord(tuple(letters[i] for i in ids), letters[ids[0]].source)
+
+        self._columns = {
+            word: {bar_word(u): c for u, c in by_ids[ids].items()}
+            for word, _, ids in honest}
+
+    def _generate_words(self, table, vertices):
+        """Fill words_by_degree and the ledger in word order; return the
+        honest words as (word, degree, letter ids), in word order."""
+        letters, d, products = table.letters, table.d, table.products
+        shift = [degree - 1 for degree in table.degree]
+        text = [str(e) for e in letters]
+        # Two letters can print alike (an arrow named "a*b" and the path
+        # a*b).  Words are ordered by the ranks of their letter strings; words
+        # with equal ranks form a run, kept in generation order (vertex, then
+        # letter ids), which is where a stable sort by strings leaves them.
+        rank_of = {s: r for r, s in enumerate(sorted(set(text)))}
+        rank = [rank_of[s] for s in text]
+        starting_at = {v: sorted(ids, key=rank.__getitem__)
+                       for v, ids in table.starting_at.items()}
         self.words_by_degree = {}
-        for w in words:
-            d = sum(degree_of(p) - 1 for p in w.letters)
-            self.words_by_degree.setdefault(d, []).append(w)
-        self._index = {}
-        for d, bucket in self.words_by_degree.items():
-            for i, w in enumerate(bucket):
-                self._index[w] = (d, i)
-        self._columns = {}
         self.differential_ledger = []
-        one = self.field.one()
-        for w in words:
-            column = {}
-            broken = False
-            prefix = 0
-            for i, letter in enumerate(w.letters):
-                sign = self.field.of(-1 if prefix % 2 else 1)
-                col = t.d_of(letter)
-                if col is None:
-                    broken = True
-                    break
-                for f, c in col.items():
-                    target = BarWord(w.letters[:i] + (f,) + w.letters[i + 1:], w.vertex)
-                    self._bump(column, target, sign * c)
-                if i + 1 < len(w.letters):
-                    merged = t.product(PathAlgebraElement.from_path(letter, one),
-                                       PathAlgebraElement.from_path(w.letters[i + 1], one))
-                    if merged is None:
-                        broken = True
-                        break
-                    msign = self.field.of(
-                        -1 if (prefix + degree_of(letter)) % 2 else 1)
-                    for g, c in merged.terms.items():
-                        target = BarWord(w.letters[:i] + (g,) + w.letters[i + 2:], w.vertex)
-                        self._bump(column, target, msign * c)
-                prefix += degree_of(letter) - 1
-            if broken:
-                self._columns[w] = None
-                self.differential_ledger.append(OverflowEntry(
-                    "bar-differential", self._index[w][0], str(w)))
-            else:
-                self._columns[w] = column
-        self._check_d_squared()
+        honest = []
+        # A layer is a list of runs.  An item is (word, target vertex, degree,
+        # string head, letter ids or None once the column is dropped).
+        run = []
+        for v in vertices:
+            word = BarWord((), v)
+            self.words_by_degree.setdefault(0, []).append(word)
+            honest.append((word, 0, ()))
+            run.append((word, v, 0, "[", ()))
+        layer = [run]
+        for length in range(1, self.word_bound + 1):
+            extend = length < self.word_bound  # the last layer is not kept
+            next_layer = []
+            for run in layer:
+                children = [(rank[i], item, i) for item in run
+                            for i in starting_at.get(item[1], ())]
+                if len(run) > 1:
+                    children.sort(key=itemgetter(0))
+                last_rank = None
+                for r, (word, _, degree, head, ids), i in children:
+                    e = letters[i]
+                    child = BarWord(word.letters + (e,), word.vertex)
+                    degree += shift[i]
+                    self.words_by_degree.setdefault(degree, []).append(child)
+                    body = head + text[i]
+                    if (ids is not None and d[i] is not None
+                            and (not ids or products[ids[-1]][i] is not None)):
+                        ids += (i,)
+                        honest.append((child, degree, ids))
+                    else:
+                        ids = None
+                        self.differential_ledger.append(OverflowEntry(
+                            "bar-differential", degree, body + "]"))
+                    if extend:
+                        if r != last_rank:
+                            next_layer.append([])
+                            last_rank = r
+                        next_layer[-1].append((child, e.target, degree, body + "|", ids))
+            layer = next_layer
+        return honest
+
+    def _column(self, table, ids):
+        """The bar differential of an honest word, as {letter ids: coeff}."""
+        plus, minus = self.field.of(1), self.field.of(-1)
+        column = {}
+        prefix = 0
+        for k, i in enumerate(ids):
+            sign = minus if prefix % 2 else plus
+            for f, c in table.d[i].items():
+                self._bump(column, ids[:k] + (f,) + ids[k + 1:], sign * c)
+            if k + 1 < len(ids):
+                sign = minus if (prefix + table.degree[i]) % 2 else plus
+                for g, c in table.products[i][ids[k + 1]].items():
+                    self._bump(column, ids[:k] + (g,) + ids[k + 2:], sign * c)
+            prefix += table.degree[i] - 1
+        return column
 
     @staticmethod
     def _bump(column, word, coeff):
@@ -149,24 +221,34 @@ class BarComplex:
         else:
             column.pop(word, None)
 
-    def _check_d_squared(self):
-        for w, column in self._columns.items():
-            if column is None:
-                continue
+    def _check_d_squared(self, honest, by_ids):
+        for word, degree, ids in honest:
             total = {}
-            verifiable = True
-            for u, c in column.items():
-                next_column = self._columns[u]
+            for u, c in by_ids[ids].items():
+                next_column = by_ids.get(u)
                 if next_column is None:
-                    verifiable = False
                     break
                 for v, c2 in next_column.items():
                     self._bump(total, v, c * c2)
-            if verifiable and total:
-                raise DSquaredNonzero(self._index[w][0], str(w))
+            else:
+                if total:
+                    raise DSquaredNonzero(degree, str(word))
 
     def d_of(self, word):
-        return self._columns[word]
+        """The column of a bar word as {BarWord: coeff}; None when dropped."""
+        column = self._columns.get(word)
+        if column is None and not self._is_word(word):
+            raise KeyError(word)
+        return column
+
+    def _is_word(self, word):
+        letters = word.letters
+        if not letters:
+            return word.vertex in self.algebra.presentation.vertices
+        return (len(letters) <= self.word_bound
+                and word.vertex == letters[0].source
+                and all(p in self._letters for p in letters)
+                and all(p.target == q.source for p, q in zip(letters, letters[1:])))
 
     def dims(self):
         lo, hi = self.window
@@ -179,13 +261,11 @@ class BarComplex:
     def matrix_between(self, degree):
         source = self.words_by_degree.get(degree, [])
         target = self.words_by_degree.get(degree + 1, [])
+        row = {u: i for i, u in enumerate(target)}
         m = SparseMatrix(len(target), len(source))
         for j, w in enumerate(source):
-            column = self._columns[w]
-            if column is None:
-                continue
-            for u, c in column.items():
-                m.set(self._index[u][1], j, c)
+            for u, c in self._columns.get(w, {}).items():
+                m.set(row[u], j, c)
         return m
 
     def cohomology_dims(self, safe_window, strict=False):
@@ -230,13 +310,14 @@ def dual_bar(t, word_bound, window):
             degrees,
             "input differential is unknown at degrees %s; realize the input "
             "at a larger weight bound" % degrees)
-    degree_of = t.presentation.degree_of
-    ideal = _ideal_basis(t)
-    names = {e: "[%s]" % e for e in ideal}
-    arrows = [Arrow(names[e], e.source, e.target, 1 - degree_of(e)) for e in ideal]
-    weights = {names[e]: t.qb.weight_of(e) for e in ideal}
+    table = _LetterTable(t)
+    letters, degree = table.letters, table.degree
+    names = ["[%s]" % e for e in letters]
+    arrows = [Arrow(names[i], e.source, e.target, 1 - degree[i])
+              for i, e in enumerate(letters)]
+    weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}
     scratch = QuiverPresentation(t.presentation.vertices, arrows)
-    terms = {names[e]: {} for e in ideal}
+    terms = {name: {} for name in names}
     field = t.field
 
     def bump(name, path, coeff):
@@ -248,27 +329,23 @@ def dual_bar(t, word_bound, window):
         else:
             bucket.pop(path, None)
 
-    for f in ideal:
-        for e, c in t.d_of(f).items():
-            sign = field.of(-1 if degree_of(e) % 2 else 1)
+    for f, column in enumerate(table.d):
+        for e, c in column.items():
+            sign = field.of(-1 if degree[e] % 2 else 1)
             bump(names[e], scratch.path([names[f]]), sign * c)
     homogeneous = _weight_homogeneous_relations(t.presentation)
-    one = field.one()
-    for p in ideal:
-        for q in ideal:
-            if p.target != q.source:
-                continue
-            product = t.product(PathAlgebraElement.from_path(p, one),
-                                PathAlgebraElement.from_path(q, one))
+    for p, row in enumerate(table.products):
+        for q, product in row.items():
             if product is None:
                 if homogeneous:
                     continue
                 raise ValueError(
                     "product %s * %s escapes the input weight bound and the "
-                    "relations are not weight-homogeneous; raise the bound" % (p, q))
-            for e, c in product.terms.items():
-                sign = field.of(-1 if (degree_of(e) + degree_of(p)
-                                       + (degree_of(p) - 1) * (degree_of(q) - 1)) % 2 else 1)
+                    "relations are not weight-homogeneous; raise the bound"
+                    % (letters[p], letters[q]))
+            for e, c in product.items():
+                sign = field.of(-1 if (degree[e] + degree[p]
+                                       + (degree[p] - 1) * (degree[q] - 1)) % 2 else 1)
                 bump(names[e], scratch.path([names[p], names[q]]), sign * c)
     differential = {name: PathAlgebraElement(bucket)
                     for name, bucket in terms.items() if bucket}
@@ -408,35 +485,30 @@ def dual_coalgebra(t):
         degrees = sorted({e.degree for e in t.differential_ledger})
         raise UnsafeWindow(degrees,
                            "input differential is unknown at degrees %s" % degrees)
-    degree_of = t.presentation.degree_of
-    ideal = _ideal_basis(t)
-    names = {e: "[%s]" % e for e in ideal}
-    cogenerators = [Arrow(names[e], e.source, e.target, -degree_of(e)) for e in ideal]
-    weights = {names[e]: t.qb.weight_of(e) for e in ideal}
+    table = _LetterTable(t)
+    letters, degree = table.letters, table.degree
+    names = ["[%s]" % e for e in letters]
+    cogenerators = [Arrow(names[i], e.source, e.target, -degree[i])
+                    for i, e in enumerate(letters)]
+    weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}
     field = t.field
     differential = {}
-    for f in ideal:
-        for e, c in t.d_of(f).items():
-            sign = field.of(-1 if (degree_of(e) + 1) % 2 else 1)
+    for f, column in enumerate(table.d):
+        for e, c in column.items():
+            sign = field.of(-1 if (degree[e] + 1) % 2 else 1)
             differential.setdefault(names[e], []).append((sign * c, names[f]))
     homogeneous = _weight_homogeneous_relations(t.presentation)
     comultiplication = {}
-    one = field.one()
-    for p in ideal:
-        for q in ideal:
-            if p.target != q.source:
-                continue
-            product = t.product(PathAlgebraElement.from_path(p, one),
-                                PathAlgebraElement.from_path(q, one))
+    for p, row in enumerate(table.products):
+        for q, product in row.items():
             if product is None:
                 if homogeneous:
                     continue
                 raise ValueError(
                     "product %s * %s escapes the input weight bound and the "
-                    "relations are not weight-homogeneous" % (p, q))
-            for e, c in product.terms.items():
-                sign = field.of(
-                    -1 if (degree_of(p) * degree_of(q) + 1) % 2 else 1)
+                    "relations are not weight-homogeneous" % (letters[p], letters[q]))
+            for e, c in product.items():
+                sign = field.of(-1 if (degree[p] * degree[q] + 1) % 2 else 1)
                 comultiplication.setdefault(names[e], []).append(
                     (sign * c, names[p], names[q]))
     return CoalgebraPresentation(t.presentation.vertices, cogenerators,

@@ -199,11 +199,6 @@ class PathAlgebraElement:
         return " + ".join(bits)
 
 
-def path_mul(p, q):
-    """Bilinear product of path-algebra elements (left-to-right composition)."""
-    return p * q
-
-
 class Superpotential:
     """A finite linear combination of cycles, each stored as its least rotation.
 

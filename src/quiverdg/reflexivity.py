@@ -31,8 +31,6 @@ from .linalg import RowSpace
 from .quiver import PathAlgebraElement
 from .surfaces import GentlePresentation, MarkedSurfaceArcSystem, fukaya_verdict
 
-commutative_decompose = decompose_commutative
-
 FAMILY_KINDS = ("polynomial", "laurent", "power-series-complete-local")
 
 

@@ -9,7 +9,7 @@ from quiverdg.quiver import (
     QuiverPresentation,
     Superpotential,
 )
-from quiverdg.algebras import FiniteDimAlgebra
+from quiverdg.algebras import FiniteDimAlgebra, decompose_commutative
 from quiverdg.dgalgebra import DgAlgebraPresentation, realize
 from quiverdg.ginzburg import (
     CharacteristicWarning,
@@ -28,7 +28,6 @@ from quiverdg.reflexivity import (
     SymbolicFamily,
     TooFewKnownFlags,
     check,
-    commutative_decompose,
     two_out_of_three,
 )
 from quiverdg.surfaces import BoundaryComponent, GentlePresentation, MarkedSurfaceArcSystem
@@ -180,8 +179,8 @@ def test_commutative_square_zero_is_reflexive():
 
 
 def test_commutative_decompose_splits_known_products():
-    assert len(commutative_decompose(square_zero_algebra())) == 1
-    factors = commutative_decompose(k_times_k())
+    assert len(decompose_commutative(square_zero_algebra())) == 1
+    factors = decompose_commutative(k_times_k())
     assert [f.residue_dimension for f in factors] == [1, 1]
     assert [f.radical_dimension for f in factors] == [0, 0]
 
