@@ -177,6 +177,24 @@ class OverflowEntry:
     word: str
 
 
+_UNSET = object()
+
+
+def _add_scaled(out, coeff, vec, one):
+    """In-place out += coeff * vec, skipping each multiplication by one.
+
+    one is the field's unit object; unit products in the memo hold it, so an
+    identity test spares the exact-arithmetic product."""
+    for k, v in vec.items():
+        term = v if coeff is one else coeff if v is one else coeff * v
+        s = out.get(k)
+        s = term if s is None else s + term
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+
+
 class TruncatedDgAlgebra:
     """Words of weight <= bound with reduced multiplication and differential.
 
@@ -184,9 +202,21 @@ class TruncatedDgAlgebra:
     scopes what is reported and classified.  differential_ledger lists the
     words whose differential escaped the weight bound (their columns are
     omitted), and mul_overflow counts composable basis pairs whose product
-    escapes, keyed by the degree the product would land in.  word_weight
-    maps each basis word to its weight, and word_product memoises the reduced
-    products of words for the life of the truncation.
+    escapes, keyed by the degree the product would land in.
+
+    Inside the truncation each basis word is numbered once: its id is its
+    position in degree-major basis order (degrees ascending, basis order
+    within a degree), so the words of one degree have consecutive ids.  The
+    differential columns and the product memo are stored on ids as {id:
+    coeff}, with each id's weight and degree in lists, and verify_differential,
+    cohomology and matrix_between work on them without hashing a path.
+    d_of, d_element, word_product and product are the path-level views.
+
+    Products of two words are memoised for the life of the truncation.  When
+    the concatenation fits the bound and is itself a basis word, which is
+    exactly when its column of the quotient basis is not a pivot, reduction
+    would return it unchanged, so its product is taken to be that word with
+    coefficient one; every other product is reduced.
     """
 
     def __init__(self, presentation, window, weight_bound):
@@ -200,28 +230,32 @@ class TruncatedDgAlgebra:
             presentation.quiver, presentation.relations, weight_bound,
             field=presentation.field, weights=presentation.weights)
         self._check_relation_differentials()
-        self.word_weight = {w: self.qb.weight_of(w) for w in self.qb.basis}
-        self._products = {}
         self.basis_by_degree = {}
         for path in self.qb.basis:
             self.basis_by_degree.setdefault(presentation.degree_of(path), []).append(path)
-        self._index = {}
-        for degree, words in self.basis_by_degree.items():
-            for i, w in enumerate(words):
-                self._index[w] = (degree, i)
-        self._columns = {}
-        self.differential_ledger = []
+        self._words = []
+        self._degree = []
+        self._start = {}
         for degree in sorted(self.basis_by_degree):
-            for word in self.basis_by_degree[degree]:
-                free = presentation.d_of_element(PathAlgebraElement.from_path(
-                    word, self.field.one()))
-                if any(presentation.weight_of(t) > weight_bound for t in free.terms):
-                    self.differential_ledger.append(OverflowEntry(
-                        "differential", degree, str(word)))
-                    self._columns[word] = None
-                    continue
-                reduced = self.qb.reduce(free)
-                self._columns[word] = reduced.terms
+            words = self.basis_by_degree[degree]
+            self._start[degree] = len(self._words)
+            self._words.extend(words)
+            self._degree.extend([degree] * len(words))
+        self._id = {w: i for i, w in enumerate(self._words)}
+        self._weight = [self.qb.weight_of(w) for w in self._words]
+        self._one = self.field.one()
+        self._products = [None] * len(self._words)
+        self._units = {}
+        self._columns = []
+        self.differential_ledger = []
+        for i, word in enumerate(self._words):
+            free = presentation.d_of_element(PathAlgebraElement.from_path(word, self._one))
+            if any(presentation.weight_of(t) > weight_bound for t in free.terms):
+                self.differential_ledger.append(OverflowEntry(
+                    "differential", self._degree[i], str(word)))
+                self._columns.append(None)
+                continue
+            self._columns.append(self._ids_of(self.qb.reduce(free).terms))
         self.mul_overflow = self._count_mul_overflow()
         self.certified_finite_dimensional = self._certify_finite_dimensional()
 
@@ -241,8 +275,8 @@ class TruncatedDgAlgebra:
 
     def _count_mul_overflow(self):
         histogram = {}
-        for word, (degree, _) in self._index.items():
-            key = (word.source, word.target, degree, self.word_weight[word])
+        for i, word in enumerate(self._words):
+            key = (word.source, word.target, self._degree[i], self._weight[i])
             histogram[key] = histogram.get(key, 0) + 1
         overflow = {}
         for (s1, t1, d1, w1), n1 in histogram.items():
@@ -256,7 +290,7 @@ class TruncatedDgAlgebra:
     def _certify_finite_dimensional(self):
         if not self.presentation.generators:
             return True
-        top = max(self.word_weight.values(), default=0)
+        top = max(self._weight, default=0)
         heaviest_generator = max(self.presentation.weights.values())
         return top + heaviest_generator <= self.weight_bound
 
@@ -270,72 +304,115 @@ class TruncatedDgAlgebra:
         lo, hi = self.window
         return {d: len(self.basis_by_degree.get(d, ())) for d in range(lo, hi + 1)}
 
+    def _ids_of(self, terms):
+        return {self._id[path]: c for path, c in terms.items()}
+
+    def _paths_of(self, vec):
+        return {self._words[i]: c for i, c in vec.items()}
+
+    def _word_id(self, word):
+        i = self._id.get(word)
+        if i is None:
+            raise ValueError("%s is not a basis word" % (word,))
+        return i
+
+    def _ids_in(self, degree):
+        """The consecutive ids of the words of one degree."""
+        start = self._start.get(degree, 0)
+        return range(start, start + len(self.basis_by_degree.get(degree, ())))
+
+    def _coordinates(self, element):
+        """{position of each word within its degree: coeff} of an element
+        supported on basis words."""
+        out = {}
+        for word, c in element.terms.items():
+            i = self._id[word]
+            out[i - self._start[self._degree[i]]] = c
+        return out
+
     def d_of(self, word):
         """Reduced differential of a basis word as {path: coeff}; None if the
         free differential escaped the weight bound."""
-        return self._columns[word]
+        col = self._columns[self._id[word]]
+        return None if col is None else self._paths_of(col)
+
+    def _d(self, vec):
+        """d of {id: coeff} as {id: coeff}; None when a column is missing."""
+        total = {}
+        for i, coeff in vec.items():
+            col = self._columns[i]
+            if col is None:
+                return None
+            _add_scaled(total, coeff, col, self._one)
+        return total
 
     def d_element(self, element):
         """Differential of an element supported on basis words; None when any
         support word's column is missing."""
-        total = {}
-        for word, coeff in element.terms.items():
-            col = self._columns.get(word)
-            if col is None:
-                if word not in self._columns:
-                    raise ValueError("%s is not a basis word" % word)
-                return None
-            for path, c in col.items():
-                s = total.get(path)
-                s = coeff * c if s is None else s + coeff * c
-                if s:
-                    total[path] = s
-                else:
-                    total.pop(path, None)
-        return PathAlgebraElement(total)
+        total = self._d({self._word_id(w): self.field.of(c) for w, c in element.terms.items()})
+        return None if total is None else PathAlgebraElement(self._paths_of(total))
 
     def product(self, left, right):
-        """Reduced product of two elements; None when a term pair escapes the
-        weight bound (mismatched endpoints just multiply to zero).  It is the
-        bilinear extension of word_product.
+        """Reduced product of two elements supported on basis words; None
+        when a term pair escapes the weight bound (mismatched endpoints just
+        multiply to zero).  It is the bilinear extension of word_product.
         """
+        right_ids = [(self._word_id(q), cq) for q, cq in right.terms.items()]
         total = {}
         for p, cp in left.terms.items():
-            for q, cq in right.terms.items():
-                pq = self.word_product(p, q)
+            i = self._word_id(p)
+            for j, cq in right_ids:
+                pq = self._product(i, j)
                 if pq is None:
                     return None
                 vec_axpy(total, cp * cq, pq)
-        return PathAlgebraElement(total)
+        return PathAlgebraElement(self._paths_of(total))
 
     def word_product(self, p, q):
-        """Reduced product of two words as {path: coeff}, memoised on the
-        truncation; None when it escapes the weight bound.  The returned dict
-        is the memo entry itself and must not be modified.
+        """Reduced product of two basis words as {path: coeff}; None when it
+        escapes the weight bound.  Products are memoised on ids (see the
+        class docstring).
 
         When the truncation is certified finite-dimensional the overflow case
         is recovered exactly: q is multiplied onto p one generator at a time,
         and each intermediate product stays under the bound because the
         heaviest reduced word plus one generator does.
         """
+        pq = self._product(self._word_id(p), self._word_id(q))
+        return None if pq is None else self._paths_of(pq)
+
+    def _product(self, i, j):
+        """Memoised product of words i and j as {id: coeff}, or None; the
+        dict is the memo entry itself and must not be modified."""
+        row = self._products[i]
+        if row is None:
+            row = self._products[i] = {}
+        pq = row.get(j, _UNSET)
+        if pq is _UNSET:
+            pq = row[j] = self._multiply(i, j)
+        return pq
+
+    def _multiply(self, i, j):
+        p, q = self._words[i], self._words[j]
         if p.target != q.source:
             return {}
-        key = (p, q)
-        if key in self._products:
-            return self._products[key]
-        if self.qb.weight_of(p) + self.qb.weight_of(q) <= self.weight_bound:
+        one = self._one
+        if self._weight[i] + self._weight[j] <= self.weight_bound:
             word = Path(p.labels + q.labels, p.source, q.target)
-            pq = self.qb.reduce(PathAlgebraElement.from_path(word, self.field.one())).terms
-        elif self.certified_finite_dimensional:
-            quiver = self.presentation.quiver
-            acc = self.qb.reduce(PathAlgebraElement.from_path(p, self.field.one()))
-            for label in q.labels:
-                acc = self.qb.reduce(acc * PathAlgebraElement.from_path(quiver.path([label])))
-            pq = acc.terms
-        else:
-            pq = None
-        self._products[key] = pq
-        return pq
+            k = self._id.get(word)
+            if k is None:
+                return self._ids_of(self.qb.reduce(PathAlgebraElement.from_path(word, one)).terms)
+            unit = self._units.get(k)
+            if unit is None:
+                unit = self._units[k] = {k: one}
+            return unit
+        if not self.certified_finite_dimensional:
+            return None
+        quiver = self.presentation.quiver
+        acc = self.qb.reduce(PathAlgebraElement.from_path(p, one))
+        for label in q.labels:
+            acc = self.qb.reduce(acc * PathAlgebraElement.from_path(quiver.path([label])))
+        return self._ids_of(acc.terms)
 
     def unit_element(self):
         one = self.field.one()
@@ -344,15 +421,14 @@ class TruncatedDgAlgebra:
 
     def matrix_between(self, degree):
         """SparseMatrix of d from degree to degree+1 (ledgered columns zero)."""
-        source = self.basis_by_degree.get(degree, [])
-        target = self.basis_by_degree.get(degree + 1, [])
+        source, target = self._ids_in(degree), self._ids_in(degree + 1)
         m = SparseMatrix(len(target), len(source))
-        for j, word in enumerate(source):
-            col = self._columns[word]
+        for j, i in enumerate(source):
+            col = self._columns[i]
             if col is None:
                 continue
-            for path, c in col.items():
-                m.set(self._index[path][1], j, c)
+            for k, c in col.items():
+                m.set(k - target.start, j, c)
         return m
 
 
@@ -385,66 +461,70 @@ def verify_differential(t):
     The Leibniz pass visits only the composable pairs (p, q) whose total
     weight fits the bound, in basis order.  Words and pairs whose
     differentials or products escape the weight bound are skipped (counted),
-    never trusted.  Returns a DifferentialReport whose failures list carries
-    witnesses; it never raises.
+    never trusted.  Both passes run on the truncation's word ids, its
+    id-keyed columns and its id-keyed product memo, where a product whose
+    concatenation is a basis word is read off without reduction (see
+    TruncatedDgAlgebra); a word becomes a path again only to name a failure.
+    Returns a DifferentialReport whose failures list carries witnesses; it
+    never raises.
     """
     report = DifferentialReport(0, 0, 0, 0)
-    words = [w for d in sorted(t.basis_by_degree) for w in t.basis_by_degree[d]]
-    for w in words:
-        col = t.d_of(w)
-        if col is None:
-            report.skipped_words += 1
-            continue
-        dd = t.d_element(PathAlgebraElement(col))
+    words, columns, weight, degree = t._words, t._columns, t._weight, t._degree
+    for i, col in enumerate(columns):
+        dd = None if col is None else t._d(col)
         if dd is None:
             report.skipped_words += 1
             continue
         report.checked_words += 1
-        if not dd.is_zero():
-            report.failures.append(("d_squared", str(w), repr(dd)))
-    weight = t.word_weight
-    # by_source[vertex][degree] lists words in `words` order, so weights
-    # ascend within each list and a scan stops at the first too heavy word
+        if dd:
+            report.failures.append(
+                ("d_squared", str(words[i]), repr(PathAlgebraElement(t._paths_of(dd)))))
+    # runs_at[vertex] lists, per degree, the ids of the words starting there
+    # in id order, so weights ascend within a run and a scan stops at the
+    # first too heavy word
     by_source = {}
-    for w in words:
-        by_source.setdefault(w.source, {}).setdefault(t._index[w][0], []).append(w)
-    signs = (t.field.one(), t.field.of(-1))
-    for p in words:
-        dp = t.d_of(p)
-        room = t.weight_bound - weight[p]
-        sign = signs[t._index[p][0] % 2]
-        for run in by_source.get(p.target, {}).values():
-            for q in run:
-                if weight[q] > room:
+    for i, w in enumerate(words):
+        by_source.setdefault(w.source, {}).setdefault(degree[i], []).append(i)
+    runs_at = {v: list(runs.values()) for v, runs in by_source.items()}
+    one = t._one
+    signs = (one, t.field.of(-1))
+    product = t._product
+    for i, p in enumerate(words):
+        dp = columns[i]
+        room = t.weight_bound - weight[i]
+        sign = signs[degree[i] % 2]
+        for run in runs_at.get(p.target, ()):
+            for j in run:
+                if weight[j] > room:
                     break
-                dq = t.d_of(q)
+                dq = columns[j]
                 if dp is None or dq is None:
                     report.skipped_pairs += 1
                     continue
-                lhs = t.d_element(PathAlgebraElement(t.word_product(p, q)))
-                rhs = None if lhs is None else _leibniz_rhs(t, p, q, dp, dq, sign)
+                lhs = t._d(product(i, j))
+                rhs = None if lhs is None else _leibniz_rhs(product, i, j, dp, dq, sign, one)
                 if rhs is None:
                     report.skipped_pairs += 1
                     continue
                 report.checked_pairs += 1
-                if lhs.terms != rhs:
-                    report.failures.append(("leibniz", str(p), str(q)))
+                if lhs != rhs:
+                    report.failures.append(("leibniz", str(p), str(words[j])))
     return report
 
 
-def _leibniz_rhs(t, p, q, dp, dq, sign):
-    """(dp)q + sign p(dq) as {path: coeff}; None when a product escapes."""
+def _leibniz_rhs(product, i, j, dp, dq, sign, one):
+    """(dp)q + sign p(dq) on ids; None when a product escapes."""
     rhs = {}
     for u, cu in dp.items():
-        piece = t.word_product(u, q)
+        piece = product(u, j)
         if piece is None:
             return None
-        vec_axpy(rhs, cu, piece)
+        _add_scaled(rhs, cu, piece, one)
     for v, cv in dq.items():
-        piece = t.word_product(p, v)
+        piece = product(i, v)
         if piece is None:
             return None
-        vec_axpy(rhs, sign * cv, piece)
+        _add_scaled(rhs, cv if sign is one else sign * cv, piece, one)
     return rhs
 
 
@@ -481,8 +561,7 @@ class CohomologyResult:
         if product is None:
             return None
         solver, image_count = self._solver_for(landing)
-        vec = {t._index[w][1]: c for w, c in product.terms.items()}
-        expression = solver.express(vec)
+        expression = solver.express(t._coordinates(product))
         if expression is None:
             raise RuntimeError(
                 "product of cocycles is not a cocycle within the truncation; "
@@ -494,10 +573,11 @@ class CohomologyResult:
             t = self.truncation
             solver = SpanSolver()
             count = 0
-            for word in t.basis_by_degree.get(degree - 1, ()):
-                col = t.d_of(word)
+            start = t._ids_in(degree).start
+            for i in t._ids_in(degree - 1):
+                col = t._columns[i]
                 if col:
-                    solver.add({t._index[w][1]: c for w, c in col.items()})
+                    solver.add({k - start: c for k, c in col.items()})
                     count += 1
             for vec in self._rep_vectors.get(degree, ()):
                 solver.add(dict(vec))
@@ -526,15 +606,11 @@ def cohomology(t, safe_window, strict=False):
                            "differential overflow at degrees %s inside window [%d, %d]"
                            % (touched, lo, hi))
     for degree in range(lo - 1, hi + 1):
-        for word in t.basis_by_degree.get(degree, ()):
-            col = t.d_of(word)
-            if col is None:
-                continue
-            square = t.d_element(PathAlgebraElement(col))
-            if square is None:
-                continue
-            if not square.is_zero():
-                raise DSquaredNonzero(degree, str(word))
+        for i in t._ids_in(degree):
+            col = t._columns[i]
+            square = None if col is None else t._d(col)
+            if square:
+                raise DSquaredNonzero(degree, str(t._words[i]))
     dims = t.dims()
     matrices = {d: t.matrix_between(d) for d in range(lo - 1, hi + 1)}
     raw = cohomology_of_complex(dims, matrices, (lo, hi), t.field, verify=False)
@@ -652,8 +728,7 @@ def h0_algebra(t):
             raise NotStabilized(
                 "representative product escapes weight bound %d; raise it"
                 % t.weight_bound)
-        vec = {t._index[w][1]: c for w, c in element.terms.items()}
-        expression = solver.express(vec)
+        expression = solver.express(t._coordinates(element))
         if expression is None:
             raise NotStabilized(
                 "element does not lie in the computed cocycle span; raise the bound")

@@ -95,6 +95,30 @@ class _LetterTable:
             self.products.append(row)
 
 
+def _letter_names(letters):
+    """Generator names "[e]" for the letters of a dual.
+
+    Two letters can print alike (an arrow named "a*b" and the path a*b).  The
+    first keeps the plain name and each later one takes the first suffix
+    "#2", "#3", ... that is no other letter's name, so names are unchanged
+    wherever no two letters print alike.
+    """
+    plain = ["[%s]" % e for e in letters]
+    taken = set(plain)
+    names = []
+    used = set()
+    for name in plain:
+        if name in used:
+            n = 2
+            while "%s#%d" % (name, n) in taken:
+                n += 1
+            name = "%s#%d" % (name, n)
+            taken.add(name)
+        used.add(name)
+        names.append(name)
+    return names
+
+
 def _weight_homogeneous_relations(presentation):
     return all(
         len({presentation.weight_of(p) for p in r.terms}) == 1
@@ -312,7 +336,7 @@ def dual_bar(t, word_bound, window):
             "at a larger weight bound" % degrees)
     table = _LetterTable(t)
     letters, degree = table.letters, table.degree
-    names = ["[%s]" % e for e in letters]
+    names = _letter_names(letters)
     arrows = [Arrow(names[i], e.source, e.target, 1 - degree[i])
               for i, e in enumerate(letters)]
     weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}
@@ -487,7 +511,7 @@ def dual_coalgebra(t):
                            "input differential is unknown at degrees %s" % degrees)
     table = _LetterTable(t)
     letters, degree = table.letters, table.degree
-    names = ["[%s]" % e for e in letters]
+    names = _letter_names(letters)
     cogenerators = [Arrow(names[i], e.source, e.target, -degree[i])
                     for i, e in enumerate(letters)]
     weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}

@@ -516,8 +516,7 @@ def _h0_class_vector(t, coh_zero, element):
     """Coordinates of a cocycle's class against the chosen representatives,
     or None when it is not visible inside the window."""
     solver, image_count = coh_zero._solver_for(0)
-    vec = {t._index[w][1]: c for w, c in element.terms.items()}
-    expression = solver.express(vec)
+    expression = solver.express(t._coordinates(element))
     if expression is None:
         return None
     return {k - image_count: c for k, c in expression.items()

@@ -25,7 +25,7 @@ from test_koszul import odd_generator_with_square_differential, truncated_polyno
 from quiverdg.dgalgebra import DgAlgebraPresentation, realize
 from quiverdg.fields import GroundField
 from quiverdg.ginzburg import cy_completion
-from quiverdg.koszul import bar
+from quiverdg.koszul import bar, cobar, dual_bar, dual_coalgebra
 from quiverdg.linalg import DSquaredNonzero
 from quiverdg.quiver import Arrow
 
@@ -131,13 +131,27 @@ def test_letters_that_print_alike_keep_generation_order():
     ]
 
 
+def test_duals_name_letters_that_print_alike_apart():
+    # The arrow a*b keeps the name [a*b]; the path a*b, later in basis
+    # order, takes the first free suffix.
+    t = realize(tie_presentation(), (0, 0), 2)
+    dual = dual_bar(t, 3, (0, 3))
+    names = [g.name for g in dual.presentation.generators]
+    assert names[1] == "[a*b]" and names[5] == "[a*b]#2"
+    assert len(set(names)) == len(names) == 12
+    coalgebra = dual_coalgebra(t)
+    assert [g.name for g in coalgebra.cogenerators] == names
+    assert cobar(coalgebra, 3, (0, 3)).dims() == dual.dims() == {0: 1, 1: 12, 2: 63, 3: 27}
+
+
 def test_d_squared_check_fires():
     # Doubling the column of z_1 breaks d o d = 0; the first honest bar word
     # in word order that shows it is [a^|z_1], in degree -3.
     p = cy_completion(a2_quiver(), 2)
     t = realize(p, (-6, 0), 3)
     z1 = p.quiver.path(["z_1"])
-    t._columns[z1] = {w: 2 * c for w, c in t.d_of(z1).items()}
+    k = t._id[z1]
+    t._columns[k] = {i: 2 * c for i, c in t._columns[k].items()}
     with pytest.raises(DSquaredNonzero) as err:
         bar(t, 3, (-6, 0))
     assert (err.value.degree, err.value.witness) == (-3, "[a^|z_1]")

@@ -88,7 +88,8 @@ def test_leibniz_failure_is_reported():
     p = preprojective_a2_presentation()
     t = realize(p, (-2, 0), 4)
     z1 = p.quiver.path(["z1"])
-    t._columns[z1] = {w: 2 * c for w, c in t.d_of(z1).items()}
+    k = t._id[z1]
+    t._columns[k] = {i: 2 * c for i, c in t._columns[k].items()}
     report = verify_differential(t)
     assert as_tuple(report) == (24, 0, 76, 0, [
         ("leibniz", "z1", "z1"),
@@ -129,7 +130,7 @@ def test_product_recovers_escaping_pairs_letterwise():
 def test_word_product_is_memoised_per_truncation():
     q, t = cubic_minus_linear()
     x, xx = q.path(["x"]), q.path(["x", "x"])
-    assert t.word_product(xx, xx) is t.word_product(xx, xx)
+    assert t._product(t._id[xx], t._id[xx]) is t._product(t._id[xx], t._id[xx])
     assert t.word_product(x, xx) == {x: QQ.one()}
     assert t.word_product(q.trivial("v"), x) == {x: QQ.one()}
     # without the certificate an escaping product is refused, not guessed
