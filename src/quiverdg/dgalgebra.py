@@ -533,7 +533,9 @@ class CohomologyResult:
 
     Dimensions are exact for the truncated complex; they equal the full
     algebra's cohomology wherever the caller's window and ledger discipline
-    guarantee the truncation is faithful.
+    guarantee the truncation is faithful.  class_coordinates reads the class
+    of a cocycle off the representatives; product, h0_algebra and the
+    reflexivity splitting check all go through it.
     """
 
     def __init__(self, truncation, window, dims, representatives, rep_vectors):
@@ -560,17 +562,26 @@ class CohomologyResult:
                             self.representatives[deg_right][j])
         if product is None:
             return None
-        solver, image_count = self._solver_for(landing)
-        expression = solver.express(t._coordinates(product))
-        if expression is None:
+        coords = self.class_coordinates(landing, product)
+        if coords is None:
             raise RuntimeError(
                 "product of cocycles is not a cocycle within the truncation; "
                 "the weight bound is too small to decide degree %d" % landing)
-        return {k - image_count: c for k, c in expression.items() if k >= image_count}
+        return coords
 
-    def _solver_for(self, degree):
+    def class_coordinates(self, degree, element):
+        """{representative index: coeff} of the class of an element of the
+        given degree, supported on basis words, against representatives
+        [degree]; None when the element is not in the span of the image of
+        d and the representatives.
+
+        The element is solved for on the image columns followed by the
+        representatives, and the image part is dropped.  The representative
+        part is unique, because the representatives are independent modulo
+        the image.
+        """
+        t = self.truncation
         if degree not in self._solvers:
-            t = self.truncation
             solver = SpanSolver()
             count = 0
             start = t._ids_in(degree).start
@@ -582,7 +593,40 @@ class CohomologyResult:
             for vec in self._rep_vectors.get(degree, ()):
                 solver.add(dict(vec))
             self._solvers[degree] = (solver, count)
-        return self._solvers[degree]
+        solver, image_count = self._solvers[degree]
+        expression = solver.express(t._coordinates(element))
+        if expression is None:
+            return None
+        return {k - image_count: c for k, c in expression.items() if k >= image_count}
+
+
+def _weight_homogeneous_relations(presentation):
+    return all(
+        len({presentation.weight_of(p) for p in r.terms}) == 1
+        for r in presentation.relations)
+
+
+def _gated_cohomology(c, dims, safe_window, strict, overflow):
+    """Cohomology of a truncated complex on a window, gated on its ledger.
+
+    c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
+    has a differential_ledger, a field and matrix_between(degree); dims maps
+    its degrees to their dimensions.  UnsafeWindow, naming the overflow, is
+    raised when the ledger meets the window (strict=True widens the check to
+    one degree on each side).  The caller vouches for d*d = 0.  Returns
+    cohomology_of_complex's {degree: (dim, representative vectors)}.
+    """
+    lo, hi = safe_window
+    if lo > hi:
+        raise ValueError("empty cohomology window [%s, %s]" % (lo, hi))
+    check_lo, check_hi = (lo - 1, hi + 1) if strict else (lo, hi)
+    touched = sorted({e.degree for e in c.differential_ledger
+                      if check_lo <= e.degree <= check_hi})
+    if touched:
+        raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
+                           % (overflow, touched, lo, hi))
+    matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
+    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, verify=False)
 
 
 def cohomology(t, safe_window, strict=False):
@@ -593,27 +637,17 @@ def cohomology(t, safe_window, strict=False):
     makes the boundary maps provably complete as well).  With strict=False
     the incoming image at the bottom edge may be undercounted when the
     ledger has entries just below the window; for weight-graded differentials
-    the ledger is empty and both modes agree.
+    the ledger is empty and both modes agree.  d*d is checked on the words
+    of degrees lo - 1 to hi; DSquaredNonzero names the first failing word.
     """
+    raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential")
     lo, hi = safe_window
-    if lo > hi:
-        raise ValueError("empty cohomology window [%s, %s]" % (lo, hi))
-    check_lo, check_hi = (lo - 1, hi + 1) if strict else (lo, hi)
-    touched = sorted({e.degree for e in t.differential_ledger
-                      if check_lo <= e.degree <= check_hi})
-    if touched:
-        raise UnsafeWindow(touched,
-                           "differential overflow at degrees %s inside window [%d, %d]"
-                           % (touched, lo, hi))
     for degree in range(lo - 1, hi + 1):
         for i in t._ids_in(degree):
             col = t._columns[i]
             square = None if col is None else t._d(col)
             if square:
                 raise DSquaredNonzero(degree, str(t._words[i]))
-    dims = t.dims()
-    matrices = {d: t.matrix_between(d) for d in range(lo - 1, hi + 1)}
-    raw = cohomology_of_complex(dims, matrices, (lo, hi), t.field, verify=False)
     out_dims = {}
     representatives = {}
     rep_vectors = {}
@@ -641,8 +675,7 @@ def classify(t, cohomology_result=None):
     gen_degrees = [g.degree for g in t.presentation.generators]
     basis_is_exact = t.certified_finite_dimensional or (
         t.presentation.is_weight_graded()
-        and all(len({t.presentation.weight_of(p) for p in r.terms}) == 1
-                for r in t.presentation.relations))
+        and _weight_homogeneous_relations(t.presentation))
 
     def flag(value, scope):
         return {"value": value, "scope": scope}
@@ -721,18 +754,17 @@ def h0_algebra(t):
             % (coh.dims[0], coh_next.dims[0], t.weight_bound, t.weight_bound + 1))
     reps = coh.representatives[0]
     field = t.field
-    solver, image_count = coh._solver_for(0)
 
     def coordinates(element):
         if element is None:
             raise NotStabilized(
                 "representative product escapes weight bound %d; raise it"
                 % t.weight_bound)
-        expression = solver.express(t._coordinates(element))
-        if expression is None:
+        coords = coh.class_coordinates(0, element)
+        if coords is None:
             raise NotStabilized(
                 "element does not lie in the computed cocycle span; raise the bound")
-        return {k - image_count: c for k, c in expression.items() if k >= image_count}
+        return coords
 
     structure = {}
     for i, left in enumerate(reps):

@@ -27,11 +27,13 @@ from .dgalgebra import (
     InconsistentPresentation,
     OverflowEntry,
     UnsafeWindow,
+    _gated_cohomology,
+    _weight_homogeneous_relations,
     cohomology,
     realize,
 )
 from .fields import GroundField
-from .linalg import DSquaredNonzero, SparseMatrix, cohomology_of_complex
+from .linalg import DSquaredNonzero, SparseMatrix, vec_add_term
 from .quiver import Arrow, PathAlgebraElement, QuiverPresentation
 
 
@@ -117,12 +119,6 @@ def _letter_names(letters):
         used.add(name)
         names.append(name)
     return names
-
-
-def _weight_homogeneous_relations(presentation):
-    return all(
-        len({presentation.weight_of(p) for p in r.terms}) == 1
-        for r in presentation.relations)
 
 
 class BarComplex:
@@ -228,22 +224,13 @@ class BarComplex:
         for k, i in enumerate(ids):
             sign = minus if prefix % 2 else plus
             for f, c in table.d[i].items():
-                self._bump(column, ids[:k] + (f,) + ids[k + 1:], sign * c)
+                vec_add_term(column, ids[:k] + (f,) + ids[k + 1:], sign * c)
             if k + 1 < len(ids):
                 sign = minus if (prefix + table.degree[i]) % 2 else plus
                 for g, c in table.products[i][ids[k + 1]].items():
-                    self._bump(column, ids[:k] + (g,) + ids[k + 2:], sign * c)
+                    vec_add_term(column, ids[:k] + (g,) + ids[k + 2:], sign * c)
             prefix += table.degree[i] - 1
         return column
-
-    @staticmethod
-    def _bump(column, word, coeff):
-        s = column.get(word)
-        s = coeff if s is None else s + coeff
-        if s:
-            column[word] = s
-        else:
-            column.pop(word, None)
 
     def _check_d_squared(self, honest, by_ids):
         for word, degree, ids in honest:
@@ -253,7 +240,7 @@ class BarComplex:
                 if next_column is None:
                     break
                 for v, c2 in next_column.items():
-                    self._bump(total, v, c * c2)
+                    vec_add_term(total, v, c * c2)
             else:
                 if total:
                     raise DSquaredNonzero(degree, str(word))
@@ -293,25 +280,57 @@ class BarComplex:
         return m
 
     def cohomology_dims(self, safe_window, strict=False):
-        lo, hi = safe_window
-        if lo > hi:
-            raise ValueError("empty cohomology window [%s, %s]" % (lo, hi))
-        check_lo, check_hi = (lo - 1, hi + 1) if strict else (lo, hi)
-        touched = sorted({e.degree for e in self.differential_ledger
-                          if check_lo <= e.degree <= check_hi})
-        if touched:
-            raise UnsafeWindow(touched,
-                               "bar truncation overflow at degrees %s inside window [%d, %d]"
-                               % (touched, lo, hi))
-        dims = self.all_dims()
-        matrices = {d: self.matrix_between(d) for d in range(lo - 1, hi + 1)}
-        raw = cohomology_of_complex(dims, matrices, (lo, hi), self.field, verify=False)
-        return {d: raw[d][0] for d in range(lo, hi + 1)}
+        """{degree: dim H} on the window, gated on the ledger as cohomology
+        is; d*d was checked at construction."""
+        raw = _gated_cohomology(self, self.all_dims(), safe_window, strict,
+                                "bar truncation")
+        return {d: dim for d, (dim, _) in raw.items()}
 
 
 def bar(t, word_bound, window):
     """Bar complex of an augmented truncation on words of length <= Λ."""
     return BarComplex(t, word_bound, window)
+
+
+def _dual_structure(t):
+    """What both duals read off an augmented truncation.
+
+    Returns (table, names, weights, linear, quadratic): the letter table, the
+    generator name and weight of each letter, the linear entries (e, f, c)
+    with c the coefficient of letter e in d(letter f), and the quadratic
+    entries (e, p, q, c) with c the coefficient of letter e in the product
+    of letters p and q, both in letter table order.  The input's
+    differential must be complete (UnsafeWindow otherwise).  A product that
+    escapes the input's weight bound is skipped when the relations are
+    weight-homogeneous, since it cannot land on a stored word, and is a
+    ValueError otherwise.
+    """
+    if not t.presentation.augmented:
+        raise ValueError("the Koszul duals need an augmented input")
+    if t.differential_ledger:
+        degrees = sorted({e.degree for e in t.differential_ledger})
+        raise UnsafeWindow(
+            degrees,
+            "input differential is unknown at degrees %s; realize the input "
+            "at a larger weight bound" % degrees)
+    table = _LetterTable(t)
+    letters = table.letters
+    names = _letter_names(letters)
+    weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}
+    linear = [(e, f, c) for f, column in enumerate(table.d) for e, c in column.items()]
+    homogeneous = _weight_homogeneous_relations(t.presentation)
+    quadratic = []
+    for p, row in enumerate(table.products):
+        for q, product in row.items():
+            if product is None:
+                if homogeneous:
+                    continue
+                raise ValueError(
+                    "product %s * %s escapes the input weight bound and the "
+                    "relations are not weight-homogeneous; raise the bound"
+                    % (letters[p], letters[q]))
+            quadratic.extend((e, p, q, c) for e, c in product.items())
+    return table, names, weights, linear, quadratic
 
 
 def dual_bar(t, word_bound, window):
@@ -326,51 +345,20 @@ def dual_bar(t, word_bound, window):
     relations, and certified finite-dimensional inputs recover the products
     instead of skipping.
     """
-    if not t.presentation.augmented:
-        raise ValueError("the dual bar construction needs an augmented input")
-    if t.differential_ledger:
-        degrees = sorted({e.degree for e in t.differential_ledger})
-        raise UnsafeWindow(
-            degrees,
-            "input differential is unknown at degrees %s; realize the input "
-            "at a larger weight bound" % degrees)
-    table = _LetterTable(t)
-    letters, degree = table.letters, table.degree
-    names = _letter_names(letters)
+    table, names, weights, linear, quadratic = _dual_structure(t)
+    degree = table.degree
     arrows = [Arrow(names[i], e.source, e.target, 1 - degree[i])
-              for i, e in enumerate(letters)]
-    weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}
+              for i, e in enumerate(table.letters)]
     scratch = QuiverPresentation(t.presentation.vertices, arrows)
     terms = {name: {} for name in names}
     field = t.field
-
-    def bump(name, path, coeff):
-        bucket = terms[name]
-        s = bucket.get(path)
-        s = coeff if s is None else s + coeff
-        if s:
-            bucket[path] = s
-        else:
-            bucket.pop(path, None)
-
-    for f, column in enumerate(table.d):
-        for e, c in column.items():
-            sign = field.of(-1 if degree[e] % 2 else 1)
-            bump(names[e], scratch.path([names[f]]), sign * c)
-    homogeneous = _weight_homogeneous_relations(t.presentation)
-    for p, row in enumerate(table.products):
-        for q, product in row.items():
-            if product is None:
-                if homogeneous:
-                    continue
-                raise ValueError(
-                    "product %s * %s escapes the input weight bound and the "
-                    "relations are not weight-homogeneous; raise the bound"
-                    % (letters[p], letters[q]))
-            for e, c in product.items():
-                sign = field.of(-1 if (degree[e] + degree[p]
-                                       + (degree[p] - 1) * (degree[q] - 1)) % 2 else 1)
-                bump(names[e], scratch.path([names[p], names[q]]), sign * c)
+    for e, f, c in linear:
+        sign = field.of(-1 if degree[e] % 2 else 1)
+        vec_add_term(terms[names[e]], scratch.path([names[f]]), sign * c)
+    for e, p, q, c in quadratic:
+        sign = field.of(-1 if (degree[e] + degree[p]
+                               + (degree[p] - 1) * (degree[q] - 1)) % 2 else 1)
+        vec_add_term(terms[names[e]], scratch.path([names[p], names[q]]), sign * c)
     differential = {name: PathAlgebraElement(bucket)
                     for name, bucket in terms.items() if bucket}
     presentation = DgAlgebraPresentation(
@@ -503,38 +491,20 @@ def dual_coalgebra(t):
     stored basis) or a certified finite-dimensional truncation.  A dual whose
     splittings fail to descend in weight is rejected as NotConilpotent.
     """
-    if not t.presentation.augmented:
-        raise ValueError("the dual coalgebra needs an augmented input")
-    if t.differential_ledger:
-        degrees = sorted({e.degree for e in t.differential_ledger})
-        raise UnsafeWindow(degrees,
-                           "input differential is unknown at degrees %s" % degrees)
-    table = _LetterTable(t)
-    letters, degree = table.letters, table.degree
-    names = _letter_names(letters)
+    table, names, weights, linear, quadratic = _dual_structure(t)
+    degree = table.degree
     cogenerators = [Arrow(names[i], e.source, e.target, -degree[i])
-                    for i, e in enumerate(letters)]
-    weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}
+                    for i, e in enumerate(table.letters)]
     field = t.field
     differential = {}
-    for f, column in enumerate(table.d):
-        for e, c in column.items():
-            sign = field.of(-1 if (degree[e] + 1) % 2 else 1)
-            differential.setdefault(names[e], []).append((sign * c, names[f]))
-    homogeneous = _weight_homogeneous_relations(t.presentation)
+    for e, f, c in linear:
+        sign = field.of(-1 if (degree[e] + 1) % 2 else 1)
+        differential.setdefault(names[e], []).append((sign * c, names[f]))
     comultiplication = {}
-    for p, row in enumerate(table.products):
-        for q, product in row.items():
-            if product is None:
-                if homogeneous:
-                    continue
-                raise ValueError(
-                    "product %s * %s escapes the input weight bound and the "
-                    "relations are not weight-homogeneous" % (letters[p], letters[q]))
-            for e, c in product.items():
-                sign = field.of(-1 if (degree[p] * degree[q] + 1) % 2 else 1)
-                comultiplication.setdefault(names[e], []).append(
-                    (sign * c, names[p], names[q]))
+    for e, p, q, c in quadratic:
+        sign = field.of(-1 if (degree[p] * degree[q] + 1) % 2 else 1)
+        comultiplication.setdefault(names[e], []).append(
+            (sign * c, names[p], names[q]))
     return CoalgebraPresentation(t.presentation.vertices, cogenerators,
                                  comultiplication=comultiplication,
                                  differential=differential,
@@ -553,24 +523,16 @@ def cobar(c, word_bound, window):
     scratch = QuiverPresentation(c.vertices, arrows)
     field = c.field
     terms = {}
-
-    def bump(name, path, coeff):
-        bucket = terms.setdefault(name, {})
-        s = bucket.get(path)
-        s = coeff if s is None else s + coeff
-        if s:
-            bucket[path] = s
-        else:
-            bucket.pop(path, None)
-
     for name, entries in c.differential.items():
         for coeff, other in entries:
-            bump(name, scratch.path([other]), field.of(-1) * coeff)
+            vec_add_term(terms.setdefault(name, {}), scratch.path([other]),
+                         field.of(-1) * coeff)
     for name, entries in c.comultiplication.items():
         for coeff, left, right in entries:
             degree_left = c.quiver.arrow(left).degree
             sign = field.of(-1 if degree_left % 2 else 1)
-            bump(name, scratch.path([left, right]), sign * coeff)
+            vec_add_term(terms.setdefault(name, {}), scratch.path([left, right]),
+                         sign * coeff)
     differential = {name: PathAlgebraElement(bucket)
                     for name, bucket in terms.items() if bucket}
     presentation = DgAlgebraPresentation(

@@ -20,6 +20,16 @@ class DSquaredNonzero(Exception):
         )
 
 
+def vec_add_term(out, key, coeff):
+    """In-place out[key] += coeff, dropping the key when the sum is zero."""
+    s = out.get(key)
+    s = coeff if s is None else s + coeff
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 def vec_axpy(out, coeff, vec):
     """In-place out += coeff * vec."""
     for j, v in vec.items():
@@ -153,53 +163,41 @@ class RowSpace:
 class SpanSolver:
     """Expresses vectors as exact combinations of a generating list.
 
-    Each stored reduced row remembers the input combination that produced it,
-    so membership tests come with explicit coefficients.
+    The reduction is RowSpace's, run on augmented vectors: coordinate j is
+    keyed (0, j) and input k is keyed (1, k), so every coordinate sorts
+    before every input and only coordinates become pivots.  Reducing a
+    vector therefore records, under the input keys, the combination of
+    inputs it subtracted, and membership tests come with explicit
+    coefficients.  A generator is stored only when its coordinates are
+    independent of the earlier ones, and its row is appended without
+    clearing its pivot from the earlier rows, so each row keeps the
+    combination it was recorded with.
     """
 
     def __init__(self):
-        self._rows = []  # pairs (reduced vector, {input index: coeff})
-        self._pivot = {}
+        self._space = RowSpace()
         self._count = 0
 
     def add(self, vec):
         """Register a generator; returns its input index."""
         index = self._count
         self._count += 1
-        residue, comb = self._reduce(vec)
-        comb[index] = comb.get(index, 0) + 1
-        if residue:
-            pivot = min(residue)
+        space = self._space
+        residue = space.reduce({(0, j): v for j, v in vec.items()})
+        residue[(1, index)] = 1
+        pivot = min(residue)
+        if pivot[0] == 0:
             lead = residue[pivot]
-            residue = {j: v / lead for j, v in residue.items()}
-            comb = {j: v / lead for j, v in comb.items() if v}
-            self._rows.append((residue, comb))
-            self._pivot[pivot] = len(self._rows) - 1
+            space.rows.append({k: v / lead for k, v in residue.items()})
+            space.pivot_index[pivot] = len(space.rows) - 1
         return index
-
-    def _reduce(self, vec):
-        out = dict(vec)
-        comb = {}
-        while True:
-            hit = None
-            for i in out:
-                row_no = self._pivot.get(i)
-                if row_no is not None and (hit is None or i < hit[0]):
-                    hit = (i, row_no)
-            if hit is None:
-                return out, comb
-            i, row_no = hit
-            coeff = out[i]
-            row, row_comb = self._rows[row_no]
-            vec_axpy(out, -coeff, row)
-            vec_axpy(comb, -coeff, row_comb)
 
     def express(self, target):
         """Return {input_index: coeff} with sum(coeff * input_i) == target, or None."""
-        residue, comb = self._reduce(target)
-        if residue:
+        residue = self._space.reduce({(0, j): v for j, v in target.items()})
+        if any(kind == 0 for kind, _ in residue):
             return None
-        return {j: -v for j, v in comb.items() if v}
+        return {k: -v for (_, k), v in residue.items()}
 
 
 def kernel_image(matrix, field):
@@ -214,19 +212,16 @@ def kernel_image(matrix, field):
         rows_by_index.setdefault(r, {})[c] = v
     for r in sorted(rows_by_index):
         space.add(rows_by_index[r])
-    pivot_set = set(space.pivot_index)
     one = field.one()
-    kernel = []
-    for j in range(matrix.cols):
-        if j in pivot_set:
-            continue
-        vec = {j: one}
-        for pivot, row_no in space.pivot_index.items():
-            c = space.rows[row_no].get(j)
-            if c:
+    kernel = {j: {j: one} for j in range(matrix.cols) if j not in space.pivot_index}
+    # a fully reduced row holds its own pivot and non-pivot columns only, so
+    # one pass over the rows scatters every kernel entry, pivots in order
+    for pivot, row_no in space.pivot_index.items():
+        for j, c in space.rows[row_no].items():
+            vec = kernel.get(j)
+            if vec is not None:
                 vec[pivot] = -c
-        kernel.append(vec)
-    return kernel, len(pivot_set)
+    return list(kernel.values()), len(space.pivot_index)
 
 
 def image_basis(matrix):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import GroundField
-from .linalg import RowSpace
+from .linalg import RowSpace, vec_add_term
 
 
 class UnknownArrow(Exception):
@@ -150,12 +150,7 @@ class PathAlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for p, c in other.terms.items():
-            s = out.get(p)
-            s = c if s is None else s + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
+            vec_add_term(out, p, c)
         return PathAlgebraElement(out)
 
     def __neg__(self):
@@ -224,11 +219,7 @@ class Superpotential:
                 if a.degree != 0:
                     raise ValueError("cycle arrow %s has nonzero degree" % a.name)
             canon = min(labels[i:] + labels[:i] for i in range(len(labels)))
-            s = combined.get(canon, self.field.zero()) + self.field.of(coeff)
-            if s:
-                combined[canon] = s
-            else:
-                combined.pop(canon, None)
+            vec_add_term(combined, canon, self.field.of(coeff))
         self.terms = combined
 
     def is_zero(self):
@@ -267,13 +258,7 @@ def cyclic_derivative(potential, arrow_name):
             if cycle[i] != arrow_name:
                 continue
             rest = cycle[i + 1:] + cycle[:i]
-            path = quiver.path(rest, base=arrow.target)
-            s = total.get(path)
-            s = coeff if s is None else s + coeff
-            if s:
-                total[path] = s
-            else:
-                total.pop(path, None)
+            vec_add_term(total, quiver.path(rest, base=arrow.target), coeff)
     return PathAlgebraElement(total)
 
 

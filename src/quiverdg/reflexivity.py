@@ -512,17 +512,6 @@ def _coconnective_finite_dimensional(a, degrees, zero_indices, characteristic,
 # ---------------------------------------------------------------------------
 # realized truncations
 
-def _h0_class_vector(t, coh_zero, element):
-    """Coordinates of a cocycle's class against the chosen representatives,
-    or None when it is not visible inside the window."""
-    solver, image_count = coh_zero._solver_for(0)
-    expression = solver.express(t._coordinates(element))
-    if expression is None:
-        return None
-    return {k - image_count: c for k, c in expression.items()
-            if k >= image_count}
-
-
 def _splitting_is_visible(t, info):
     """Syntactic splitting check: every degree zero generator projects into
     the radical of H^0, so the composite onto the semisimple quotient kills
@@ -537,7 +526,7 @@ def _splitting_is_visible(t, info):
     for g in generators:
         path = t.presentation.quiver.path([g.name])
         element = t.qb.reduce(PathAlgebraElement.from_path(path))
-        class_vec = _h0_class_vector(t, coh_zero, element)
+        class_vec = coh_zero.class_coordinates(0, element)
         if class_vec is None:
             return False
         if class_vec and not radical_span.contains(class_vec):
