@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-import sympy
-
 from .fields import GroundField
 from .linalg import RowSpace, SparseMatrix, SpanSolver, kernel_image, vec_axpy
 
@@ -125,9 +123,9 @@ class FiniteDimAlgebra:
 
         Returns (quotient algebra, reduce function mapping vectors of self to
         quotient coordinate vectors)."""
-        rows = RowSpace()
+        rows = RowSpace(self.field)
         for v in vectors:
-            rows.add(dict(v))
+            rows.add(v)
         kept = [i for i in range(self.dim) if i not in rows.pivot_index]
         position = {i: t for t, i in enumerate(kept)}
 
@@ -190,20 +188,20 @@ class FiniteDimAlgebra:
         return RadicalInfo(radical_basis, quotient, project, "jordan-chevalley")
 
     def _span_basis(self, vectors):
-        rows = RowSpace()
+        rows = RowSpace(self.field)
         out = []
         for v in vectors:
-            if rows.add(dict(v)) is not None:
-                out.append(dict(rows.rows[-1]))
+            if rows.add(v) is not None:
+                out.append(rows.row(-1))
         return out
 
     def _is_nilpotent_ideal(self, vectors):
         if not vectors:
             return True
         one = self.field.one()
-        span = RowSpace()
+        span = RowSpace(self.field)
         for v in vectors:
-            span.add(dict(v))
+            span.add(v)
         for v in vectors:
             for i in range(self.dim):
                 if not span.contains(self.mul({i: one}, v)):
@@ -212,8 +210,9 @@ class FiniteDimAlgebra:
                     return False
         current = span
         while current.rank:
-            nxt = RowSpace()
-            for u in current.rows:
+            nxt = RowSpace(self.field)
+            for n in range(current.rank):
+                u = current.row(n)
                 for v in vectors:
                     p = self.mul(u, v)
                     if p:
@@ -347,8 +346,11 @@ def poly_eval_in_algebra(p, algebra, vec):
 def factor_polynomial(coeffs, field):
     """Irreducible factorization of a monic polynomial, via sympy.
 
-    Returns a list of (coefficient list low-to-high, multiplicity).
+    Returns a list of (coefficient list low-to-high, multiplicity).  sympy
+    is imported here, its only use, so that importing quiverdg stays cheap.
     """
+    import sympy
+
     x = sympy.Symbol("x")
     if field.characteristic == 0:
         high_to_low = [sympy.Rational(c) for c in reversed(coeffs)]
@@ -368,7 +370,7 @@ def factor_polynomial(coeffs, field):
 
 def minimal_polynomial(algebra, vec):
     """Monic minimal polynomial of an element, low-to-high coefficients."""
-    solver = SpanSolver()
+    solver = SpanSolver(algebra.field)
     power = dict(algebra.unit)
     degree = 0
     while True:
@@ -434,14 +436,14 @@ class LocalFactor:
 def _algebra_on_span(parent, vectors, unit_vec):
     """The subalgebra spanned by `vectors` (assumed multiplicatively closed),
     with the given unit.  Returns (algebra, embed, coordinates)."""
-    rows = RowSpace()
+    rows = RowSpace(parent.field)
     chosen = []
     for v in vectors:
-        if rows.add(dict(v)) is not None:
+        if rows.add(v) is not None:
             chosen.append(dict(v))
-    solver = SpanSolver()
+    solver = SpanSolver(parent.field)
     for v in chosen:
-        solver.add(dict(v))
+        solver.add(v)
 
     def coords(vec):
         return solver.express(vec)

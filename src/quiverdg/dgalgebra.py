@@ -538,12 +538,14 @@ class CohomologyResult:
     reflexivity splitting check all go through it.
     """
 
-    def __init__(self, truncation, window, dims, representatives, rep_vectors):
+    def __init__(self, truncation, window, dims, representatives, rep_vectors,
+                 image_columns):
         self.truncation = truncation
         self.window = window
         self.dims = dims
         self.representatives = representatives
         self._rep_vectors = rep_vectors
+        self._image_columns = image_columns
         self._solvers = {}
 
     def space(self):
@@ -570,29 +572,29 @@ class CohomologyResult:
         return coords
 
     def class_coordinates(self, degree, element):
-        """{representative index: coeff} of the class of an element of the
-        given degree, supported on basis words, against representatives
+        """{representative index: coeff} of the class of an element of a
+        window degree, supported on basis words, against representatives
         [degree]; None when the element is not in the span of the image of
         d and the representatives.
 
         The element is solved for on the image columns followed by the
         representatives, and the image part is dropped.  The representative
         part is unique, because the representatives are independent modulo
-        the image.
+        the image.  Only the columns that cohomology_of_complex found
+        independent of the ones before them are fed in: a dependent column
+        would store no row, so leaving it out changes no output.
         """
         t = self.truncation
         if degree not in self._solvers:
-            solver = SpanSolver()
-            count = 0
+            solver = SpanSolver(t.field)
             start = t._ids_in(degree).start
-            for i in t._ids_in(degree - 1):
-                col = t._columns[i]
-                if col:
-                    solver.add({k - start: c for k, c in col.items()})
-                    count += 1
-            for vec in self._rep_vectors.get(degree, ()):
-                solver.add(dict(vec))
-            self._solvers[degree] = (solver, count)
+            sources = t._ids_in(degree - 1)
+            image_columns = self._image_columns[degree]
+            for j in image_columns:
+                solver.add({k - start: c for k, c in t._columns[sources[j]].items()})
+            for vec in self._rep_vectors[degree]:
+                solver.add(vec)
+            self._solvers[degree] = (solver, len(image_columns))
         solver, image_count = self._solvers[degree]
         expression = solver.express(t._coordinates(element))
         if expression is None:
@@ -606,7 +608,7 @@ def _weight_homogeneous_relations(presentation):
         for r in presentation.relations)
 
 
-def _gated_cohomology(c, dims, safe_window, strict, overflow):
+def _gated_cohomology(c, dims, safe_window, strict, overflow, independent=None):
     """Cohomology of a truncated complex on a window, gated on its ledger.
 
     c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
@@ -614,7 +616,8 @@ def _gated_cohomology(c, dims, safe_window, strict, overflow):
     its degrees to their dimensions.  UnsafeWindow, naming the overflow, is
     raised when the ledger meets the window (strict=True widens the check to
     one degree on each side).  The caller vouches for d*d = 0.  Returns
-    cohomology_of_complex's {degree: (dim, representative vectors)}.
+    cohomology_of_complex's {degree: (dim, representative vectors)}, and
+    fills independent as cohomology_of_complex does.
     """
     lo, hi = safe_window
     if lo > hi:
@@ -626,7 +629,8 @@ def _gated_cohomology(c, dims, safe_window, strict, overflow):
         raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
                            % (overflow, touched, lo, hi))
     matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
-    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, verify=False)
+    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, verify=False,
+                                 independent=independent)
 
 
 def cohomology(t, safe_window, strict=False):
@@ -640,7 +644,9 @@ def cohomology(t, safe_window, strict=False):
     the ledger is empty and both modes agree.  d*d is checked on the words
     of degrees lo - 1 to hi; DSquaredNonzero names the first failing word.
     """
-    raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential")
+    image_columns = {}
+    raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential",
+                            image_columns)
     lo, hi = safe_window
     for degree in range(lo - 1, hi + 1):
         for i in t._ids_in(degree):
@@ -657,8 +663,9 @@ def cohomology(t, safe_window, strict=False):
         words = t.basis_by_degree.get(degree, [])
         representatives[degree] = [
             PathAlgebraElement({words[i]: c for i, c in vec.items()}) for vec in reps]
-        rep_vectors[degree] = [dict(vec) for vec in reps]
-    return CohomologyResult(t, (lo, hi), out_dims, representatives, rep_vectors)
+        rep_vectors[degree] = reps
+    return CohomologyResult(t, (lo, hi), out_dims, representatives, rep_vectors,
+                            image_columns)
 
 
 def classify(t, cohomology_result=None):

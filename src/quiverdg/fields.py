@@ -4,6 +4,13 @@ Every computation in this package runs over a fixed GroundField chosen once
 per session.  Scalars are either fractions.Fraction (characteristic zero) or
 FpElement residues (characteristic p), both supporting +, -, *, /, ==, bool,
 so downstream code is field-agnostic.  No floats anywhere.
+
+The exact eliminations in linalg (RowSpace, SpanSolver, kernel_image,
+cohomology_of_complex) are given the field as an argument and run on scalars
+native to it: a Python int, or a Fraction only when the value is not
+integral, over Q; a Python int in range(p) over F_p.  Every vector they hand
+out holds Fraction or FpElement entries again, so the types above are the
+only ones the rest of the package sees.
 """
 
 from __future__ import annotations

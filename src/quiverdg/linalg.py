@@ -2,11 +2,21 @@
 
 Vectors are dicts {index: scalar} with no stored zeros; matrices act on
 column vectors, so a matrix with shape (rows, cols) is a map k^cols -> k^rows.
-Everything is plain fraction/residue arithmetic - no floats, no pivoting by
-magnitude, just leftmost-nonzero pivoting, which is exact.
+No floats and no pivoting by magnitude: leftmost-nonzero pivoting, which is
+exact.  The eliminations (RowSpace, SpanSolver, kernel_image,
+cohomology_of_complex) run on scalars native to the field: over Q a Python
+int while the value is integral and a Fraction only when it is not, over F_p
+a Python int in range(p).  Their inputs may hold any scalars the field
+coerces, and what they hand out holds Fraction or FpElement entries.  The
+native run performs the same operations in the same order as the public
+scalars would, so every zero test, pivot and key order is the same.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from .fields import FpElement, GroundField
 
 
 class DSquaredNonzero(Exception):
@@ -110,54 +120,162 @@ class SparseMatrix:
         return out
 
 
+class _Rationals:
+    """Q inside an elimination: an int when the value is integral, a
+    Fraction only when it is not."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def native(self, v):
+        if v.__class__ is int:
+            return v
+        if v.__class__ is not Fraction:
+            v = self.field.of(v)
+        return v.numerator if v.denominator == 1 else v
+
+    @staticmethod
+    def public(v):
+        return Fraction(v) if v.__class__ is int else v
+
+    @staticmethod
+    def axpy(out, coeff, vec):
+        """In-place out += coeff * vec, demoting integral Fractions to ints."""
+        for j, v in vec.items():
+            s = out.get(j)
+            s = coeff * v if s is None else s + coeff * v
+            if s:
+                if s.__class__ is Fraction and s.denominator == 1:
+                    s = s.numerator
+                out[j] = s
+            else:
+                out.pop(j, None)
+
+    @staticmethod
+    def scaled(vec, lead):
+        """vec / lead."""
+        if lead == 1:
+            return dict(vec)
+        if lead == -1:
+            return {j: -v for j, v in vec.items()}
+        out = {}
+        for j, v in vec.items():
+            s = Fraction(v, lead)
+            out[j] = s.numerator if s.denominator == 1 else s
+        return out
+
+
+class _Residues:
+    """F_p inside an elimination: ints in range(p)."""
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.characteristic
+
+    def native(self, v):
+        if v.__class__ is FpElement and v.p == self.p:
+            return v.val
+        return self.field.of(v).val
+
+    def public(self, v):
+        return FpElement(v, self.p)
+
+    def axpy(self, out, coeff, vec):
+        """In-place out += coeff * vec, mod p."""
+        p = self.p
+        for j, v in vec.items():
+            s = out.get(j)
+            s = coeff * v % p if s is None else (s + coeff * v) % p
+            if s:
+                out[j] = s
+            else:
+                out.pop(j, None)
+
+    def scaled(self, vec, lead):
+        """vec / lead, mod p."""
+        p = self.p
+        inv = pow(lead, -1, p)
+        return {j: v * inv % p for j, v in vec.items()}
+
+
 class RowSpace:
     """Incrementally row-reduced span of vectors, pivoted on smallest index.
 
     Rows are kept fully reduced: each pivot index occurs in exactly one row,
     with coefficient one, and in no other row.  Callers choose the pivot
     preference by how they number coordinates (index 0 is most preferred).
+
+    The rows hold native scalars of the field (field=None means Q).  add,
+    reduce and contains take vectors of any scalars field.of accepts; reduce
+    and row hand out Fraction or FpElement entries.  The underscored methods
+    work on native vectors and serve the eliminations in this module.
     """
 
-    def __init__(self):
-        self.rows = []
+    def __init__(self, field=None):
+        field = field if field is not None else GroundField(0)
+        self._scalars = _Residues(field) if field.characteristic else _Rationals(field)
+        self._rows = []
         self.pivot_index = {}
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def _native(self, vec):
+        native = self._scalars.native
+        return {j: native(v) for j, v in vec.items()}
+
+    def _public(self, vec):
+        public = self._scalars.public
+        return {j: public(v) for j, v in vec.items()}
+
+    def row(self, n):
+        """Stored row n (in insertion order), with public scalars."""
+        return self._public(self._rows[n])
 
     def reduce(self, vec):
         """Return vec minus its projection onto the stored span."""
-        out = dict(vec)
+        return self._public(self._reduce(self._native(vec)))
+
+    def add(self, vec):
+        """Insert vec; return the new pivot index, or None if dependent."""
+        return self._add(self._native(vec))
+
+    def contains(self, vec):
+        return not self._reduce(self._native(vec))
+
+    def _reduce(self, out):
+        """Reduce the native vector out in place, and return it."""
+        pivot_index, rows, axpy = self.pivot_index, self._rows, self._scalars.axpy
         while True:
             hit = None
             for i in out:
-                row_no = self.pivot_index.get(i)
+                row_no = pivot_index.get(i)
                 if row_no is not None and (hit is None or i < hit[0]):
                     hit = (i, row_no)
             if hit is None:
                 return out
             i, row_no = hit
-            vec_axpy(out, -out[i], self.rows[row_no])
+            axpy(out, -out[i], rows[row_no])
 
-    def add(self, vec):
-        """Insert vec; return the new pivot index, or None if dependent."""
-        residue = self.reduce(vec)
+    def _add(self, vec):
+        """add for a native vector, which is reduced in place."""
+        residue = self._reduce(vec)
         if not residue:
             return None
         pivot = min(residue)
-        lead = residue[pivot]
-        normalized = {j: v / lead for j, v in residue.items()}
-        for row in self.rows:
+        normalized = self._scalars.scaled(residue, residue[pivot])
+        axpy = self._scalars.axpy
+        for row in self._rows:
             c = row.get(pivot)
             if c is not None:
-                vec_axpy(row, -c, normalized)
-        self.rows.append(normalized)
-        self.pivot_index[pivot] = len(self.rows) - 1
+                axpy(row, -c, normalized)
+        self._store(pivot, normalized)
         return pivot
 
-    def contains(self, vec):
-        return not self.reduce(vec)
+    def _store(self, pivot, row):
+        self._rows.append(row)
+        self.pivot_index[pivot] = len(self._rows) - 1
 
 
 class SpanSolver:
@@ -171,33 +289,36 @@ class SpanSolver:
     coefficients.  A generator is stored only when its coordinates are
     independent of the earlier ones, and its row is appended without
     clearing its pivot from the earlier rows, so each row keeps the
-    combination it was recorded with.
+    combination it was recorded with.  field=None means Q.
     """
 
-    def __init__(self):
-        self._space = RowSpace()
+    def __init__(self, field=None):
+        self._space = RowSpace(field)
         self._count = 0
+
+    def _augmented(self, vec):
+        native = self._space._scalars.native
+        return {(0, j): native(v) for j, v in vec.items()}
 
     def add(self, vec):
         """Register a generator; returns its input index."""
         index = self._count
         self._count += 1
         space = self._space
-        residue = space.reduce({(0, j): v for j, v in vec.items()})
+        residue = space._reduce(self._augmented(vec))
         residue[(1, index)] = 1
         pivot = min(residue)
         if pivot[0] == 0:
-            lead = residue[pivot]
-            space.rows.append({k: v / lead for k, v in residue.items()})
-            space.pivot_index[pivot] = len(space.rows) - 1
+            space._store(pivot, space._scalars.scaled(residue, residue[pivot]))
         return index
 
     def express(self, target):
         """Return {input_index: coeff} with sum(coeff * input_i) == target, or None."""
-        residue = self._space.reduce({(0, j): v for j, v in target.items()})
+        residue = self._space._reduce(self._augmented(target))
         if any(kind == 0 for kind, _ in residue):
             return None
-        return {k: -v for (_, k), v in residue.items()}
+        public = self._space._scalars.public
+        return {k: public(-v) for (_, k), v in residue.items()}
 
 
 def kernel_image(matrix, field):
@@ -206,31 +327,32 @@ def kernel_image(matrix, field):
     Returns (kernel_basis, rank) where kernel_basis is a list of column
     vectors spanning the null space.  rank + len(kernel_basis) == cols.
     """
-    space = RowSpace()
+    space = RowSpace(field)
+    native, public = space._scalars.native, space._scalars.public
     rows_by_index = {}
     for (r, c), v in matrix.entries.items():
-        rows_by_index.setdefault(r, {})[c] = v
+        rows_by_index.setdefault(r, {})[c] = native(v)
     for r in sorted(rows_by_index):
-        space.add(rows_by_index[r])
+        space._add(rows_by_index[r])
     one = field.one()
     kernel = {j: {j: one} for j in range(matrix.cols) if j not in space.pivot_index}
     # a fully reduced row holds its own pivot and non-pivot columns only, so
     # one pass over the rows scatters every kernel entry, pivots in order
     for pivot, row_no in space.pivot_index.items():
-        for j, c in space.rows[row_no].items():
+        for j, c in space._rows[row_no].items():
             vec = kernel.get(j)
             if vec is not None:
-                vec[pivot] = -c
+                vec[pivot] = public(-c)
     return list(kernel.values()), len(space.pivot_index)
 
 
-def image_basis(matrix):
+def image_basis(matrix, field):
     """A reduced basis of the column space, as vectors in k^rows."""
-    space = RowSpace()
+    space = RowSpace(field)
     for col in matrix.columns():
         if col:
             space.add(col)
-    return [dict(row) for row in space.rows]
+    return [space.row(n) for n in range(space.rank)]
 
 
 class GradedVectorSpace:
@@ -256,7 +378,8 @@ class GradedVectorSpace:
         return sum(len(labels) for labels in self.basis.values())
 
 
-def cohomology_of_complex(dims, differentials, window, field, verify=True):
+def cohomology_of_complex(dims, differentials, window, field, verify=True,
+                          independent=None):
     """Cohomology of a complex from per-degree dimensions and differentials.
 
     dims: {degree: dimension}; differentials: {i: SparseMatrix from degree i
@@ -264,7 +387,9 @@ def cohomology_of_complex(dims, differentials, window, field, verify=True):
     composition touching the window is checked to vanish (DSquaredNonzero
     otherwise); callers that have already certified d*d themselves pass
     verify=False.  Returns {degree: (dim H, representative cocycles)} for
-    degrees in window.
+    degrees in window.  When a dict is passed as independent, independent[i]
+    receives, for each degree i in window, the indices of the columns of
+    d_{i-1} that are independent of the columns before them.
     """
     lo, hi = window
     if lo > hi:
@@ -279,30 +404,33 @@ def cohomology_of_complex(dims, differentials, window, field, verify=True):
             if not comp.is_zero():
                 witness = min(c for (_, c) in comp.entries)
                 raise DSquaredNonzero(i, witness)
-    one = field.one()
     result = {}
     for i in range(lo, hi + 1):
         n = dims.get(i, 0)
+        columns = []
+        if independent is not None:
+            independent[i] = columns
         if n == 0:
             result[i] = (0, [])
             continue
+        image = RowSpace(field)
         d_i = differentials.get(i)
         if d_i is not None:
             kernel, _ = kernel_image(d_i, field)
+            kernel = [image._native(vec) for vec in kernel]
         else:
-            kernel = [{j: one} for j in range(n)]
-        image = RowSpace()
+            kernel = [{j: 1} for j in range(n)]
         d_prev = differentials.get(i - 1)
         if d_prev is not None:
-            for col in d_prev.columns():
-                if col:
-                    image.add(col)
+            for j, col in enumerate(d_prev.columns()):
+                if col and image.add(col) is not None:
+                    columns.append(j)
         reps = []
-        chosen = RowSpace()
+        chosen = RowSpace(field)
         for vec in kernel:
-            residue = chosen.reduce(image.reduce(vec))
+            residue = chosen._reduce(image._reduce(vec))
             if residue:
-                chosen.add(residue)
-                reps.append(residue)
+                reps.append(chosen._public(residue))
+                chosen._add(residue)
         result[i] = (len(reps), reps)
     return result

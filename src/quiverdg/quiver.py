@@ -327,7 +327,7 @@ class QuotientBasis:
             if col is None:
                 raise ValueError(
                     "path %s exceeds the length bound %d" % (path, self.length_bound))
-            vec[col] = self.field.of(coeff)
+            vec[col] = coeff
         residue = self._rows.reduce(vec)
         return PathAlgebraElement({self._path_at[i]: c for i, c in residue.items()})
 
@@ -382,7 +382,7 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     for p in paths:
         by_source.setdefault(p.source, []).append(p)
         by_target.setdefault(p.target, []).append(p)
-    rows = RowSpace()
+    rows = RowSpace(field)
     for r in cleaned:
         src, tgt = r.endpoints()
         heaviest = max(term_weight(p) for p in r.terms)

@@ -520,9 +520,9 @@ def _splitting_is_visible(t, info):
     if not generators:
         return True
     coh_zero = cohomology(t, (0, 0))
-    radical_span = RowSpace()
+    radical_span = RowSpace(t.field)
     for v in info.vectors:
-        radical_span.add(dict(v))
+        radical_span.add(v)
     for g in generators:
         path = t.presentation.quiver.path([g.name])
         element = t.qb.reduce(PathAlgebraElement.from_path(path))

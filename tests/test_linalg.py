@@ -74,7 +74,7 @@ def test_rank_nullity_random_sweep():
                         m.set(r, c, field.of(rng.randrange(-4, 5)))
             kernel, rank = kernel_image(m, field)
             assert rank + len(kernel) == cols
-            assert rank == len(image_basis(m))
+            assert rank == len(image_basis(m, field))
             for vec in kernel:
                 assert m.apply(vec) == {}
 
