@@ -74,6 +74,8 @@ __all__ = [
     "parse_scalar",
     "quadratic_dual",
     "realize",
+    "replay_certificate",
+    "two_out_of_three",
     "verify_differential",
     "verify_koszul_pair",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .fields import GroundField
 from .linalg import RowSpace, SparseMatrix, SpanSolver, kernel_image, vec_axpy
 
 
@@ -435,29 +434,23 @@ class LocalFactor:
 
 def _algebra_on_span(parent, vectors, unit_vec):
     """The subalgebra spanned by `vectors` (assumed multiplicatively closed),
-    with the given unit.  Returns (algebra, embed, coordinates)."""
-    rows = RowSpace(parent.field)
+    with the given unit.  Returns (algebra, embed)."""
+    solver = SpanSolver(parent.field)
     chosen = []
     for v in vectors:
-        if rows.add(v) is not None:
+        if solver.express(v) is None:
+            solver.add(v)
             chosen.append(dict(v))
-    solver = SpanSolver(parent.field)
-    for v in chosen:
-        solver.add(v)
-
-    def coords(vec):
-        return solver.express(vec)
-
     structure = {}
     for i, u in enumerate(chosen):
         for j, v in enumerate(chosen):
             prod = parent.mul(u, v)
-            c = coords(prod)
+            c = solver.express(prod)
             if c is None:
                 raise RadicalComputationError("span is not multiplicatively closed")
             if c:
                 structure[(i, j)] = c
-    unit_coords = coords(unit_vec)
+    unit_coords = solver.express(unit_vec)
     if unit_coords is None:
         raise RadicalComputationError("unit missing from span")
     labels = ["g%d" % i for i in range(len(chosen))]

@@ -24,7 +24,6 @@ from .linalg import (
     DSquaredNonzero,
     GradedVectorSpace,
     SparseMatrix,
-    SpanSolver,
     cohomology_of_complex,
     vec_axpy,
 )
@@ -538,15 +537,13 @@ class CohomologyResult:
     reflexivity splitting check all go through it.
     """
 
-    def __init__(self, truncation, window, dims, representatives, rep_vectors,
-                 image_columns):
+    def __init__(self, truncation, window, dims, representatives, pivoted, images):
         self.truncation = truncation
         self.window = window
         self.dims = dims
         self.representatives = representatives
-        self._rep_vectors = rep_vectors
-        self._image_columns = image_columns
-        self._solvers = {}
+        self._pivoted = pivoted  # {degree: [(min(vec), index, vec)] in pivot order}
+        self._images = images
 
     def space(self):
         return GradedVectorSpace(
@@ -577,29 +574,21 @@ class CohomologyResult:
         [degree]; None when the element is not in the span of the image of
         d and the representatives.
 
-        The element is solved for on the image columns followed by the
-        representatives, and the image part is dropped.  The representative
-        part is unique, because the representatives are independent modulo
-        the image.  Only the columns that cohomology_of_complex found
-        independent of the ones before them are fed in: a dependent column
-        would store no row, so leaving it out changes no output.
+        The element is reduced by the image RowSpace that
+        cohomology_of_complex handed out.  The representatives are zero at
+        every image pivot, so what is left is their combination.  It is read
+        off by forward substitution in order of each representative's pivot
+        min(rep), where no representative with a later pivot is nonzero, and
+        the keys come in that order.
         """
-        t = self.truncation
-        if degree not in self._solvers:
-            solver = SpanSolver(t.field)
-            start = t._ids_in(degree).start
-            sources = t._ids_in(degree - 1)
-            image_columns = self._image_columns[degree]
-            for j in image_columns:
-                solver.add({k - start: c for k, c in t._columns[sources[j]].items()})
-            for vec in self._rep_vectors[degree]:
-                solver.add(vec)
-            self._solvers[degree] = (solver, len(image_columns))
-        solver, image_count = self._solvers[degree]
-        expression = solver.express(t._coordinates(element))
-        if expression is None:
-            return None
-        return {k - image_count: c for k, c in expression.items() if k >= image_count}
+        residue = self._images[degree].reduce(self.truncation._coordinates(element))
+        coords = {}
+        for pivot, k, rep in self._pivoted[degree]:
+            c = residue.get(pivot)
+            if c is not None:
+                coords[k] = c = c / rep[pivot]
+                vec_axpy(residue, -c, rep)
+        return None if residue else coords
 
 
 def _weight_homogeneous_relations(presentation):
@@ -608,7 +597,7 @@ def _weight_homogeneous_relations(presentation):
         for r in presentation.relations)
 
 
-def _gated_cohomology(c, dims, safe_window, strict, overflow, independent=None):
+def _gated_cohomology(c, dims, safe_window, strict, overflow, images=None):
     """Cohomology of a truncated complex on a window, gated on its ledger.
 
     c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
@@ -617,7 +606,7 @@ def _gated_cohomology(c, dims, safe_window, strict, overflow, independent=None):
     raised when the ledger meets the window (strict=True widens the check to
     one degree on each side).  The caller vouches for d*d = 0.  Returns
     cohomology_of_complex's {degree: (dim, representative vectors)}, and
-    fills independent as cohomology_of_complex does.
+    fills images as cohomology_of_complex does.
     """
     lo, hi = safe_window
     if lo > hi:
@@ -630,7 +619,7 @@ def _gated_cohomology(c, dims, safe_window, strict, overflow, independent=None):
                            % (overflow, touched, lo, hi))
     matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
     return cohomology_of_complex(dims, matrices, (lo, hi), c.field, verify=False,
-                                 independent=independent)
+                                 images=images)
 
 
 def cohomology(t, safe_window, strict=False):
@@ -644,9 +633,8 @@ def cohomology(t, safe_window, strict=False):
     the ledger is empty and both modes agree.  d*d is checked on the words
     of degrees lo - 1 to hi; DSquaredNonzero names the first failing word.
     """
-    image_columns = {}
-    raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential",
-                            image_columns)
+    images = {}
+    raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential", images)
     lo, hi = safe_window
     for degree in range(lo - 1, hi + 1):
         for i in t._ids_in(degree):
@@ -656,16 +644,15 @@ def cohomology(t, safe_window, strict=False):
                 raise DSquaredNonzero(degree, str(t._words[i]))
     out_dims = {}
     representatives = {}
-    rep_vectors = {}
+    pivoted = {}
     for degree in range(lo, hi + 1):
         dim, reps = raw[degree]
         out_dims[degree] = dim
         words = t.basis_by_degree.get(degree, [])
         representatives[degree] = [
             PathAlgebraElement({words[i]: c for i, c in vec.items()}) for vec in reps]
-        rep_vectors[degree] = reps
-    return CohomologyResult(t, (lo, hi), out_dims, representatives, rep_vectors,
-                            image_columns)
+        pivoted[degree] = sorted((min(vec), k, vec) for k, vec in enumerate(reps))
+    return CohomologyResult(t, (lo, hi), out_dims, representatives, pivoted, images)
 
 
 def classify(t, cohomology_result=None):

@@ -73,9 +73,6 @@ class SparseMatrix:
     def get(self, r, c):
         return self.entries.get((r, c))
 
-    def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
@@ -379,7 +376,7 @@ class GradedVectorSpace:
 
 
 def cohomology_of_complex(dims, differentials, window, field, verify=True,
-                          independent=None):
+                          images=None):
     """Cohomology of a complex from per-degree dimensions and differentials.
 
     dims: {degree: dimension}; differentials: {i: SparseMatrix from degree i
@@ -387,9 +384,16 @@ def cohomology_of_complex(dims, differentials, window, field, verify=True,
     composition touching the window is checked to vanish (DSquaredNonzero
     otherwise); callers that have already certified d*d themselves pass
     verify=False.  Returns {degree: (dim H, representative cocycles)} for
-    degrees in window.  When a dict is passed as independent, independent[i]
-    receives, for each degree i in window, the indices of the columns of
-    d_{i-1} that are independent of the columns before them.
+    degrees in window.
+
+    The representatives of degree i are kernel vectors of d_i reduced by
+    the fully reduced RowSpace of the columns of d_{i-1} (the image) and by
+    the representatives before them.  So each representative is zero at
+    every image pivot and at the pivot min(rep) of every earlier
+    representative, and the pivots are distinct.  When a dict is passed as
+    images, images[i] receives that image RowSpace for each degree i in
+    window: reducing a cocycle by it leaves a unique combination of the
+    representatives, read off by forward substitution in pivot order.
     """
     lo, hi = window
     if lo > hi:
@@ -407,13 +411,12 @@ def cohomology_of_complex(dims, differentials, window, field, verify=True,
     result = {}
     for i in range(lo, hi + 1):
         n = dims.get(i, 0)
-        columns = []
-        if independent is not None:
-            independent[i] = columns
+        image = RowSpace(field)
+        if images is not None:
+            images[i] = image
         if n == 0:
             result[i] = (0, [])
             continue
-        image = RowSpace(field)
         d_i = differentials.get(i)
         if d_i is not None:
             kernel, _ = kernel_image(d_i, field)
@@ -422,9 +425,8 @@ def cohomology_of_complex(dims, differentials, window, field, verify=True,
             kernel = [{j: 1} for j in range(n)]
         d_prev = differentials.get(i - 1)
         if d_prev is not None:
-            for j, col in enumerate(d_prev.columns()):
-                if col and image.add(col) is not None:
-                    columns.append(j)
+            for col in d_prev.columns():
+                image.add(col)
         reps = []
         chosen = RowSpace(field)
         for vec in kernel:

@@ -139,13 +139,13 @@ def ref_image_basis(matrix):
 
 
 def ref_cohomology_of_complex(dims, differentials, window, field):
-    """(result, independent) as cohomology_of_complex fills them."""
+    """(result, images) as cohomology_of_complex fills them."""
     lo, hi = window
     one = field.one()
-    result, independent = {}, {}
+    result, images = {}, {}
     for i in range(lo, hi + 1):
         n = dims.get(i, 0)
-        independent[i] = []
+        image = images[i] = RefRowSpace()
         if n == 0:
             result[i] = (0, [])
             continue
@@ -154,12 +154,11 @@ def ref_cohomology_of_complex(dims, differentials, window, field):
             kernel, _ = ref_kernel_image(d_i, field)
         else:
             kernel = [{j: one} for j in range(n)]
-        image = RefRowSpace()
         d_prev = differentials.get(i - 1)
         if d_prev is not None:
-            for j, col in enumerate(d_prev.columns()):
-                if col and image.add(col) is not None:
-                    independent[i].append(j)
+            for col in d_prev.columns():
+                if col:
+                    image.add(col)
         reps = []
         chosen = RefRowSpace()
         for vec in kernel:
@@ -168,7 +167,7 @@ def ref_cohomology_of_complex(dims, differentials, window, field):
                 chosen.add(residue)
                 reps.append(residue)
         result[i] = (len(reps), reps)
-    return result, independent
+    return result, images
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +322,19 @@ def test_cohomology_of_complex_matches_the_reference(field, data):
     dims = {0: n0, 1: n1, 2: n2}
     differentials = {0: dense_matrix(field, d0),
                      1: dense_matrix(field, [[scale * v for v in row] for row in d1])}
-    independent = {}
-    got = cohomology_of_complex(dims, differentials, (-1, 3), field,
-                                independent=independent)
-    want, ref_independent = ref_cohomology_of_complex(dims, differentials, (-1, 3), field)
+    images = {}
+    got = cohomology_of_complex(dims, differentials, (-1, 3), field, images=images)
+    want, ref_images = ref_cohomology_of_complex(dims, differentials, (-1, 3), field)
     assert list(got) == list(want)
     for degree, (dim, reps) in got.items():
         assert dim == want[degree][0]
         assert exact_all(reps, field) == exact_all(want[degree][1], field)
-    assert independent == ref_independent
+    assert list(images) == list(ref_images)
+    for degree, image in images.items():
+        ref = ref_images[degree]
+        assert list(image.pivot_index.items()) == list(ref.pivot_index.items())
+        assert [exact(image.row(n), field) for n in range(image.rank)] == \
+            exact_all(ref.rows, field)
 
 
 def test_quotient_basis_reduce_hands_out_field_scalars():
