@@ -57,7 +57,8 @@ class DgAlgebraPresentation:
     differential maps generator names to PathAlgebraElements in the
     generators; omitted generators are closed.  weights assigns a positive
     integer to each generator (default 1); realizations truncate by total
-    word weight.
+    word weight.  The differential is also kept as a signed letter table,
+    from which d_of_element and every realized column are summed.
     """
 
     def __init__(self, vertices, generators, differential=None, relations=(),
@@ -100,6 +101,16 @@ class DgAlgebraPresentation:
                 raise InconsistentPresentation(
                     "relation terms must have length >= 1: %r" % (cleaned,))
             self.relations.append(cleaned)
+        # the signed letter table: for each generator with a differential,
+        # its terms as (labels, coefficient), the coefficient as it stands
+        # after an even prefix degree and negated after an odd one; and the
+        # degree parity of every generator
+        minus = self.field.of(-1)
+        self._signed = {
+            name: ([(t.labels, c) for t, c in value.terms.items()],
+                   [(t.labels, minus * c) for t, c in value.terms.items()])
+            for name, value in self.differential.items()}
+        self._odd = {a.name: a.degree % 2 for a in self.generators}
 
     def _known_generator(self, name):
         if not self.quiver.has_arrow(name):
@@ -147,26 +158,42 @@ class DgAlgebraPresentation:
         return True
 
     def d_of_element(self, element):
-        """Free Leibniz extension of the generator differential (no reduction)."""
+        """Free Leibniz extension of the generator differential (no
+        reduction), summed over the signed letter table by _leibniz_into."""
         total = {}
         for word, coeff in element.terms.items():
-            prefix_degree = 0
-            for i, label in enumerate(word.labels):
-                gen = self.quiver.arrow(label)
-                dg = self.differential.get(label)
-                if dg is not None:
-                    sign = self.field.of(-1 if prefix_degree % 2 else 1)
-                    for term, c in dg.terms.items():
-                        new = Path(word.labels[:i] + term.labels + word.labels[i + 1:],
-                                   word.source, word.target)
-                        s = total.get(new)
-                        s = coeff * sign * c if s is None else s + coeff * sign * c
-                        if s:
-                            total[new] = s
-                        else:
-                            total.pop(new, None)
-                prefix_degree += gen.degree
-        return PathAlgebraElement(total)
+            self._leibniz_into(total, word.labels, coeff)
+        path = self.quiver.path
+        return PathAlgebraElement({path(labels): c for labels, c in total.items()})
+
+    def _leibniz_into(self, total, labels, coeff=None):
+        """Add coeff * d(w), for the word w with these labels, into total,
+        which is keyed by label tuples, and return total; coeff None stands
+        for one and spares the multiplication.
+
+        d(w) is the sum over the letters of w, left to right, of the word
+        with that letter replaced by each term of its differential, in term
+        order, with the table coefficient for the parity of the degree of
+        the letters before it.  A sum that cancels to zero is dropped.
+        """
+        signed, odd = self._signed, self._odd
+        parity = 0
+        for i, label in enumerate(labels):
+            terms = signed.get(label)
+            if terms is not None:
+                head, tail = labels[:i], labels[i + 1:]
+                for middle, c in terms[parity]:
+                    key = head + middle + tail
+                    if coeff is not None:
+                        c = coeff * c
+                    s = total.get(key)
+                    s = c if s is None else s + c
+                    if s:
+                        total[key] = s
+                    else:
+                        total.pop(key, None)
+            parity ^= odd[label]
+        return total
 
 
 @dataclass
@@ -211,6 +238,16 @@ class TruncatedDgAlgebra:
     cohomology and matrix_between work on them without hashing a path.
     d_of, d_element, word_product and product are the path-level views.
 
+    Each word's column is its free differential, summed on label tuples by
+    the presentation's _leibniz_into (the same letter table and the same
+    dict operations as d_of_element, so values and key order match it).
+    When every surviving term is a basis word, the column is read off
+    through a labels -> id map: no basis word is a pivot column of the
+    quotient basis, so qb.reduce would return those terms unchanged.  A
+    word is ledgered, with no column, exactly when a surviving term escapes
+    the weight bound (terms that cancel do not count).  Any other word has
+    an in-bound term off the basis, and its differential is reduced.
+
     Products of two words are memoised for the life of the truncation.  When
     the concatenation fits the bound and is itself a basis word, which is
     exactly when its column of the quotient basis is not a pivot, reduction
@@ -247,14 +284,27 @@ class TruncatedDgAlgebra:
         self._units = {}
         self._columns = []
         self.differential_ledger = []
+        ids = {w.labels: i for i, w in enumerate(self._words) if w.labels}
         for i, word in enumerate(self._words):
-            free = presentation.d_of_element(PathAlgebraElement.from_path(word, self._one))
-            if any(presentation.weight_of(t) > weight_bound for t in free.terms):
+            free = presentation._leibniz_into({}, word.labels)
+            col = {}
+            for labels, c in free.items():
+                k = ids.get(labels)
+                if k is None:
+                    break
+                col[k] = c
+            else:
+                self._columns.append(col)
+                continue
+            if any(sum(presentation.weights[name] for name in labels) > weight_bound
+                   for labels in free if labels not in ids):
                 self.differential_ledger.append(OverflowEntry(
                     "differential", self._degree[i], str(word)))
                 self._columns.append(None)
                 continue
-            self._columns.append(self._ids_of(self.qb.reduce(free).terms))
+            element = PathAlgebraElement(
+                {Path(labels, word.source, word.target): c for labels, c in free.items()})
+            self._columns.append(self._ids_of(self.qb.reduce(element).terms))
         self.mul_overflow = self._count_mul_overflow()
         self.certified_finite_dimensional = self._certify_finite_dimensional()
 

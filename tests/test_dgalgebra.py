@@ -19,8 +19,9 @@ from quiverdg.dgalgebra import (
     verify_differential,
 )
 from quiverdg.fields import GroundField
+from quiverdg.ginzburg import cy_completion
 from quiverdg.linalg import DSquaredNonzero
-from quiverdg.quiver import Arrow, PathAlgebraElement, QuiverPresentation
+from quiverdg.quiver import Arrow, PathAlgebraElement, QuiverPresentation, QuotientBasis
 
 QQ = GroundField(0)
 
@@ -221,6 +222,61 @@ def test_relation_differential_consistency():
                                    relations=[element(q, (1, ["y"], None))])
     with pytest.raises(InconsistentPresentation):
         realize(shrunk, (0, 0), 3)
+
+
+@pytest.mark.parametrize("a_degree, ledgered", [(-1, False), (-2, True)])
+def test_cancelling_escapes_do_not_ledger_a_word(a_degree, ledgered):
+    # d(a*b) = a*c*b + (-1)^|a| a*c*b, and a*c*b (weight 5) escapes L = 2:
+    # the two terms cancel for odd |a|, and add up for even |a|.
+    arrows = [Arrow("a", "v", "v", a_degree), Arrow("b", "v", "v", 0),
+              Arrow("c", "v", "v", 1)]
+    q = QuiverPresentation(["v"], arrows)
+    p = DgAlgebraPresentation(["v"], arrows, weights={"c": 3}, differential={
+        "a": element(q, (1, ["a", "c"], None)),
+        "b": element(q, (1, ["c", "b"], None))})
+    t = realize(p, (-4, 0), 2)
+    ab = q.path(["a", "b"])
+    assert (str(ab) in [e.word for e in t.differential_ledger]) == ledgered
+    assert t.d_of(ab) == (None if ledgered else {})
+
+
+def count_reductions(monkeypatch):
+    calls = []
+    reduce = QuotientBasis.reduce
+
+    def counted(self, element):
+        calls.append(element)
+        return reduce(self, element)
+
+    monkeypatch.setattr(QuotientBasis, "reduce", counted)
+    return calls
+
+
+def test_realize_reduces_no_column_of_a_free_presentation(monkeypatch):
+    a3 = QuiverPresentation(("1", "2", "3"), (Arrow("a", "1", "2", 0), Arrow("b", "2", "3", 0)))
+    p = cy_completion(a3, 2)
+    calls = count_reductions(monkeypatch)
+    t = realize(p, (-4, 0), 4)
+    assert calls == []
+    assert verify_differential(t).ok
+
+
+def test_realize_reduces_columns_that_leave_the_basis(monkeypatch):
+    # The presentation `good` of test_relation_differential_consistency.
+    # Three reductions: d of the anticommutator, d(x*y) = x^3 and
+    # d(y*y) = x*x*y - y*x*x, both of which vanish modulo the relations;
+    # the heavier words are ledgered unreduced.
+    arrows = [Arrow("x", "v", "v", 0), Arrow("y", "v", "v", -1)]
+    q = QuiverPresentation(["v"], arrows)
+    good = DgAlgebraPresentation(
+        ["v"], arrows, differential={"y": element(q, (1, ["x", "x"], None))},
+        relations=[element(q, (1, ["x", "y"], None), (1, ["y", "x"], None)),
+                   element(q, (1, ["x", "x", "x"], None))])
+    calls = count_reductions(monkeypatch)
+    t = realize(good, (-3, 0), 3)
+    assert len(calls) == 3
+    assert t.d_of(q.path(["x", "y"])) == {}
+    assert t.d_of(q.path(["y", "y"])) == {}
 
 
 def test_preprojective_completion_of_a2():
