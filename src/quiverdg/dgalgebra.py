@@ -327,13 +327,15 @@ class TruncatedDgAlgebra:
         for i, word in enumerate(self._words):
             key = (word.source, word.target, self._degree[i], self._weight[i])
             histogram[key] = histogram.get(key, 0) + 1
+        starting_at = {}
+        for (source, _, degree, weight), n in histogram.items():
+            starting_at.setdefault(source, []).append((degree, weight, n))
         overflow = {}
-        for (s1, t1, d1, w1), n1 in histogram.items():
-            for (s2, t2, d2, w2), n2 in histogram.items():
-                if t1 != s2 or w1 + w2 <= self.weight_bound:
-                    continue
-                landing = d1 + d2
-                overflow[landing] = overflow.get(landing, 0) + n1 * n2
+        for (_, target, d1, w1), n1 in histogram.items():
+            for d2, w2, n2 in starting_at.get(target, ()):
+                if w1 + w2 > self.weight_bound:
+                    landing = d1 + d2
+                    overflow[landing] = overflow.get(landing, 0) + n1 * n2
         return dict(sorted(overflow.items()))
 
     def _certify_finite_dimensional(self):
@@ -654,9 +656,10 @@ def _gated_cohomology(c, dims, safe_window, strict, overflow, images=None):
     has a differential_ledger, a field and matrix_between(degree); dims maps
     its degrees to their dimensions.  UnsafeWindow, naming the overflow, is
     raised when the ledger meets the window (strict=True widens the check to
-    one degree on each side).  The caller vouches for d*d = 0.  Returns
-    cohomology_of_complex's {degree: (dim, representative vectors)}, and
-    fills images as cohomology_of_complex does.
+    one degree on each side).  Returns cohomology_of_complex's {degree:
+    (dim, representative vectors)}, and fills images as cohomology_of_complex
+    does; like it, it raises DSquaredNonzero, with a column index as the
+    witness, when d o d is nonzero into a window degree.
     """
     lo, hi = safe_window
     if lo > hi:
@@ -668,8 +671,7 @@ def _gated_cohomology(c, dims, safe_window, strict, overflow, images=None):
         raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
                            % (overflow, touched, lo, hi))
     matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
-    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, verify=False,
-                                 images=images)
+    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, images=images)
 
 
 def cohomology(t, safe_window, strict=False):
@@ -682,16 +684,22 @@ def cohomology(t, safe_window, strict=False):
     ledger has entries just below the window; for weight-graded differentials
     the ledger is empty and both modes agree.  d*d is checked on the words
     of degrees lo - 1 to hi; DSquaredNonzero names the first failing word.
+    The ranks cohomology_of_complex takes already decide it for degrees
+    lo - 1 to hi - 1; the words of degree hi, whose squares land outside the
+    window, are squared directly.
     """
     images = {}
-    raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential", images)
+    try:
+        raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential", images)
+    except DSquaredNonzero as err:
+        raise DSquaredNonzero(
+            err.degree, str(t.basis_by_degree[err.degree][err.witness])) from None
     lo, hi = safe_window
-    for degree in range(lo - 1, hi + 1):
-        for i in t._ids_in(degree):
-            col = t._columns[i]
-            square = None if col is None else t._d(col)
-            if square:
-                raise DSquaredNonzero(degree, str(t._words[i]))
+    for i in t._ids_in(hi):
+        col = t._columns[i]
+        square = None if col is None else t._d(col)
+        if square:
+            raise DSquaredNonzero(hi, str(t._words[i]))
     out_dims = {}
     representatives = {}
     pivoted = {}

@@ -72,28 +72,30 @@ class _LetterTable:
     products[i] maps each letter j that composes after letter i (target of
     i = source of j), in id order, to their reduced product as {letter id:
     coeff}, or to None when it escapes the weight bound.  Each product is
-    taken once.
+    taken once.  Degrees, columns and products are read off the
+    truncation's word-id tables and re-keyed from word ids to letter ids.
     """
 
     def __init__(self, t):
         self.letters = [e for e in t.qb.basis if not e.is_trivial()]
-        ids = {e: i for i, e in enumerate(self.letters)}
-        degree_of = t.presentation.degree_of
-        self.degree = [degree_of(e) for e in self.letters]
+        # the truncation's word id of each letter, and the way back
+        word = [t._id[e] for e in self.letters]
+        letter = {k: i for i, k in enumerate(word)}
+        self.degree = [t._degree[k] for k in word]
         self.d = []
-        for e in self.letters:
-            column = t.d_of(e)
+        for k in word:
+            column = t._columns[k]
             self.d.append(None if column is None
-                          else {ids[f]: c for f, c in column.items()})
+                          else {letter[m]: c for m, c in column.items()})
         self.starting_at = {}
         for j, e in enumerate(self.letters):
             self.starting_at.setdefault(e.source, []).append(j)
         self.products = []
-        for e in self.letters:
+        for i, e in enumerate(self.letters):
             row = {}
             for j in self.starting_at.get(e.target, ()):
-                pq = t.word_product(e, self.letters[j])
-                row[j] = None if pq is None else {ids[g]: c for g, c in pq.items()}
+                pq = t._product(word[i], word[j])
+                row[j] = None if pq is None else {letter[m]: c for m, c in pq.items()}
             self.products.append(row)
 
 

@@ -94,22 +94,6 @@ class SparseMatrix:
                 out.pop(r, None)
         return out
 
-    def compose(self, other):
-        """self o other: first apply other, then self."""
-        if other.rows != self.cols:
-            raise ValueError("shape mismatch: %dx%d after %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        result = SparseMatrix(self.rows, other.cols)
-        for c, col in enumerate(other.columns()):
-            if not col:
-                continue
-            for r, v in self.apply(col).items():
-                result.set(r, c, v)
-        return result
-
-    def is_zero(self):
-        return not self.entries
-
     def transpose(self):
         out = SparseMatrix(self.cols, self.rows)
         for (r, c), v in self.entries.items():
@@ -375,16 +359,12 @@ class GradedVectorSpace:
         return sum(len(labels) for labels in self.basis.values())
 
 
-def cohomology_of_complex(dims, differentials, window, field, verify=True,
-                          images=None):
+def cohomology_of_complex(dims, differentials, window, field, images=None):
     """Cohomology of a complex from per-degree dimensions and differentials.
 
     dims: {degree: dimension}; differentials: {i: SparseMatrix from degree i
-    to i+1}.  Degrees absent from dims are zero.  With verify=True every
-    composition touching the window is checked to vanish (DSquaredNonzero
-    otherwise); callers that have already certified d*d themselves pass
-    verify=False.  Returns {degree: (dim H, representative cocycles)} for
-    degrees in window.
+    to i+1}.  Degrees absent from dims are zero.  Returns {degree: (dim H,
+    representative cocycles)} for degrees in window.
 
     The representatives of degree i are kernel vectors of d_i reduced by
     the fully reduced RowSpace of the columns of d_{i-1} (the image) and by
@@ -394,20 +374,17 @@ def cohomology_of_complex(dims, differentials, window, field, verify=True,
     images, images[i] receives that image RowSpace for each degree i in
     window: reducing a cocycle by it leaves a unique combination of the
     representatives, read off by forward substitution in pivot order.
+
+    d_i o d_{i-1} = 0 is read off these ranks for every window degree i.
+    With K = ker d_i and I = im d_{i-1}, there are dim (K + I) - dim I
+    representatives, which equals dim K - dim I exactly when I lies in K.
+    Otherwise DSquaredNonzero(i - 1, j) is raised, for the lowest such i,
+    with j the first column of d_{i-1} that d_i does not kill.  The
+    composite out of the top window degree is not seen.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window [%s, %s]" % (lo, hi))
-    if verify:
-        for i in range(lo - 1, hi + 1):
-            d_i = differentials.get(i)
-            d_next = differentials.get(i + 1)
-            if d_i is None or d_next is None:
-                continue
-            comp = d_next.compose(d_i)
-            if not comp.is_zero():
-                witness = min(c for (_, c) in comp.entries)
-                raise DSquaredNonzero(i, witness)
     result = {}
     for i in range(lo, hi + 1):
         n = dims.get(i, 0)
@@ -434,5 +411,8 @@ def cohomology_of_complex(dims, differentials, window, field, verify=True,
             if residue:
                 reps.append(chosen._public(residue))
                 chosen._add(residue)
+        if len(kernel) - image.rank != len(reps):
+            witness = next(j for j, col in enumerate(d_prev.columns()) if d_i.apply(col))
+            raise DSquaredNonzero(i - 1, witness)
         result[i] = (len(reps), reps)
     return result

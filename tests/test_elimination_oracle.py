@@ -15,6 +15,11 @@ not units and Fraction intermediates arise over Q.  A second group of
 properties compares integer matrices and complexes over Q and over F_p:
 reduction mod p can only lower a rank, so kernels and cohomology can only
 grow.
+
+The d o d check of cohomology_of_complex is compared with a dense product:
+for integer pairs (d0, d1) with no condition on d1 * d0, it must raise
+DSquaredNonzero(0, j) exactly when d1 * d0 is nonzero over the field, with
+j its first nonzero column, and match the reference otherwise.
 """
 
 from fractions import Fraction
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 
 from quiverdg.fields import FpElement, GroundField
 from quiverdg.linalg import (
+    DSquaredNonzero,
     RowSpace,
     SparseMatrix,
     SpanSolver,
@@ -254,9 +260,36 @@ def integer_complexes(draw):
     return product(u, b), product(r, w)
 
 
+@st.composite
+def integer_pairs(draw):
+    """Integer matrices d0 (n1 x n0) and d1 (n2 x n1), mostly zeros and
+    small entries, with no condition on d1 * d0."""
+    n0, n1, n2 = (draw(st.integers(1, 4)) for _ in range(3))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 5))
+    d0 = [[draw(entries) for _ in range(n0)] for _ in range(n1)]
+    d1 = [[draw(entries) for _ in range(n1)] for _ in range(n2)]
+    return d0, d1
+
+
 def dense_matrix(field, rows):
     cells = {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}
     return to_matrix(field, len(rows), len(rows[0]) if rows else 0, cells)
+
+
+def assert_cohomology_matches_the_reference(dims, differentials, field):
+    images = {}
+    got = cohomology_of_complex(dims, differentials, (-1, 3), field, images=images)
+    want, ref_images = ref_cohomology_of_complex(dims, differentials, (-1, 3), field)
+    assert list(got) == list(want)
+    for degree, (dim, reps) in got.items():
+        assert dim == want[degree][0]
+        assert exact_all(reps, field) == exact_all(want[degree][1], field)
+    assert list(images) == list(ref_images)
+    for degree, image in images.items():
+        ref = ref_images[degree]
+        assert list(image.pivot_index.items()) == list(ref.pivot_index.items())
+        assert [exact(image.row(n), field) for n in range(image.rank)] == \
+            exact_all(ref.rows, field)
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +355,24 @@ def test_cohomology_of_complex_matches_the_reference(field, data):
     dims = {0: n0, 1: n1, 2: n2}
     differentials = {0: dense_matrix(field, d0),
                      1: dense_matrix(field, [[scale * v for v in row] for row in d1])}
-    images = {}
-    got = cohomology_of_complex(dims, differentials, (-1, 3), field, images=images)
-    want, ref_images = ref_cohomology_of_complex(dims, differentials, (-1, 3), field)
-    assert list(got) == list(want)
-    for degree, (dim, reps) in got.items():
-        assert dim == want[degree][0]
-        assert exact_all(reps, field) == exact_all(want[degree][1], field)
-    assert list(images) == list(ref_images)
-    for degree, image in images.items():
-        ref = ref_images[degree]
-        assert list(image.pivot_index.items()) == list(ref.pivot_index.items())
-        assert [exact(image.row(n), field) for n in range(image.rank)] == \
-            exact_all(ref.rows, field)
+    assert_cohomology_matches_the_reference(dims, differentials, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@SETTINGS
+@given(case=st.one_of(integer_pairs(), integer_complexes()))
+def test_d_squared_check_matches_the_dense_product(field, case):
+    d0, d1 = case
+    dims = {0: len(d0[0]), 1: len(d0), 2: len(d1)}
+    differentials = {0: dense_matrix(field, d0), 1: dense_matrix(field, d1)}
+    square = product(d1, d0)
+    broken = [j for j in range(dims[0]) if any(field.of(row[j]) for row in square)]
+    if not broken:
+        assert_cohomology_matches_the_reference(dims, differentials, field)
+        return
+    with pytest.raises(DSquaredNonzero) as err:
+        cohomology_of_complex(dims, differentials, (-1, 3), field)
+    assert (err.value.degree, err.value.witness) == (0, broken[0])
 
 
 def test_quotient_basis_reduce_hands_out_field_scalars():

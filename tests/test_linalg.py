@@ -79,18 +79,6 @@ def test_rank_nullity_random_sweep():
                 assert m.apply(vec) == {}
 
 
-def test_compose_shapes_and_values():
-    a = _matrix(QQ, [[1, 2], [0, 1]])
-    b = _matrix(QQ, [[1, 0], [3, 1]])
-    ab = a.compose(b)
-    assert ab.get(0, 0) == Fraction(7)
-    assert ab.get(0, 1) == Fraction(2)
-    assert ab.get(1, 0) == Fraction(3)
-    assert ab.get(1, 1) == Fraction(1)
-    with pytest.raises(ValueError):
-        a.compose(_matrix(QQ, [[1, 2, 3]]))
-
-
 def test_row_space_membership():
     space = RowSpace()
     one = QQ.one()
