@@ -3,7 +3,9 @@
 Vectors are dicts {index: scalar} with no stored zeros; matrices act on
 column vectors, so a matrix with shape (rows, cols) is a map k^cols -> k^rows.
 No floats and no pivoting by magnitude: leftmost-nonzero pivoting, which is
-exact.  The eliminations (RowSpace, SpanSolver, kernel_image,
+exact.  RowSpace keeps its rows fully reduced, and back-substitution
+visits only the rows that hold the new pivot, found through a column -> rows
+index.  The eliminations (RowSpace, SpanSolver, kernel_image,
 cohomology_of_complex) run on scalars native to the field: over Q a Python
 int while the value is integral and a Fraction only when it is not, over F_p
 a Python int in range(p).  Their inputs may hold any scalars the field
@@ -186,6 +188,14 @@ class RowSpace:
     with coefficient one, and in no other row.  Callers choose the pivot
     preference by how they number coordinates (index 0 is most preferred).
 
+    A private index maps each non-pivot column j to the numbers of the rows
+    that hold it: every row holding j is listed under j, from when the row
+    is stored or gains j by back-substitution.  A listed row may have lost j
+    since, because entries cancel; such stale entries are tolerated and
+    skipped.  A column has no entry once it is a pivot, since no row holds
+    it any more.  SpanSolver stores its rows past the index, because they
+    are never back-substituted.
+
     The rows hold native scalars of the field (field=None means Q).  add,
     reduce and contains take vectors of any scalars field.of accepts; reduce
     and row hand out Fraction or FpElement entries.  The underscored methods
@@ -196,6 +206,7 @@ class RowSpace:
         field = field if field is not None else GroundField(0)
         self._scalars = _Residues(field) if field.characteristic else _Rationals(field)
         self._rows = []
+        self._holders = {}
         self.pivot_index = {}
 
     @property
@@ -242,14 +253,25 @@ class RowSpace:
     def _add(self, vec):
         """add for a native vector, which is reduced in place."""
         residue = self._reduce(vec)
-        if not residue:
-            return None
+        return self._insert(residue) if residue else None
+
+    def _insert(self, residue):
+        """Store the nonzero native vector residue, already reduced by the
+        stored rows, clear its pivot from the rows that hold it, and return
+        the pivot."""
         pivot = min(residue)
         normalized = self._scalars.scaled(residue, residue[pivot])
-        axpy = self._scalars.axpy
-        for row in self._rows:
+        rows, holders, axpy = self._rows, self._holders, self._scalars.axpy
+        row_no = len(rows)
+        for j in normalized:
+            if j != pivot:
+                holders.setdefault(j, []).append(row_no)
+        for n in holders.pop(pivot, ()):
+            row = rows[n]
             c = row.get(pivot)
             if c is not None:
+                for j in [j for j in normalized if j not in row]:
+                    holders[j].append(n)
                 axpy(row, -c, normalized)
         self._store(pivot, normalized)
         return pivot
@@ -410,7 +432,7 @@ def cohomology_of_complex(dims, differentials, window, field, images=None):
             residue = chosen._reduce(image._reduce(vec))
             if residue:
                 reps.append(chosen._public(residue))
-                chosen._add(residue)
+                chosen._insert(residue)
         if len(kernel) - image.rank != len(reps):
             witness = next(j for j, col in enumerate(d_prev.columns()) if d_i.apply(col))
             raise DSquaredNonzero(i - 1, witness)

@@ -11,10 +11,16 @@ through format_scalar, so only a type check catches it.
 
 Random inputs: sparse matrices and two-step complexes over Q, F_5 and
 F_101, with entries in -6..6 and a few fractions, so that pivots are often
-not units and Fraction intermediates arise over Q.  A second group of
-properties compares integer matrices and complexes over Q and over F_p:
-reduction mod p can only lower a rank, so kernels and cohomology can only
-grow.
+not units and Fraction intermediates arise over Q.  RowSpace alone also
+takes up to 24 generators on ten columns, with entries in -3..3, and is
+compared after every add: there rows gain columns by back-substitution
+that later pivots must clear, which is what its column -> rows index has
+to follow.
+
+A second group of properties compares integer matrices and complexes over
+Q and over F_p: reduction mod p can only lower a rank, so kernels and
+cohomology can only grow.  tests/test_mod_p_dims.py does the same for
+whole presentations.
 
 The d o d check of cohomology_of_complex is compared with a dense product:
 for integer pairs (d0, d1) with no condition on d1 * d0, it must raise
@@ -342,6 +348,29 @@ def test_row_space_and_span_solver_match_the_reference(field, gens, targets, mix
         assert (got is None) == (want is None)
         if got is not None:
             assert exact(got, field) == exact(want, field)
+
+
+NARROW = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@SETTINGS
+@given(gens=st.lists(vectors(NARROW, size=10), max_size=24))
+def test_back_substitution_follows_fill_in(field, gens):
+    # Many generators on ten columns: rows gain columns by back-substitution
+    # that later pivots must clear, and columns cancel out of rows before
+    # they become pivots, so a row's columns drift from those it was
+    # stored with.
+    space, ref = RowSpace(field), RefRowSpace()
+    for g in gens:
+        g = field_vector(field, g)
+        assert space.add(g) == ref.add(g)
+        assert list(space.pivot_index.items()) == list(ref.pivot_index.items())
+        assert [exact(space.row(n), field) for n in range(space.rank)] == \
+            exact_all(ref.rows, field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
