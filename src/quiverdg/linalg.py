@@ -265,13 +265,18 @@ class RowSpace:
         row_no = len(rows)
         for j in normalized:
             if j != pivot:
-                holders.setdefault(j, []).append(row_no)
+                h = holders.get(j)
+                if h is None:
+                    holders[j] = [row_no]
+                else:
+                    h.append(row_no)
         for n in holders.pop(pivot, ()):
             row = rows[n]
             c = row.get(pivot)
             if c is not None:
-                for j in [j for j in normalized if j not in row]:
-                    holders[j].append(n)
+                for j in normalized:
+                    if j not in row:
+                        holders[j].append(n)
                 axpy(row, -c, normalized)
         self._store(pivot, normalized)
         return pivot
