@@ -136,16 +136,15 @@ class _Rationals:
 
     @staticmethod
     def scaled(vec, lead):
-        """vec / lead."""
-        if lead == 1:
-            return dict(vec)
+        """vec /= lead in place; returns vec."""
         if lead == -1:
-            return {j: -v for j, v in vec.items()}
-        out = {}
-        for j, v in vec.items():
-            s = Fraction(v, lead)
-            out[j] = s.numerator if s.denominator == 1 else s
-        return out
+            for j, v in vec.items():
+                vec[j] = -v
+        elif lead != 1:
+            for j, v in vec.items():
+                s = Fraction(v, lead)
+                vec[j] = s.numerator if s.denominator == 1 else s
+        return vec
 
 
 class _Residues:
@@ -175,10 +174,13 @@ class _Residues:
                 out.pop(j, None)
 
     def scaled(self, vec, lead):
-        """vec / lead, mod p."""
-        p = self.p
-        inv = pow(lead, -1, p)
-        return {j: v * inv % p for j, v in vec.items()}
+        """vec /= lead in place, mod p; returns vec."""
+        if lead != 1:
+            p = self.p
+            inv = pow(lead, -1, p)
+            for j, v in vec.items():
+                vec[j] = v * inv % p
+        return vec
 
 
 class RowSpace:
@@ -251,14 +253,15 @@ class RowSpace:
             axpy(out, -out[i], rows[row_no])
 
     def _add(self, vec):
-        """add for a native vector, which is reduced in place."""
+        """add for a native vector, which is reduced in place and, when
+        independent, becomes the stored row."""
         residue = self._reduce(vec)
         return self._insert(residue) if residue else None
 
     def _insert(self, residue):
-        """Store the nonzero native vector residue, already reduced by the
-        stored rows, clear its pivot from the rows that hold it, and return
-        the pivot."""
+        """Scale the nonzero native vector residue, already reduced by the
+        stored rows, to lead with one and store it in place; clear its pivot
+        from the rows that hold it, and return the pivot."""
         pivot = min(residue)
         normalized = self._scalars.scaled(residue, residue[pivot])
         rows, holders, axpy = self._rows, self._holders, self._scalars.axpy
