@@ -649,14 +649,16 @@ def _weight_homogeneous_relations(presentation):
         for r in presentation.relations)
 
 
-def _gated_cohomology(c, dims, safe_window, strict, overflow, images=None):
+def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
+                      images=None):
     """Cohomology of a truncated complex on a window, gated on its ledger.
 
     c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
-    has a differential_ledger, a field and matrix_between(degree); dims maps
-    its degrees to their dimensions.  UnsafeWindow, naming the overflow, is
-    raised when the ledger meets the window (strict=True widens the check to
-    one degree on each side).  Returns cohomology_of_complex's {degree:
+    has a field and matrix_between(degree); dims maps its degrees to their
+    dimensions, and ledger_degrees holds the degrees of its differential
+    ledger entries.  UnsafeWindow, naming the overflow, is raised when the
+    ledger meets the window (strict=True widens the check to one degree on
+    each side).  Returns cohomology_of_complex's {degree:
     (dim, representative vectors)}, and fills images as cohomology_of_complex
     does; like it, it raises DSquaredNonzero, with a column index as the
     witness, when d o d is nonzero into a window degree.
@@ -665,8 +667,7 @@ def _gated_cohomology(c, dims, safe_window, strict, overflow, images=None):
     if lo > hi:
         raise ValueError("empty cohomology window [%s, %s]" % (lo, hi))
     check_lo, check_hi = (lo - 1, hi + 1) if strict else (lo, hi)
-    touched = sorted({e.degree for e in c.differential_ledger
-                      if check_lo <= e.degree <= check_hi})
+    touched = sorted(d for d in ledger_degrees if check_lo <= d <= check_hi)
     if touched:
         raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
                            % (overflow, touched, lo, hi))
@@ -690,7 +691,8 @@ def cohomology(t, safe_window, strict=False):
     """
     images = {}
     try:
-        raw = _gated_cohomology(t, t.dims(), safe_window, strict, "differential", images)
+        raw = _gated_cohomology(t, t.dims(), {e.degree for e in t.differential_ledger},
+                                safe_window, strict, "differential", images)
     except DSquaredNonzero as err:
         raise DSquaredNonzero(
             err.degree, str(t.basis_by_degree[err.degree][err.witness])) from None

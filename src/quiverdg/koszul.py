@@ -18,8 +18,10 @@ test suite keep both honest.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 
 from .dgalgebra import (
@@ -123,19 +125,184 @@ def _letter_names(letters):
     return names
 
 
+class _LazyList(Sequence):
+    """A read-only list of known length whose items fill() builds on first use.
+
+    len and truth are exact from the start, and so is equality with an empty
+    list.  Iterating, indexing, any other comparison with a list, and repr
+    build the items, once.
+    """
+
+    def __init__(self, size, fill):
+        self._size = size
+        self._fill = fill
+        self._items = None
+
+    def _filled(self):
+        if self._items is None:
+            self._items = self._fill()
+            self._fill = None
+        return self._items
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, index):
+        return self._filled()[index]
+
+    def __iter__(self):
+        return iter(self._filled())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _LazyList)):
+            return NotImplemented
+        return len(self) == len(other) and (not self._size or self._filled() == list(other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(self._filled())
+
+
+class _WordTrie:
+    """The bar words on a letter table, counted and walked in word order.
+
+    Words are ordered by (length, letter strings, vertex).  A word is a
+    tuple (letter ids, vertex, target vertex, degree, honest), where honest
+    is false once some letter's differential or some adjacent product
+    escapes the weight bound; a word inherits its degree and its honesty
+    from its prefix.  totals maps each degree to its number of words, and
+    reach[r][v] is the set of degree shifts of the letter paths of r letters
+    out of vertex v, so a walk can tell which degrees lie below a word
+    without visiting them.
+    """
+
+    def __init__(self, table, vertices, word_bound):
+        self.table = table
+        self.vertices = vertices
+        self.word_bound = word_bound
+        self.shift = [degree - 1 for degree in table.degree]
+        self.target = [e.target for e in table.letters]
+        self.text = [str(e) for e in table.letters]
+        # Two letters can print alike (an arrow named "a*b" and the path
+        # a*b).  Words are ordered by the ranks of their letter strings; words
+        # with equal ranks form a run, kept in generation order (vertex, then
+        # letter ids), which is where a stable sort by strings leaves them.
+        rank_of = {s: r for r, s in enumerate(sorted(set(self.text)))}
+        self.rank = [rank_of[s] for s in self.text]
+        self.starting_at = {v: sorted(ids, key=self.rank.__getitem__)
+                            for v, ids in table.starting_at.items()}
+        self.totals = {0: len(vertices)}
+        self.reach = [{v: frozenset((0,)) for v in vertices}]
+        exact = {v: {0: 1} for v in vertices}  # {shift: paths} of r letters
+        for _ in range(word_bound):
+            longer = {}
+            for v in vertices:
+                counts = longer[v] = {}
+                for i in self.starting_at.get(v, ()):
+                    for s, n in exact[self.target[i]].items():
+                        s += self.shift[i]
+                        counts[s] = counts.get(s, 0) + n
+                for s, n in counts.items():
+                    self.totals[s] = self.totals.get(s, 0) + n
+            self.reach.append({v: frozenset(counts) for v, counts in longer.items()})
+            exact = longer
+
+    def words(self, keep):
+        """Yield every word in word order, one length at a time, depth first.
+        A prefix is extended only when keep(prefix, letters still to add)
+        holds, so the words below a pruned prefix are never built."""
+        d, products = self.table.d, self.table.products
+        shift, target, rank, starting_at = self.shift, self.target, self.rank, self.starting_at
+
+        def descend(run, remaining):
+            # run: words with equal letter-string ranks, in word order
+            if not remaining:
+                yield from run
+                return
+            children = [(rank[i], word, i) for word in run if keep(word, remaining)
+                        for i in starting_at.get(word[2], ())]
+            if len(run) > 1:
+                children.sort(key=itemgetter(0))
+            next_run = []
+            for r, (ids, vertex, _, degree, honest), i in children:
+                if next_run and r != last_rank:
+                    yield from descend(next_run, remaining - 1)
+                    next_run = []
+                last_rank = r
+                next_run.append((ids + (i,), vertex, target[i], degree + shift[i],
+                                 honest and d[i] is not None
+                                 and (not ids or products[ids[-1]][i] is not None)))
+            if next_run:
+                yield from descend(next_run, remaining - 1)
+
+        for length in range(self.word_bound + 1):
+            yield from descend([((), v, v, 0, True) for v in self.vertices], length)
+
+    def honest(self):
+        """The honest words as (letter ids, vertex, degree), in word order."""
+        return [(ids, vertex, degree)
+                for ids, vertex, _, degree, honest in self.words(lambda word, _: word[4])
+                if honest]
+
+    def degree_order(self):
+        """The degrees in the order each first occurs among the words.  A
+        prefix is extended only while a degree below it is not yet seen."""
+        seen = {}
+        reach = self.reach
+
+        def keep(word, remaining):
+            degree = word[3]
+            return any(degree + s not in seen for s in reach[remaining][word[2]])
+
+        for word in self.words(keep):
+            seen.setdefault(word[3])
+        return list(seen)
+
+    def bar_word(self, ids, vertex):
+        letters = self.table.letters
+        return BarWord(tuple(letters[i] for i in ids), vertex)
+
+    def words_of_degree(self, degree):
+        reach = self.reach
+        return [self.bar_word(ids, vertex)
+                for ids, vertex, _, d, _ in self.words(
+                    lambda word, remaining: degree - word[3] in reach[remaining][word[2]])
+                if d == degree]
+
+    def ledger(self):
+        """An OverflowEntry for each word that is not honest, in word order."""
+        text = self.text
+        return [OverflowEntry("bar-differential", degree,
+                              "[%s]" % "|".join(text[i] for i in ids))
+                for ids, _, _, degree, honest in self.words(lambda word, _: True)
+                if not honest]
+
+
 class BarComplex:
     """Tensor words of length <= word_bound with the bar differential.
 
     Everything is read off one letter table of the augmentation ideal: each
     letter's degree, string and differential, and the reduced product of each
-    composable letter pair, taken once.  Words are generated layer by layer
-    in their final order, by (length, letter strings, vertex), and each word
-    inherits its degree and whether its column is dropped from its prefix.
-    A column is dropped, and ledgered, when some letter's differential or
-    some adjacent product escapes the underlying algebra's weight bound,
-    mirroring the truncation discipline of the dg engine; no column is ever
-    assembled for a dropped word.  d of d is checked word by word along fully
-    honest column chains at construction time.
+    composable letter pair, taken once.  Words are ordered by (length, letter
+    strings, vertex), and each word inherits its degree and whether its
+    column is dropped from its prefix.  A column is dropped, and ledgered,
+    when some letter's differential or some adjacent product escapes the
+    underlying algebra's weight bound, mirroring the truncation discipline of
+    the dg engine.  A dropped word drops every word it prefixes, so
+    construction walks only the honest words, those with a column, and
+    counts all words by degree from the letter paths out of each vertex.  No
+    column is ever assembled for a dropped word.  d of d is checked word by
+    word along fully honest column chains at construction time.
+
+    words_by_degree maps each degree, in the order it first occurs among the
+    words, to the list of its words; differential_ledger lists an
+    OverflowEntry per dropped word, in word order.  Both lists are lazy and
+    read-only.  Their len and truth, the keys, dims, all_dims and the ledger
+    gate of cohomology_dims are exact without building a word or an entry.
+    Iterating or indexing a degree's list builds that degree's words once,
+    iterating or indexing the ledger builds all its entries once, and
+    matrix_between builds the two degrees it reads.
     """
 
     def __init__(self, t, word_bound, window):
@@ -149,74 +316,22 @@ class BarComplex:
         self.window = tuple(window)
         table = _LetterTable(t)
         self._letters = frozenset(table.letters)
-        honest = self._generate_words(table, sorted(t.presentation.vertices))
-        by_ids = {ids: self._column(table, ids) for _, _, ids in honest}
-        self._check_d_squared(honest, by_ids)
-        letters = table.letters
-
-        def bar_word(ids):
-            return BarWord(tuple(letters[i] for i in ids), letters[ids[0]].source)
-
+        trie = _WordTrie(table, sorted(t.presentation.vertices), word_bound)
+        honest = trie.honest()
+        by_ids = {ids: self._column(table, ids) for ids, _, _ in honest}
+        self._check_d_squared(trie, honest, by_ids)
+        dropped = dict(trie.totals)
+        for _, _, degree in honest:
+            dropped[degree] -= 1
+        self._ledger_degrees = {degree for degree, n in dropped.items() if n}
+        self.words_by_degree = {
+            degree: _LazyList(trie.totals[degree], partial(trie.words_of_degree, degree))
+            for degree in trie.degree_order()}
+        self.differential_ledger = _LazyList(sum(dropped.values()), trie.ledger)
         self._columns = {
-            word: {bar_word(u): c for u, c in by_ids[ids].items()}
-            for word, _, ids in honest}
-
-    def _generate_words(self, table, vertices):
-        """Fill words_by_degree and the ledger in word order; return the
-        honest words as (word, degree, letter ids), in word order."""
-        letters, d, products = table.letters, table.d, table.products
-        shift = [degree - 1 for degree in table.degree]
-        text = [str(e) for e in letters]
-        # Two letters can print alike (an arrow named "a*b" and the path
-        # a*b).  Words are ordered by the ranks of their letter strings; words
-        # with equal ranks form a run, kept in generation order (vertex, then
-        # letter ids), which is where a stable sort by strings leaves them.
-        rank_of = {s: r for r, s in enumerate(sorted(set(text)))}
-        rank = [rank_of[s] for s in text]
-        starting_at = {v: sorted(ids, key=rank.__getitem__)
-                       for v, ids in table.starting_at.items()}
-        self.words_by_degree = {}
-        self.differential_ledger = []
-        honest = []
-        # A layer is a list of runs.  An item is (word, target vertex, degree,
-        # string head, letter ids or None once the column is dropped).
-        run = []
-        for v in vertices:
-            word = BarWord((), v)
-            self.words_by_degree.setdefault(0, []).append(word)
-            honest.append((word, 0, ()))
-            run.append((word, v, 0, "[", ()))
-        layer = [run]
-        for length in range(1, self.word_bound + 1):
-            extend = length < self.word_bound  # the last layer is not kept
-            next_layer = []
-            for run in layer:
-                children = [(rank[i], item, i) for item in run
-                            for i in starting_at.get(item[1], ())]
-                if len(run) > 1:
-                    children.sort(key=itemgetter(0))
-                last_rank = None
-                for r, (word, _, degree, head, ids), i in children:
-                    e = letters[i]
-                    child = BarWord(word.letters + (e,), word.vertex)
-                    degree += shift[i]
-                    self.words_by_degree.setdefault(degree, []).append(child)
-                    body = head + text[i]
-                    if (ids is not None and d[i] is not None
-                            and (not ids or products[ids[-1]][i] is not None)):
-                        ids += (i,)
-                        honest.append((child, degree, ids))
-                    else:
-                        ids = None
-                        self.differential_ledger.append(OverflowEntry(
-                            "bar-differential", degree, body + "]"))
-                    if extend:
-                        if r != last_rank:
-                            next_layer.append([])
-                            last_rank = r
-                        next_layer[-1].append((child, e.target, degree, body + "|", ids))
-            layer = next_layer
-        return honest
+            trie.bar_word(ids, vertex):
+                {trie.bar_word(u, vertex): c for u, c in by_ids[ids].items()}
+            for ids, vertex, _ in honest}
 
     def _column(self, table, ids):
         """The bar differential of an honest word, as {letter ids: coeff}."""
@@ -234,8 +349,8 @@ class BarComplex:
             prefix += table.degree[i] - 1
         return column
 
-    def _check_d_squared(self, honest, by_ids):
-        for word, degree, ids in honest:
+    def _check_d_squared(self, trie, honest, by_ids):
+        for ids, vertex, degree in honest:
             total = {}
             for u, c in by_ids[ids].items():
                 next_column = by_ids.get(u)
@@ -245,7 +360,7 @@ class BarComplex:
                     vec_add_term(total, v, c * c2)
             else:
                 if total:
-                    raise DSquaredNonzero(degree, str(word))
+                    raise DSquaredNonzero(degree, str(trie.bar_word(ids, vertex)))
 
     def d_of(self, word):
         """The column of a bar word as {BarWord: coeff}; None when dropped."""
@@ -284,8 +399,8 @@ class BarComplex:
     def cohomology_dims(self, safe_window, strict=False):
         """{degree: dim H} on the window, gated on the ledger as cohomology
         is; d*d was checked at construction."""
-        raw = _gated_cohomology(self, self.all_dims(), safe_window, strict,
-                                "bar truncation")
+        raw = _gated_cohomology(self, self.all_dims(), self._ledger_degrees,
+                                safe_window, strict, "bar truncation")
         return {d: dim for d, (dim, _) in raw.items()}
 
 

@@ -196,7 +196,8 @@ class RowSpace:
     since, because entries cancel; such stale entries are tolerated and
     skipped.  A column has no entry once it is a pivot, since no row holds
     it any more.  SpanSolver stores its rows past the index, because they
-    are never back-substituted.
+    are never back-substituted.  freeze drops the index once a span is
+    complete: reduce, contains and row still work, and add raises.
 
     The rows hold native scalars of the field (field=None means Q).  add,
     reduce and contains take vectors of any scalars field.of accepts; reduce
@@ -238,6 +239,10 @@ class RowSpace:
     def contains(self, vec):
         return not self._reduce(self._native(vec))
 
+    def freeze(self):
+        """Drop the column -> rows index; the span can no longer grow."""
+        self._holders = None
+
     def _reduce(self, out):
         """Reduce the native vector out in place, and return it."""
         pivot_index, rows, axpy = self.pivot_index, self._rows, self._scalars.axpy
@@ -255,6 +260,8 @@ class RowSpace:
     def _add(self, vec):
         """add for a native vector, which is reduced in place and, when
         independent, becomes the stored row."""
+        if self._holders is None:
+            raise ValueError("a frozen RowSpace cannot grow")
         residue = self._reduce(vec)
         return self._insert(residue) if residue else None
 
@@ -403,7 +410,8 @@ def cohomology_of_complex(dims, differentials, window, field, images=None):
     representative, and the pivots are distinct.  When a dict is passed as
     images, images[i] receives that image RowSpace for each degree i in
     window: reducing a cocycle by it leaves a unique combination of the
-    representatives, read off by forward substitution in pivot order.
+    representatives, read off by forward substitution in pivot order.  Each
+    image RowSpace is frozen once built, so it keeps no index.
 
     d_i o d_{i-1} = 0 is read off these ranks for every window degree i.
     With K = ker d_i and I = im d_{i-1}, there are dim (K + I) - dim I
@@ -422,6 +430,7 @@ def cohomology_of_complex(dims, differentials, window, field, images=None):
         if images is not None:
             images[i] = image
         if n == 0:
+            image.freeze()
             result[i] = (0, [])
             continue
         d_i = differentials.get(i)
@@ -434,6 +443,7 @@ def cohomology_of_complex(dims, differentials, window, field, images=None):
         if d_prev is not None:
             for col in d_prev.columns():
                 image.add(col)
+        image.freeze()
         reps = []
         chosen = RowSpace(field)
         for vec in kernel:

@@ -342,6 +342,13 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     relations it is the filtered count described by that same product span.
     Relations must be vertex-homogeneous with every term of length >= 1
     (the ideal must miss the span of the trivial paths).
+
+    Coefficients are reduced into the field before a relation's heaviest
+    weight is taken.  For integer relations the basis over F_p is at least
+    as large as over Q only when each relation's heaviest term survives mod
+    p.  Otherwise the relation is lighter mod p, more of its products fit
+    the bound, and the F_p basis can be smaller: a0 + 100*a0*a0 on one loop
+    at bound 2 leaves two words over Q and one over F_5.
     """
     if length_bound < 0:
         raise ValueError("length bound must be >= 0")

@@ -130,6 +130,20 @@ def test_representatives_span_kernel_mod_image():
     assert len(reps) == 1
 
 
+def test_handed_out_images_are_frozen():
+    # d_{-1}: k -> k^2 sends the generator to (1, 1); each image keeps its
+    # span for reduce but drops the index that add would need
+    images = {}
+    d_prev = _matrix(QQ, [[1], [1]])
+    cohomology_of_complex({-1: 1, 0: 2}, {-1: d_prev}, (-1, 0), QQ, images=images)
+    image = images[0]
+    assert image.rank == 1 and image.contains({0: 1, 1: 1})
+    assert image.reduce({0: 1}) == {1: -1}
+    for degree in (-1, 0):
+        with pytest.raises(ValueError, match="frozen"):
+            images[degree].add({0: 1})
+
+
 def test_graded_vector_space_shift():
     v = GradedVectorSpace({2: ["a"], 0: ["b", "c"]})
     assert v.dims() == {0: 2, 2: 1}

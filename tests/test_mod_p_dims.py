@@ -8,7 +8,9 @@ Likewise reduce_modulo_relations spans the same integer product vectors
 over both fields whenever the heaviest term of each relation survives mod
 p, so the quotient basis over F_p is at least as large as over Q.  The
 product span depends on the weight of each relation's heaviest term, so
-those terms get coefficients that are units mod 5 and mod 101.
+those terms get coefficients that are units mod 5 and mod 101.  Without
+that condition the F_p basis can be smaller; a pinned counterexample
+shows it.
 
 Random presentations live on one or two vertices: one to three closed
 generators in degrees -1..1, and one to three generators whose
@@ -145,3 +147,15 @@ def test_a_coefficient_divisible_by_p_opens_cohomology(fp):
     assert dims_over(QQ, case) == {d: int(d == 0) for d in range(-9, 10)}
     over_p = dims_over(fp, case)
     assert (over_p[-1], over_p[0]) == (1, 2)
+
+
+def test_a_heaviest_term_that_dies_mod_p_shrinks_the_quotient():
+    # a0 + 100 a0a0 at bound 2: over Q only the relation itself fits, so
+    # a0a0 goes and e_v, a0 stay.  Mod 5 the relation is a0, whose product
+    # a0 * a0 fits too, so only e_v stays.  100 is a unit mod 101.
+    quiver = QuiverPresentation(["v"], [Arrow("a0", "v", "v")])
+    relation = PathAlgebraElement({quiver.path(["a0"]): 1,
+                                   quiver.path(["a0", "a0"]): 100})
+    sizes = [len(reduce_modulo_relations(quiver, [relation], 2, field=field))
+             for field in (QQ,) + PRIMES]
+    assert sizes == [2, 1, 2]
