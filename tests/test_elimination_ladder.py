@@ -1,5 +1,6 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
-rung.  Only the L = 6 cohomology rung runs here, to keep the suite fast."""
+rung.  Only the L = 6 cohomology rung and the 5-letter bar rung run here,
+to keep the suite fast."""
 
 import importlib.util
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "elimination_ladder.py"
 RUNG = "cohomology/3-cycle-cy3/L6"
+BAR_RUNG = "bar/3-cycle-cy3-F101-L2/5-letters"
 
 
 def load_tool():
@@ -16,17 +18,27 @@ def load_tool():
     return module
 
 
-def test_the_l6_rung_writes_its_json(tmp_path, monkeypatch):
+def assert_the_rung_writes_its_json(name, tmp_path, monkeypatch):
     ladder = load_tool()
-    assert RUNG in ladder.RUNGS
-    monkeypatch.setattr(ladder, "RUNGS", {RUNG: ladder.RUNGS[RUNG]})
+    assert name in ladder.RUNGS
+    monkeypatch.setattr(ladder, "RUNGS", {name: ladder.RUNGS[name]})
     monkeypatch.chdir(tmp_path)
     ladder.main(["smoke"])
     result = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert sorted(result) == ["label", "python", "repeats", "rungs"]
     assert result["label"] == "smoke"
-    assert list(result["rungs"]) == [RUNG]
-    rung = result["rungs"][RUNG]
+    assert list(result["rungs"]) == [name]
+    rung = result["rungs"][name]
     assert sorted(rung) == ["best_s", "runs_s"]
     assert len(rung["runs_s"]) == result["repeats"] == 5
     assert rung["best_s"] == min(rung["runs_s"]) > 0
+
+
+def test_the_l6_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(RUNG, tmp_path, monkeypatch)
+
+
+def test_the_bar_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(BAR_RUNG, tmp_path, monkeypatch)
+    dims, ledger = load_tool().RUNGS[BAR_RUNG]()()
+    assert (sum(dims.values()), ledger) == (58824, 58620)

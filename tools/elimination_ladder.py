@@ -5,12 +5,15 @@
 writes BENCH_<LABEL>.json in the current directory.  Each rung is the best
 of five time.process_time() runs of one call; its inputs are built, and
 realized where the call takes a truncation, before the clock starts.  The
-rungs, all over Q:
+rungs, over Q unless stated:
 
 - cohomology of the rank-3 Calabi-Yau completion of the 3-cycle, realized
   on the window (-L, 0) at weight bound L, for L = 6, 7, 8;
 - jacobi_basis of xxyy - xyxy + xxx on two loops at L = 9;
-- h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8.
+- h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8;
+- bar at 5 and 6 letters of the same 3-cycle completion over F_101,
+  realized on (-40, 8) at L = 2, then its all_dims() and the length of its
+  differential ledger (58,824 and 411,771 words).
 
 Compare two commits by running the script in a checkout of each, with the
 same Python, and reading the rungs side by side.
@@ -23,8 +26,10 @@ import time
 
 from quiverdg import (
     Arrow,
+    GroundField,
     QuiverPresentation,
     Superpotential,
+    bar,
     cohomology,
     cy_completion,
     h0_algebra,
@@ -62,6 +67,15 @@ def a5_h0():
     return lambda: h0_algebra(t)
 
 
+def cycle_bar(letters):
+    t = realize(cy_completion(three_cycle(), 3, field=GroundField(101)), (-40, 8), 2)
+
+    def call():
+        b = bar(t, letters, (-40, 8))
+        return b.all_dims(), len(b.differential_ledger)
+    return call
+
+
 # name -> builder of the timed call
 RUNGS = {
     "cohomology/3-cycle-cy3/L6": lambda: cycle_cohomology(6),
@@ -69,6 +83,8 @@ RUNGS = {
     "cohomology/3-cycle-cy3/L8": lambda: cycle_cohomology(8),
     "jacobi_basis/two-loops-xxyy-xyxy+xxx/L9": two_loop_jacobi,
     "h0_algebra/A5-cy2/L8": a5_h0,
+    "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
+    "bar/3-cycle-cy3-F101-L2/6-letters": lambda: cycle_bar(6),
 }
 
 
