@@ -16,7 +16,10 @@ in-bounds word and pair.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
+from operator import itemgetter
 
 from .algebras import FiniteDimAlgebra
 from .fields import GroundField
@@ -31,6 +34,7 @@ from .quiver import (
     Path,
     PathAlgebraElement,
     QuiverPresentation,
+    _word_records,
     reduce_modulo_relations,
 )
 
@@ -232,11 +236,14 @@ class TruncatedDgAlgebra:
 
     Inside the truncation each basis word is numbered once: its id is its
     position in degree-major basis order (degrees ascending, basis order
-    within a degree), so the words of one degree have consecutive ids.  The
-    differential columns and the product memo are stored on ids as {id:
-    coeff}, with each id's weight and degree in lists, and verify_differential,
-    cohomology and matrix_between work on them without hashing a path.
-    d_of, d_element, word_product and product are the path-level views.
+    within a degree), so the words of one degree have consecutive ids.  Ids,
+    weights, degrees, columns and mul_overflow are read off the quotient
+    basis's word records (labels, source, target, weight, degree), sorted
+    once by degree.  The differential columns and the product memo are
+    stored on ids as {id: coeff}, with each id's weight and degree in lists,
+    and verify_differential, cohomology and matrix_between work on them
+    without hashing a path.  d_of, d_element, word_product and product are
+    the path-level views; the path -> id map they use is built on first use.
 
     Each word's column is its free differential, summed on label tuples by
     the presentation's _leibniz_into (the same letter table and the same
@@ -266,47 +273,57 @@ class TruncatedDgAlgebra:
             presentation.quiver, presentation.relations, weight_bound,
             field=presentation.field, weights=presentation.weights)
         self._check_relation_differentials()
-        self.basis_by_degree = {}
-        for path in self.qb.basis:
-            self.basis_by_degree.setdefault(presentation.degree_of(path), []).append(path)
-        self._words = []
-        self._degree = []
+        # the basis word records, (labels, source, target, weight, degree),
+        # grouped by degree in the order each degree first occurs
+        records, basis = self.qb._records, self.qb.basis
+        by_degree = {}
+        for k, record in enumerate(records):
+            by_degree.setdefault(record[4], []).append(k)
+        self.basis_by_degree = {d: [basis[k] for k in ks] for d, ks in by_degree.items()}
+        order = []
         self._start = {}
-        for degree in sorted(self.basis_by_degree):
-            words = self.basis_by_degree[degree]
-            self._start[degree] = len(self._words)
-            self._words.extend(words)
-            self._degree.extend([degree] * len(words))
-        self._id = {w: i for i, w in enumerate(self._words)}
-        self._weight = [self.qb.weight_of(w) for w in self._words]
+        for degree in sorted(by_degree):
+            self._start[degree] = len(order)
+            order.extend(by_degree[degree])
+        words = [records[k] for k in order]
+        self._words = [basis[k] for k in order]
+        self._degree = [record[4] for record in words]
+        self._weight = [record[3] for record in words]
         self._one = self.field.one()
-        self._products = [None] * len(self._words)
+        self._products = [None] * len(words)
         self._units = {}
         self._columns = []
         self.differential_ledger = []
-        ids = {w.labels: i for i, w in enumerate(self._words) if w.labels}
-        for i, word in enumerate(self._words):
-            free = presentation._leibniz_into({}, word.labels)
+        # ids of the non-trivial words by labels
+        self._by_labels = ids = {record[0]: i for i, record in enumerate(words) if record[0]}
+        weights = presentation.weights
+        for i, (labels, source, target, _, degree) in enumerate(words):
+            free = presentation._leibniz_into({}, labels)
             col = {}
-            for labels, c in free.items():
-                k = ids.get(labels)
+            for term, c in free.items():
+                k = ids.get(term)
                 if k is None:
                     break
                 col[k] = c
             else:
                 self._columns.append(col)
                 continue
-            if any(sum(presentation.weights[name] for name in labels) > weight_bound
-                   for labels in free if labels not in ids):
+            if any(sum(weights[name] for name in term) > weight_bound
+                   for term in free if term not in ids):
                 self.differential_ledger.append(OverflowEntry(
-                    "differential", self._degree[i], str(word)))
+                    "differential", degree, str(self._words[i])))
                 self._columns.append(None)
                 continue
             element = PathAlgebraElement(
-                {Path(labels, word.source, word.target): c for labels, c in free.items()})
+                {Path(term, source, target): c for term, c in free.items()})
             self._columns.append(self._ids_of(self.qb.reduce(element).terms))
-        self.mul_overflow = self._count_mul_overflow()
+        self.mul_overflow = self._count_mul_overflow(words)
         self.certified_finite_dimensional = self._certify_finite_dimensional()
+
+    @cached_property
+    def _id(self):
+        """The id of each basis word, by path; built on first use."""
+        return {w: i for i, w in enumerate(self._words)}
 
     def _check_relation_differentials(self):
         p = self.presentation
@@ -322,20 +339,32 @@ class TruncatedDgAlgebra:
                     "d of relation %r leaves the relation ideal: residue %r"
                     % (r, residue))
 
-    def _count_mul_overflow(self):
-        histogram = {}
-        for i, word in enumerate(self._words):
-            key = (word.source, word.target, self._degree[i], self._weight[i])
-            histogram[key] = histogram.get(key, 0) + 1
-        starting_at = {}
-        for (source, _, degree, weight), n in histogram.items():
-            starting_at.setdefault(source, []).append((degree, weight, n))
+    def _count_mul_overflow(self, words):
+        """{landing degree: composable word pairs whose weights sum past the
+        bound}, counted from (target, degree, weight) classes of left words
+        against, per start vertex and degree, how many right words are at
+        least each weight."""
+        bound = self.weight_bound
+        histogram = Counter(record[1:] for record in words)
+        ending = {}
+        heavier = {}  # source -> degree -> [words of weight >= w for w in 0..bound+1]
+        for (source, target, weight, degree), n in histogram.items():
+            key = (target, degree, weight)
+            ending[key] = ending.get(key, 0) + n
+            counts = heavier.setdefault(source, {}).get(degree)
+            if counts is None:
+                counts = heavier[source][degree] = [0] * (bound + 2)
+            counts[weight] += n
+        for by_degree in heavier.values():
+            for counts in by_degree.values():
+                for w in range(bound, -1, -1):
+                    counts[w] += counts[w + 1]
         overflow = {}
-        for (_, target, d1, w1), n1 in histogram.items():
-            for d2, w2, n2 in starting_at.get(target, ()):
-                if w1 + w2 > self.weight_bound:
-                    landing = d1 + d2
-                    overflow[landing] = overflow.get(landing, 0) + n1 * n2
+        for (target, d1, w1), n1 in ending.items():
+            for d2, counts in heavier.get(target, {}).items():
+                n2 = counts[bound - w1 + 1]
+                if n2:
+                    overflow[d1 + d2] = overflow.get(d1 + d2, 0) + n1 * n2
         return dict(sorted(overflow.items()))
 
     def _certify_finite_dimensional(self):
@@ -449,9 +478,14 @@ class TruncatedDgAlgebra:
             return {}
         one = self._one
         if self._weight[i] + self._weight[j] <= self.weight_bound:
-            word = Path(p.labels + q.labels, p.source, q.target)
-            k = self._id.get(word)
+            if not q.labels:
+                k = i
+            elif not p.labels:
+                k = j
+            else:
+                k = self._by_labels.get(p.labels + q.labels)
             if k is None:
+                word = Path(p.labels + q.labels, p.source, q.target)
                 return self._ids_of(self.qb.reduce(PathAlgebraElement.from_path(word, one)).terms)
             unit = self._units.get(k)
             if unit is None:
@@ -488,7 +522,12 @@ def realize(presentation, window, weight_bound):
 
     The window scopes reporting; an inverted window (lo > hi) is allowed and
     reports nothing.  InconsistentPresentation is raised when a relation
-    differential leaves the relation ideal within the bound.
+    differential leaves the relation ideal within the bound.  The words are
+    walked once, as label-tuple records, and sorted once (see
+    TruncatedDgAlgebra).  h0_algebra does not call realize again at L + 1
+    for a presentation with no relations whose differential preserves
+    weight: there the truncation at L + 1 is this one plus the words of
+    weight exactly L + 1, a direct summand, so it builds only that slice.
     """
     return TruncatedDgAlgebra(presentation, window, weight_bound)
 
@@ -792,20 +831,81 @@ class H0Result:
     dims_checked: tuple
 
 
+def _h0_of_weight_slice(t):
+    """dim H^0 of the words of weight exactly L + 1, L the weight bound of t.
+
+    Only for a presentation with no relations whose differential preserves
+    weight: there every path is a basis word and d maps the words of one
+    weight to words of that weight, so this slice is a direct summand of
+    the truncation at L + 1 and the rest of it is the truncation at L.  Its
+    words of degrees -1 to 2 are walked as label-tuple records and fed to
+    cohomology_of_complex as cohomology feeds a truncation: the same rank
+    check of d o d into degree 0, then the square of each degree-0 word.
+    The slice's words come after the lighter ones in each degree of the
+    truncation at L + 1, whose lighter words passed these checks at L, so
+    DSquaredNonzero names the word the truncation at L + 1 would name.
+    """
+    p = t.presentation
+    bound = t.weight_bound + 1
+    words = {-1: [], 0: [], 1: [], 2: []}
+    for record in _word_records(p.quiver, bound, p.weights):
+        if record[3] == bound and record[4] in words:
+            words[record[4]].append(record)
+    position = {}
+    for degree, records in words.items():
+        records.sort(key=itemgetter(0))
+        position.update((record[0], k) for k, record in enumerate(records))
+    columns = {}
+    for degree in (-1, 0, 1):
+        columns[degree] = [
+            {position[term]: c for term, c in p._leibniz_into({}, record[0]).items()}
+            for record in words[degree]]
+    matrices = {}
+    for degree in (-1, 0):
+        m = matrices[degree] = SparseMatrix(len(words[degree + 1]), len(words[degree]))
+        for j, col in enumerate(columns[degree]):
+            for k, c in col.items():
+                m.set(k, j, c)
+
+    def name(degree, k):
+        return str(Path(*words[degree][k][:3]))
+
+    try:
+        raw = cohomology_of_complex({0: len(words[0])}, matrices, (0, 0), t.field)
+    except DSquaredNonzero as err:
+        raise DSquaredNonzero(err.degree, name(err.degree, err.witness)) from None
+    one = t.field.one()
+    for k, col in enumerate(columns[0]):
+        square = {}
+        for i, c in col.items():
+            _add_scaled(square, c, columns[1][i], one)
+        if square:
+            raise DSquaredNonzero(0, name(0, k))
+    return raw[0][0]
+
+
 def h0_algebra(t):
     """H^0 as a structure-constant algebra, or NotStabilized.
 
     The dimension must agree between the given weight bound L and L+1
     (recorded), and every representative product must stay inside the bound;
-    otherwise the caller is told to raise L.
+    otherwise the caller is told to raise L.  For a presentation with no
+    relations whose differential preserves weight (is_weight_graded), the
+    truncation at L + 1 is the one at L plus the subcomplex of the words of
+    weight exactly L + 1, so dim H^0 at L + 1 is read as the dimension at L
+    plus that slice's (see _h0_of_weight_slice); this is exact, not an
+    estimate.  Any other presentation is realized again at L + 1.
     """
     coh = cohomology(t, (0, 0))
-    again = realize(t.presentation, t.window, t.weight_bound + 1)
-    coh_next = cohomology(again, (0, 0))
-    if coh.dims[0] != coh_next.dims[0]:
+    p = t.presentation
+    if not p.relations and p.is_weight_graded():
+        next_dim = coh.dims[0] + _h0_of_weight_slice(t)
+    else:
+        next_dim = cohomology(realize(p, t.window, t.weight_bound + 1), (0, 0)).dims[0]
+    if coh.dims[0] != next_dim:
         raise NotStabilized(
             "H^0 dimension moved from %d to %d between weight bounds %d and %d"
-            % (coh.dims[0], coh_next.dims[0], t.weight_bound, t.weight_bound + 1))
+            % (coh.dims[0], next_dim, t.weight_bound, t.weight_bound + 1))
     reps = coh.representatives[0]
     field = t.field
 
@@ -829,4 +929,4 @@ def h0_algebra(t):
     unit = coordinates(t.qb.reduce(t.unit_element()))
     labels = [str(r) for r in reps]
     algebra = FiniteDimAlgebra(field, labels, structure, unit)
-    return H0Result(algebra, reps, t.weight_bound, (coh.dims[0], coh_next.dims[0]))
+    return H0Result(algebra, reps, t.weight_bound, (coh.dims[0], next_dim))

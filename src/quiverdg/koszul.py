@@ -81,7 +81,7 @@ class _LetterTable:
     def __init__(self, t):
         self.letters = [e for e in t.qb.basis if not e.is_trivial()]
         # the truncation's word id of each letter, and the way back
-        word = [t._id[e] for e in self.letters]
+        word = [t._by_labels[e.labels] for e in self.letters]
         letter = {k: i for i, k in enumerate(word)}
         self.degree = [t._degree[k] for k in word]
         self.d = []
@@ -263,12 +263,16 @@ class _WordTrie:
         letters = self.table.letters
         return BarWord(tuple(letters[i] for i in ids), vertex)
 
-    def words_of_degree(self, degree):
+    def keys_of_degree(self, degree):
+        """The words of one degree as (letter ids, vertex), in word order."""
         reach = self.reach
-        return [self.bar_word(ids, vertex)
+        return [(ids, vertex)
                 for ids, vertex, _, d, _ in self.words(
                     lambda word, remaining: degree - word[3] in reach[remaining][word[2]])
                 if d == degree]
+
+    def words_of_degree(self, degree):
+        return [self.bar_word(ids, vertex) for ids, vertex in self.keys_of_degree(degree)]
 
     def ledger(self):
         """An OverflowEntry for each word that is not honest, in word order."""
@@ -301,8 +305,10 @@ class BarComplex:
     read-only.  Their len and truth, the keys, dims, all_dims and the ledger
     gate of cohomology_dims are exact without building a word or an entry.
     Iterating or indexing a degree's list builds that degree's words once,
-    iterating or indexing the ledger builds all its entries once, and
-    matrix_between builds the two degrees it reads.
+    and iterating or indexing the ledger builds all its entries once.
+    Columns are kept on letter-id tuples: matrix_between walks the two
+    degrees it reads as (letter ids, vertex) keys and builds no word, and
+    d_of builds the words of the one column it returns.
     """
 
     def __init__(self, t, word_bound, window):
@@ -315,7 +321,6 @@ class BarComplex:
         self.word_bound = word_bound
         self.window = tuple(window)
         table = _LetterTable(t)
-        self._letters = frozenset(table.letters)
         trie = _WordTrie(table, sorted(t.presentation.vertices), word_bound)
         honest = trie.honest()
         by_ids = {ids: self._column(table, ids) for ids, _, _ in honest}
@@ -328,10 +333,9 @@ class BarComplex:
             degree: _LazyList(trie.totals[degree], partial(trie.words_of_degree, degree))
             for degree in trie.degree_order()}
         self.differential_ledger = _LazyList(sum(dropped.values()), trie.ledger)
-        self._columns = {
-            trie.bar_word(ids, vertex):
-                {trie.bar_word(u, vertex): c for u, c in by_ids[ids].items()}
-            for ids, vertex, _ in honest}
+        self._trie = trie
+        self._by_ids = by_ids
+        self._letter_id = {e: i for i, e in enumerate(table.letters)}
 
     def _column(self, table, ids):
         """The bar differential of an honest word, as {letter ids: coeff}."""
@@ -364,10 +368,13 @@ class BarComplex:
 
     def d_of(self, word):
         """The column of a bar word as {BarWord: coeff}; None when dropped."""
-        column = self._columns.get(word)
-        if column is None and not self._is_word(word):
+        if not self._is_word(word):
             raise KeyError(word)
-        return column
+        column = self._by_ids.get(tuple(self._letter_id[p] for p in word.letters))
+        if column is None:
+            return None
+        bar_word = self._trie.bar_word
+        return {bar_word(u, word.vertex): c for u, c in column.items()}
 
     def _is_word(self, word):
         letters = word.letters
@@ -375,7 +382,7 @@ class BarComplex:
             return word.vertex in self.algebra.presentation.vertices
         return (len(letters) <= self.word_bound
                 and word.vertex == letters[0].source
-                and all(p in self._letters for p in letters)
+                and all(p in self._letter_id for p in letters)
                 and all(p.target == q.source for p, q in zip(letters, letters[1:])))
 
     def dims(self):
@@ -387,13 +394,14 @@ class BarComplex:
         return {d: len(ws) for d, ws in sorted(self.words_by_degree.items())}
 
     def matrix_between(self, degree):
-        source = self.words_by_degree.get(degree, [])
-        target = self.words_by_degree.get(degree + 1, [])
-        row = {u: i for i, u in enumerate(target)}
-        m = SparseMatrix(len(target), len(source))
-        for j, w in enumerate(source):
-            for u, c in self._columns.get(w, {}).items():
-                m.set(row[u], j, c)
+        """SparseMatrix of d from degree to degree+1 (dropped columns zero),
+        indexed on (letter ids, vertex) keys without building a word."""
+        source = self._trie.keys_of_degree(degree)
+        row = {key: i for i, key in enumerate(self._trie.keys_of_degree(degree + 1))}
+        m = SparseMatrix(len(row), len(source))
+        for j, (ids, vertex) in enumerate(source):
+            for u, c in self._by_ids.get(ids, {}).items():
+                m.set(row[u, vertex], j, c)
         return m
 
     def cohomology_dims(self, safe_window, strict=False):

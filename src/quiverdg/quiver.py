@@ -9,6 +9,7 @@ monomial of a relation, so normal forms are supported on short paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .fields import GroundField
 from .linalg import RowSpace, vec_add_term
@@ -262,32 +263,62 @@ def cyclic_derivative(potential, arrow_name):
     return PathAlgebraElement(total)
 
 
+def _checked_weights(quiver, weights):
+    """The arrow weights, one per arrow (default 1 each); ValueError names
+    an unknown arrow, an arrow with no weight, or a weight below 1."""
+    if weights is None:
+        return {a.name: 1 for a in quiver.arrows}
+    for name in weights:
+        if not quiver.has_arrow(name):
+            raise ValueError("weight given for unknown arrow %r" % (name,))
+    for a in quiver.arrows:
+        if a.name not in weights:
+            raise ValueError("no weight given for arrow %r" % (a.name,))
+    for name, w in weights.items():
+        if w < 1:
+            raise ValueError("arrow weight for %s must be positive" % name)
+    return weights
+
+
+def _word_records(quiver, bound, weights=None):
+    """Yield a record (labels, source, target, weight, degree) for every path
+    of weight <= bound, depth first.
+
+    The weights are checked before the walk starts.  The walk starts from
+    the trivial paths in reverse-sorted vertex order and extends a path by
+    its out-arrows in name order; sorting the records stably by (weight,
+    labels) gives enumerate_paths's order, the trivial paths keeping the
+    walk's vertex order among themselves.
+    """
+    weights = _checked_weights(quiver, weights)
+    out = {v: [] for v in quiver.vertices}
+    for a in sorted(quiver.arrows, key=lambda a: a.name):
+        out[a.source].append((a.name, a.target, weights[a.name], a.degree))
+    stack = [((), v, v, 0, 0) for v in sorted(quiver.vertices)]
+    while stack:
+        record = stack.pop()
+        yield record
+        labels, source, target, weight, degree = record
+        for name, head, w, d in out[target]:
+            if weight + w <= bound:
+                stack.append((labels + (name,), source, head, weight + w, degree + d))
+
+
+_ascending = itemgetter(3, 0)  # (weight, labels) of a word record
+
+
 def enumerate_paths(quiver, bound, weights=None):
     """All paths of weight <= bound, as a dict path -> weight in
     (weight, labels) order.
 
     The weight of a path is the sum of its arrow weights; by default every
     arrow weighs 1, so the bound is a length bound.  Weights must be
-    positive so the enumeration terminates.
+    positive so the enumeration terminates, and given for exactly the
+    arrows of the quiver.
     """
-    if weights is None:
-        weights = {a.name: 1 for a in quiver.arrows}
-    for name, w in weights.items():
-        if w < 1:
-            raise ValueError("arrow weight for %s must be positive" % name)
-    out_by_vertex = {v: sorted(quiver.out_arrows(v), key=lambda a: a.name)
-                     for v in quiver.vertices}
-    found = []
-    stack = [(quiver.trivial(v), 0) for v in sorted(quiver.vertices)]
-    while stack:
-        path, w = stack.pop()
-        found.append((path, w))
-        for a in out_by_vertex[path.target]:
-            w2 = w + weights[a.name]
-            if w2 <= bound:
-                stack.append((Path(path.labels + (a.name,), path.source, a.target), w2))
-    found.sort(key=lambda item: (item[1], item[0].labels))
-    return dict(found)
+    return {Path(labels, source, target): weight
+            for labels, source, target, weight, _ in sorted(
+                _word_records(quiver, bound, weights), key=_ascending)}
 
 
 class QuotientBasis:
@@ -295,32 +326,40 @@ class QuotientBasis:
 
     `basis` lists the surviving paths in (length, labels) order; `reduce`
     rewrites any element supported in lengths <= bound to its normal form on
-    that basis.  path_weights holds the weight of every path within the
-    bound, as enumerate_paths returns it.
+    that basis.  _records holds the word record of each basis path, in the
+    same order.  The path -> column index that reduce needs is built on the
+    first call, so a caller that never reduces never hashes a path.
     """
 
-    def __init__(self, quiver, length_bound, field, basis, rows, column_of, path_at,
-                 weights, path_weights):
+    def __init__(self, quiver, length_bound, field, weights, words, rows, records, basis):
         self.quiver = quiver
         self.length_bound = length_bound
         self.field = field
-        self.basis = basis
         self.weights = weights
-        self._path_weights = path_weights
+        self.basis = basis
+        self._records = records
+        self._words = words  # every word record, in column order
         self._rows = rows
-        self._column_of = column_of
-        self._path_at = path_at
+        self._column_of = None
+        self._path_at = None
 
     def __len__(self):
         return len(self.basis)
 
     def weight_of(self, path):
-        w = self._path_weights.get(path)
-        if w is None:
-            w = sum(self.weights[name] for name in path.labels)
-        return w
+        return sum(self.weights[name] for name in path.labels)
+
+    def _index(self):
+        """Build the column -> path list and the path -> column dict, reusing
+        the basis paths."""
+        path_of = {record[:2]: p for record, p in zip(self._records, self.basis)}
+        self._path_at = [path_of[record[:2]] if record[:2] in path_of else Path(*record[:3])
+                         for record in self._words]
+        self._column_of = {p: i for i, p in enumerate(self._path_at)}
 
     def reduce(self, element):
+        if self._column_of is None:
+            self._index()
         vec = {}
         for path, coeff in element.terms.items():
             col = self._column_of.get(path)
@@ -341,7 +380,9 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     exactly the dimension of the weightwise quotient; for mixed-weight
     relations it is the filtered count described by that same product span.
     Relations must be vertex-homogeneous with every term of length >= 1
-    (the ideal must miss the span of the trivial paths).
+    (the ideal must miss the span of the trivial paths).  The words come
+    from one walk of the quiver as label-tuple records; with no relations
+    every word is a basis word and no column index is built.
 
     Coefficients are reduced into the field before a relation's heaviest
     weight is taken.  For integer relations the basis over F_p is at least
@@ -353,8 +394,7 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     if length_bound < 0:
         raise ValueError("length bound must be >= 0")
     field = field if field is not None else GroundField(0)
-    if weights is None:
-        weights = {a.name: 1 for a in quiver.arrows}
+    weights = _checked_weights(quiver, weights)
 
     def term_weight(path):
         return sum(weights[name] for name in path.labels)
@@ -375,44 +415,46 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
             raise ValueError("relation terms must have length >= 1: %r" % (element,))
         cleaned.append(element)
 
-    weight = enumerate_paths(quiver, length_bound, weights)
-    paths = list(weight)
-
-    def key(path):
-        return (weight[path], path.labels)
-
-    ordered = sorted(paths, key=key, reverse=True)
-    column_of = {p: i for i, p in enumerate(ordered)}
-    # paths by endpoint, each list in `paths` order, so weights ascend in it
-    by_source = {}
-    by_target = {}
-    for p in paths:
-        by_source.setdefault(p.source, []).append(p)
-        by_target.setdefault(p.target, []).append(p)
+    records = sorted(_word_records(quiver, length_bound, weights), key=_ascending)
+    # Columns number the words heaviest first, so elimination pivots on a
+    # relation's heaviest term; the trivial paths, which lead the ascending
+    # records and which no relation touches, take the last columns in their
+    # ascending order.
+    trivial = len(quiver.vertices)
+    words = records[trivial:][::-1] + records[:trivial]
     rows = RowSpace(field)
-    for r in cleaned:
-        src, tgt = r.endpoints()
-        heaviest = max(term_weight(p) for p in r.terms)
-        for u in by_target.get(src, ()):
-            room = length_bound - weight[u] - heaviest
-            if room < 0:
-                break
-            for v in by_source.get(tgt, ()):
-                if weight[v] > room:
+    if cleaned:
+        column_of = {record[0]: i for i, record in enumerate(words[:len(words) - trivial])}
+        # words by endpoint, each list ascending, so weights ascend in it
+        by_source = {}
+        by_target = {}
+        for labels, source, target, weight, _ in records:
+            by_source.setdefault(source, []).append((labels, weight))
+            by_target.setdefault(target, []).append((labels, weight))
+        for r in cleaned:
+            src, tgt = r.endpoints()
+            heaviest = max(term_weight(p) for p in r.terms)
+            terms = [(t.labels, c) for t, c in r.terms.items()]
+            for u, u_weight in by_target.get(src, ()):
+                room = length_bound - u_weight - heaviest
+                if room < 0:
                     break
-                vec = {}
-                for t, c in r.terms.items():
-                    full = Path(u.labels + t.labels + v.labels, u.source, v.target)
-                    col = column_of[full]
-                    s = vec.get(col)
-                    s = c if s is None else s + c
-                    if s:
-                        vec[col] = s
-                    else:
-                        vec.pop(col, None)
-                if vec:
-                    rows.add(vec)
-    basis = [p for p in ordered if column_of[p] not in rows.pivot_index]
-    basis.sort(key=key)
-    return QuotientBasis(quiver, length_bound, field, basis, rows, column_of, ordered,
-                         weights, weight)
+                for v, v_weight in by_source.get(tgt, ()):
+                    if v_weight > room:
+                        break
+                    vec = {}
+                    for t, c in terms:
+                        col = column_of[u + t + v]
+                        s = vec.get(col)
+                        s = c if s is None else s + c
+                        if s:
+                            vec[col] = s
+                        else:
+                            vec.pop(col, None)
+                    if vec:
+                        rows.add(vec)
+        kept = [record for i, record in enumerate(words) if i not in rows.pivot_index]
+        split = len(kept) - trivial
+        records = kept[split:] + kept[:split][::-1]
+    basis = [Path(labels, source, target) for labels, source, target, _, _ in records]
+    return QuotientBasis(quiver, length_bound, field, weights, words, rows, records, basis)

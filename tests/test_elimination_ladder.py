@@ -1,6 +1,6 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
-rung.  Only the L = 6 cohomology rung and the 5-letter bar rung run here,
-to keep the suite fast."""
+rung.  Only the L = 6 cohomology rung, the 5-letter bar rung and the A5
+realize rung run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -9,6 +9,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "elimination_ladder.py"
 RUNG = "cohomology/3-cycle-cy3/L6"
 BAR_RUNG = "bar/3-cycle-cy3-F101-L2/5-letters"
+REALIZE_RUNG = "realize/A5-cy2/L9"
 
 
 def load_tool():
@@ -42,3 +43,9 @@ def test_the_bar_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(BAR_RUNG, tmp_path, monkeypatch)
     dims, ledger = load_tool().RUNGS[BAR_RUNG]()()
     assert (sum(dims.values()), ledger) == (58824, 58620)
+
+
+def test_the_realize_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(REALIZE_RUNG, tmp_path, monkeypatch)
+    t = load_tool().RUNGS[REALIZE_RUNG]()()
+    assert sum(t.dims().values()) == 8141

@@ -116,6 +116,29 @@ def test_enumerate_paths_counts_and_order():
         enumerate_paths(q, 3, weights={"x": 0})
 
 
+def two_loops():
+    return QuiverPresentation(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
+
+
+def test_enumerate_paths_names_a_missing_or_unknown_weight():
+    q = two_loops()
+    with pytest.raises(ValueError, match="no weight given for arrow 'y'"):
+        enumerate_paths(q, 3, weights={"x": 1})
+    with pytest.raises(ValueError, match="weight given for unknown arrow 'z'"):
+        enumerate_paths(q, 3, weights={"x": 1, "y": 1, "z": 1})
+
+
+def test_reduce_modulo_relations_names_a_missing_or_unknown_weight():
+    q = two_loops()
+    relation = elem(q, (["x", "y"], 1))
+    with pytest.raises(ValueError, match="no weight given for arrow 'y'"):
+        reduce_modulo_relations(q, [relation], 3, weights={"x": 1})
+    with pytest.raises(ValueError, match="weight given for unknown arrow 'z'"):
+        reduce_modulo_relations(q, [relation], 3, weights={"x": 1, "y": 2, "z": 1})
+    with pytest.raises(ValueError, match="arrow weight for y must be positive"):
+        reduce_modulo_relations(q, [relation], 3, weights={"x": 1, "y": 0})
+
+
 def test_cyclic_derivative_xyz():
     q = QuiverPresentation(
         ["1", "2", "3"],

@@ -11,6 +11,8 @@ rungs, over Q unless stated:
   on the window (-L, 0) at weight bound L, for L = 6, 7, 8;
 - jacobi_basis of xxyy - xyxy + xxx on two loops at L = 9;
 - h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8;
+- realize of that completion on (-4, 0) at L = 9 (8,141 words), and of the
+  rank-3 completion of the 3-cycle on (-8, 0) at L = 8 (5,043 words);
 - bar at 5 and 6 letters of the same 3-cycle completion over F_101,
   realized on (-40, 8) at L = 2, then its all_dims() and the length of its
   differential ledger (58,824 and 411,771 words).
@@ -59,12 +61,25 @@ def two_loop_jacobi():
     return lambda: jacobi_basis(quiver, potential, 9)
 
 
-def a5_h0():
-    quiver = QuiverPresentation(
+def a5():
+    return QuiverPresentation(
         tuple(str(i) for i in range(1, 6)),
         tuple(Arrow("a%d" % i, str(i), str(i + 1)) for i in range(1, 5)))
-    t = realize(cy_completion(quiver, 2), (-4, 0), 8)
+
+
+def a5_h0():
+    t = realize(cy_completion(a5(), 2), (-4, 0), 8)
     return lambda: h0_algebra(t)
+
+
+def a5_realize():
+    p = cy_completion(a5(), 2)
+    return lambda: realize(p, (-4, 0), 9)
+
+
+def cycle_realize():
+    p = cy_completion(three_cycle(), 3)
+    return lambda: realize(p, (-8, 0), 8)
 
 
 def cycle_bar(letters):
@@ -83,6 +98,8 @@ RUNGS = {
     "cohomology/3-cycle-cy3/L8": lambda: cycle_cohomology(8),
     "jacobi_basis/two-loops-xxyy-xyxy+xxx/L9": two_loop_jacobi,
     "h0_algebra/A5-cy2/L8": a5_h0,
+    "realize/A5-cy2/L9": a5_realize,
+    "realize/3-cycle-cy3/L8": cycle_realize,
     "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
     "bar/3-cycle-cy3-F101-L2/6-letters": lambda: cycle_bar(6),
 }
