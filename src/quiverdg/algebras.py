@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .linalg import RowSpace, SparseMatrix, SpanSolver, kernel_image, vec_axpy
+from .linalg import (
+    RowSpace,
+    SparseMatrix,
+    SpanSolver,
+    kernel_image,
+    native_scalars,
+    vec_axpy,
+)
 
 
 class RadicalComputationError(Exception):
@@ -29,7 +36,9 @@ class FiniteDimAlgebra:
 
     structure maps a pair of basis indices (i, j) to the sparse vector of
     b_i * b_j; absent pairs multiply to zero.  Vectors throughout are sparse
-    dicts {basis index: scalar}.
+    dicts {basis index: scalar}.  mul runs on a copy of structure in native
+    scalars (see linalg's native_scalars), and structure, unit and the
+    products mul returns hold Fraction or FpElement entries.
     """
 
     def __init__(self, field, basis, structure, unit, degrees=None):
@@ -46,19 +55,15 @@ class FiniteDimAlgebra:
                 self.structure[(i, j)] = cleaned
         self.unit = {k: field.of(c) for k, c in unit.items() if field.of(c)}
         self.degrees = list(degrees) if degrees is not None else None
+        self._scalars = native_scalars(field)
+        self._table = self._scalars.table(self.structure)
 
     @property
     def dim(self):
         return len(self.basis)
 
     def mul(self, u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                vec = self.structure.get((i, j))
-                if vec:
-                    vec_axpy(out, a * b, vec)
-        return out
+        return self._scalars.bilinear(self._table, u, v)
 
     def trace_of_left(self, vec):
         total = self.field.zero()

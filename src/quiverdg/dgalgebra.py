@@ -28,7 +28,8 @@ from .linalg import (
     GradedVectorSpace,
     SparseMatrix,
     cohomology_of_complex,
-    vec_axpy,
+    native_scalars,
+    vec_add_term,
 )
 from .quiver import (
     Path,
@@ -61,8 +62,9 @@ class DgAlgebraPresentation:
     differential maps generator names to PathAlgebraElements in the
     generators; omitted generators are closed.  weights assigns a positive
     integer to each generator (default 1); realizations truncate by total
-    word weight.  The differential is also kept as a signed letter table,
-    from which d_of_element and every realized column are summed.
+    word weight.  The differential is also kept as a signed letter table in
+    native scalars, from which d_of_element and every realized column are
+    summed.
     """
 
     def __init__(self, vertices, generators, differential=None, relations=(),
@@ -106,13 +108,13 @@ class DgAlgebraPresentation:
                     "relation terms must have length >= 1: %r" % (cleaned,))
             self.relations.append(cleaned)
         # the signed letter table: for each generator with a differential,
-        # its terms as (labels, coefficient), the coefficient as it stands
-        # after an even prefix degree and negated after an odd one; and the
-        # degree parity of every generator
-        minus = self.field.of(-1)
+        # its terms as (labels, native coefficient), the coefficient as it
+        # stands after an even prefix degree and negated after an odd one;
+        # and the degree parity of every generator
+        self._scalars = scalars = native_scalars(self.field)
         self._signed = {
-            name: ([(t.labels, c) for t, c in value.terms.items()],
-                   [(t.labels, minus * c) for t, c in value.terms.items()])
+            name: ([(t.labels, scalars.native(c)) for t, c in value.terms.items()],
+                   [(t.labels, scalars.native(-c)) for t, c in value.terms.items()])
             for name, value in self.differential.items()}
         self._odd = {a.name: a.degree % 2 for a in self.generators}
 
@@ -170,17 +172,20 @@ class DgAlgebraPresentation:
         path = self.quiver.path
         return PathAlgebraElement({path(labels): c for labels, c in total.items()})
 
-    def _leibniz_into(self, total, labels, coeff=None):
+    def _leibniz_into(self, total, labels, coeff=None, native=False):
         """Add coeff * d(w), for the word w with these labels, into total,
         which is keyed by label tuples, and return total; coeff None stands
-        for one and spares the multiplication.
+        for one and spares the multiplication.  Table coefficients enter as
+        field scalars, or as native ones with native=True, where coeff and
+        total hold native scalars too.
 
         d(w) is the sum over the letters of w, left to right, of the word
         with that letter replaced by each term of its differential, in term
         order, with the table coefficient for the parity of the degree of
         the letters before it.  A sum that cancels to zero is dropped.
         """
-        signed, odd = self._signed, self._odd
+        signed, odd, public = self._signed, self._odd, self._scalars.public
+        add = self._scalars.add_term if native else vec_add_term
         parity = 0
         for i, label in enumerate(labels):
             terms = signed.get(label)
@@ -188,14 +193,12 @@ class DgAlgebraPresentation:
                 head, tail = labels[:i], labels[i + 1:]
                 for middle, c in terms[parity]:
                     key = head + middle + tail
-                    if coeff is not None:
-                        c = coeff * c
-                    s = total.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        total[key] = s
+                    if not native:
+                        c = public(c)
+                    if coeff is None and key not in total:
+                        total[key] = c  # a table coefficient is nonzero and reduced
                     else:
-                        total.pop(key, None)
+                        add(total, key, c if coeff is None else coeff * c)
             parity ^= odd[label]
         return total
 
@@ -208,21 +211,6 @@ class OverflowEntry:
 
 
 _UNSET = object()
-
-
-def _add_scaled(out, coeff, vec, one):
-    """In-place out += coeff * vec, skipping each multiplication by one.
-
-    one is the field's unit object; unit products in the memo hold it, so an
-    identity test spares the exact-arithmetic product."""
-    for k, v in vec.items():
-        term = v if coeff is one else coeff if v is one else coeff * v
-        s = out.get(k)
-        s = term if s is None else s + term
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
 
 
 class TruncatedDgAlgebra:
@@ -245,8 +233,14 @@ class TruncatedDgAlgebra:
     without hashing a path.  d_of, d_element, word_product and product are
     the path-level views; the path -> id map they use is built on first use.
 
+    Columns and products hold native scalars of the field (see linalg's
+    native_scalars): over Q an int, or a Fraction when the value is not
+    integral; over F_p an int in range(p).  Every view hands out Fraction or
+    FpElement coefficients: d_of, d_element, product, word_product and
+    matrix_between.
+
     Each word's column is its free differential, summed on label tuples by
-    the presentation's _leibniz_into (the same letter table and the same
+    the presentation's _leibniz_into on its native letter table (the same
     dict operations as d_of_element, so values and key order match it).
     When every surviving term is a basis word, the column is read off
     through a labels -> id map: no basis word is a pivot column of the
@@ -289,7 +283,7 @@ class TruncatedDgAlgebra:
         self._words = [basis[k] for k in order]
         self._degree = [record[4] for record in words]
         self._weight = [record[3] for record in words]
-        self._one = self.field.one()
+        self._scalars = scalars = native_scalars(self.field)
         self._products = [None] * len(words)
         self._units = {}
         self._columns = []
@@ -298,7 +292,7 @@ class TruncatedDgAlgebra:
         self._by_labels = ids = {record[0]: i for i, record in enumerate(words) if record[0]}
         weights = presentation.weights
         for i, (labels, source, target, _, degree) in enumerate(words):
-            free = presentation._leibniz_into({}, labels)
+            free = presentation._leibniz_into({}, labels, native=True)
             col = {}
             for term, c in free.items():
                 k = ids.get(term)
@@ -315,7 +309,7 @@ class TruncatedDgAlgebra:
                 self._columns.append(None)
                 continue
             element = PathAlgebraElement(
-                {Path(term, source, target): c for term, c in free.items()})
+                {Path(term, source, target): scalars.public(c) for term, c in free.items()})
             self._columns.append(self._ids_of(self.qb.reduce(element).terms))
         self.mul_overflow = self._count_mul_overflow(words)
         self.certified_finite_dimensional = self._certify_finite_dimensional()
@@ -385,10 +379,14 @@ class TruncatedDgAlgebra:
         return {d: len(self.basis_by_degree.get(d, ())) for d in range(lo, hi + 1)}
 
     def _ids_of(self, terms):
-        return {self._id[path]: c for path, c in terms.items()}
+        """{id: native coeff} of {path: coeff}."""
+        native = self._scalars.native
+        return {self._id[path]: native(c) for path, c in terms.items()}
 
     def _paths_of(self, vec):
-        return {self._words[i]: c for i, c in vec.items()}
+        """{path: coeff} of {id: native coeff}, with field scalars."""
+        public, words = self._scalars.public, self._words
+        return {words[i]: public(c) for i, c in vec.items()}
 
     def _word_id(self, word):
         i = self._id.get(word)
@@ -419,17 +417,19 @@ class TruncatedDgAlgebra:
     def _d(self, vec):
         """d of {id: coeff} as {id: coeff}; None when a column is missing."""
         total = {}
+        columns, axpy = self._columns, self._scalars.axpy
         for i, coeff in vec.items():
-            col = self._columns[i]
+            col = columns[i]
             if col is None:
                 return None
-            _add_scaled(total, coeff, col, self._one)
+            axpy(total, coeff, col)
         return total
 
     def d_element(self, element):
         """Differential of an element supported on basis words; None when any
         support word's column is missing."""
-        total = self._d({self._word_id(w): self.field.of(c) for w, c in element.terms.items()})
+        native = self._scalars.native
+        total = self._d({self._word_id(w): native(c) for w, c in element.terms.items()})
         return None if total is None else PathAlgebraElement(self._paths_of(total))
 
     def product(self, left, right):
@@ -437,15 +437,16 @@ class TruncatedDgAlgebra:
         when a term pair escapes the weight bound (mismatched endpoints just
         multiply to zero).  It is the bilinear extension of word_product.
         """
-        right_ids = [(self._word_id(q), cq) for q, cq in right.terms.items()]
+        native, axpy = self._scalars.native, self._scalars.axpy
+        right_ids = [(self._word_id(q), native(cq)) for q, cq in right.terms.items()]
         total = {}
         for p, cp in left.terms.items():
-            i = self._word_id(p)
+            i, cp = self._word_id(p), native(cp)
             for j, cq in right_ids:
                 pq = self._product(i, j)
                 if pq is None:
                     return None
-                vec_axpy(total, cp * cq, pq)
+                axpy(total, cp * cq, pq)
         return PathAlgebraElement(self._paths_of(total))
 
     def word_product(self, p, q):
@@ -476,7 +477,6 @@ class TruncatedDgAlgebra:
         p, q = self._words[i], self._words[j]
         if p.target != q.source:
             return {}
-        one = self._one
         if self._weight[i] + self._weight[j] <= self.weight_bound:
             if not q.labels:
                 k = i
@@ -486,15 +486,16 @@ class TruncatedDgAlgebra:
                 k = self._by_labels.get(p.labels + q.labels)
             if k is None:
                 word = Path(p.labels + q.labels, p.source, q.target)
-                return self._ids_of(self.qb.reduce(PathAlgebraElement.from_path(word, one)).terms)
+                return self._ids_of(self.qb.reduce(
+                    PathAlgebraElement.from_path(word, self.field.one())).terms)
             unit = self._units.get(k)
             if unit is None:
-                unit = self._units[k] = {k: one}
+                unit = self._units[k] = {k: 1}
             return unit
         if not self.certified_finite_dimensional:
             return None
         quiver = self.presentation.quiver
-        acc = self.qb.reduce(PathAlgebraElement.from_path(p, one))
+        acc = self.qb.reduce(PathAlgebraElement.from_path(p, self.field.one()))
         for label in q.labels:
             acc = self.qb.reduce(acc * PathAlgebraElement.from_path(quiver.path([label])))
         return self._ids_of(acc.terms)
@@ -506,15 +507,21 @@ class TruncatedDgAlgebra:
 
     def matrix_between(self, degree):
         """SparseMatrix of d from degree to degree+1 (ledgered columns zero)."""
-        source, target = self._ids_in(degree), self._ids_in(degree + 1)
-        m = SparseMatrix(len(target), len(source))
-        for j, i in enumerate(source):
-            col = self._columns[i]
-            if col is None:
-                continue
-            for k, c in col.items():
-                m.set(k - target.start, j, c)
-        return m
+        return self._scalars.public_matrix(self._matrices(degree, degree)[degree])
+
+    def _matrices(self, lo, hi):
+        """{degree: matrix_between(degree)} for lo..hi, in native scalars."""
+        matrices = {}
+        for degree in range(lo, hi + 1):
+            source, target = self._ids_in(degree), self._ids_in(degree + 1)
+            m = matrices[degree] = SparseMatrix(len(target), len(source))
+            for j, i in enumerate(source):
+                col = self._columns[i]
+                if col is None:
+                    continue
+                for k, c in col.items():
+                    m.set(k - target.start, j, c)
+        return matrices
 
 
 def realize(presentation, window, weight_bound):
@@ -552,9 +559,10 @@ def verify_differential(t):
     weight fits the bound, in basis order.  Words and pairs whose
     differentials or products escape the weight bound are skipped (counted),
     never trusted.  Both passes run on the truncation's word ids, its
-    id-keyed columns and its id-keyed product memo, where a product whose
-    concatenation is a basis word is read off without reduction (see
-    TruncatedDgAlgebra); a word becomes a path again only to name a failure.
+    id-keyed columns and its id-keyed product memo, in native scalars, where
+    a product whose concatenation is a basis word is read off without
+    reduction (see TruncatedDgAlgebra); a word becomes a path again only to
+    name a failure.
     Returns a DifferentialReport whose failures list carries witnesses; it
     never raises.
     """
@@ -576,13 +584,11 @@ def verify_differential(t):
     for i, w in enumerate(words):
         by_source.setdefault(w.source, {}).setdefault(degree[i], []).append(i)
     runs_at = {v: list(runs.values()) for v, runs in by_source.items()}
-    one = t._one
-    signs = (one, t.field.of(-1))
-    product = t._product
+    product, axpy = t._product, t._scalars.axpy
     for i, p in enumerate(words):
         dp = columns[i]
         room = t.weight_bound - weight[i]
-        sign = signs[degree[i] % 2]
+        odd = degree[i] % 2
         for run in runs_at.get(p.target, ()):
             for j in run:
                 if weight[j] > room:
@@ -592,7 +598,7 @@ def verify_differential(t):
                     report.skipped_pairs += 1
                     continue
                 lhs = t._d(product(i, j))
-                rhs = None if lhs is None else _leibniz_rhs(product, i, j, dp, dq, sign, one)
+                rhs = None if lhs is None else _leibniz_rhs(product, axpy, i, j, dp, dq, odd)
                 if rhs is None:
                     report.skipped_pairs += 1
                     continue
@@ -602,19 +608,20 @@ def verify_differential(t):
     return report
 
 
-def _leibniz_rhs(product, i, j, dp, dq, sign, one):
-    """(dp)q + sign p(dq) on ids; None when a product escapes."""
+def _leibniz_rhs(product, axpy, i, j, dp, dq, odd):
+    """(dp)q + (-1)^odd p(dq) on ids, in native scalars; None when a product
+    escapes."""
     rhs = {}
     for u, cu in dp.items():
         piece = product(u, j)
         if piece is None:
             return None
-        _add_scaled(rhs, cu, piece, one)
+        axpy(rhs, cu, piece)
     for v, cv in dq.items():
         piece = product(i, v)
         if piece is None:
             return None
-        _add_scaled(rhs, cv if sign is one else sign * cv, piece, one)
+        axpy(rhs, -cv if odd else cv, piece)
     return rhs
 
 
@@ -633,7 +640,8 @@ class CohomologyResult:
         self.window = window
         self.dims = dims
         self.representatives = representatives
-        self._pivoted = pivoted  # {degree: [(min(vec), index, vec)] in pivot order}
+        # {degree: [(min(vec), index, vec)] in pivot order}, vec in native scalars
+        self._pivoted = pivoted
         self._images = images
 
     def space(self):
@@ -670,15 +678,19 @@ class CohomologyResult:
         every image pivot, so what is left is their combination.  It is read
         off by forward substitution in order of each representative's pivot
         min(rep), where no representative with a later pivot is nonzero, and
-        the keys come in that order.
+        the keys come in that order.  The substitution runs on native
+        scalars, and the coefficients are handed out as field scalars.
         """
-        residue = self._images[degree].reduce(self.truncation._coordinates(element))
+        image = self._images[degree]
+        scalars = image._scalars
+        residue = image._reduce(scalars.native_vec(self.truncation._coordinates(element)))
         coords = {}
         for pivot, k, rep in self._pivoted[degree]:
             c = residue.get(pivot)
             if c is not None:
-                coords[k] = c = c / rep[pivot]
-                vec_axpy(residue, -c, rep)
+                c = scalars.quotient(c, rep[pivot])
+                coords[k] = scalars.public(c)
+                scalars.axpy(residue, -c, rep)
         return None if residue else coords
 
 
@@ -689,7 +701,7 @@ def _weight_homogeneous_relations(presentation):
 
 
 def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
-                      images=None):
+                      images=None, native=False):
     """Cohomology of a truncated complex on a window, gated on its ledger.
 
     c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
@@ -700,7 +712,9 @@ def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
     each side).  Returns cohomology_of_complex's {degree:
     (dim, representative vectors)}, and fills images as cohomology_of_complex
     does; like it, it raises DSquaredNonzero, with a column index as the
-    witness, when d o d is nonzero into a window degree.
+    witness, when d o d is nonzero into a window degree.  With native=True
+    the matrices come from c._matrices(lo - 1, hi) in native scalars, and
+    the representatives are native too.
     """
     lo, hi = safe_window
     if lo > hi:
@@ -710,8 +724,12 @@ def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
     if touched:
         raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
                            % (overflow, touched, lo, hi))
-    matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
-    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, images=images)
+    if native:
+        matrices = c._matrices(lo - 1, hi)
+    else:
+        matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
+    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, images=images,
+                                 native=native)
 
 
 def cohomology(t, safe_window, strict=False):
@@ -731,7 +749,7 @@ def cohomology(t, safe_window, strict=False):
     images = {}
     try:
         raw = _gated_cohomology(t, t.dims(), {e.degree for e in t.differential_ledger},
-                                safe_window, strict, "differential", images)
+                                safe_window, strict, "differential", images, native=True)
     except DSquaredNonzero as err:
         raise DSquaredNonzero(
             err.degree, str(t.basis_by_degree[err.degree][err.witness])) from None
@@ -744,12 +762,13 @@ def cohomology(t, safe_window, strict=False):
     out_dims = {}
     representatives = {}
     pivoted = {}
+    public = t._scalars.public
     for degree in range(lo, hi + 1):
         dim, reps = raw[degree]
         out_dims[degree] = dim
         words = t.basis_by_degree.get(degree, [])
         representatives[degree] = [
-            PathAlgebraElement({words[i]: c for i, c in vec.items()}) for vec in reps]
+            PathAlgebraElement({words[i]: public(c) for i, c in vec.items()}) for vec in reps]
         pivoted[degree] = sorted((min(vec), k, vec) for k, vec in enumerate(reps))
     return CohomologyResult(t, (lo, hi), out_dims, representatives, pivoted, images)
 
@@ -858,7 +877,8 @@ def _h0_of_weight_slice(t):
     columns = {}
     for degree in (-1, 0, 1):
         columns[degree] = [
-            {position[term]: c for term, c in p._leibniz_into({}, record[0]).items()}
+            {position[term]: c
+             for term, c in p._leibniz_into({}, record[0], native=True).items()}
             for record in words[degree]]
     matrices = {}
     for degree in (-1, 0):
@@ -871,14 +891,14 @@ def _h0_of_weight_slice(t):
         return str(Path(*words[degree][k][:3]))
 
     try:
-        raw = cohomology_of_complex({0: len(words[0])}, matrices, (0, 0), t.field)
+        raw = cohomology_of_complex({0: len(words[0])}, matrices, (0, 0), t.field, native=True)
     except DSquaredNonzero as err:
         raise DSquaredNonzero(err.degree, name(err.degree, err.witness)) from None
-    one = t.field.one()
+    axpy = t._scalars.axpy
     for k, col in enumerate(columns[0]):
         square = {}
         for i, c in col.items():
-            _add_scaled(square, c, columns[1][i], one)
+            axpy(square, c, columns[1][i])
         if square:
             raise DSquaredNonzero(0, name(0, k))
     return raw[0][0]

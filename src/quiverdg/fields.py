@@ -5,12 +5,16 @@ per session.  Scalars are either fractions.Fraction (characteristic zero) or
 FpElement residues (characteristic p), both supporting +, -, *, /, ==, bool,
 so downstream code is field-agnostic.  No floats anywhere.
 
-The exact eliminations in linalg (RowSpace, SpanSolver, kernel_image,
-cohomology_of_complex) are given the field as an argument and run on scalars
-native to it: a Python int, or a Fraction only when the value is not
-integral, over Q; a Python int in range(p) over F_p.  Every vector they hand
-out holds Fraction or FpElement entries again, so the types above are the
-only ones the rest of the package sees.
+Inside the engine, scalars native to the field stand for these: a Python
+int, or a Fraction only when the value is not integral, over Q; a Python
+int in range(p) over F_p (see linalg's native_scalars).  The eliminations in
+linalg, the columns and product memo of a truncation, the letter table and
+columns of a bar complex, and FiniteDimAlgebra.mul run on them.  Every
+public view hands out Fraction or FpElement values again: d_of, d_element,
+product, word_product and matrix_between of a truncation, the cohomology
+representatives and class_coordinates, BarComplex.d_of and matrix_between,
+FiniteDimAlgebra.structure, unit and the products mul returns, and the
+vectors of the eliminations.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .dgalgebra import (
     realize,
 )
 from .fields import GroundField
-from .linalg import DSquaredNonzero, SparseMatrix, vec_add_term
+from .linalg import DSquaredNonzero, SparseMatrix, native_scalars, vec_add_term
 from .quiver import Arrow, PathAlgebraElement, QuiverPresentation
 
 
@@ -75,7 +75,8 @@ class _LetterTable:
     i = source of j), in id order, to their reduced product as {letter id:
     coeff}, or to None when it escapes the weight bound.  Each product is
     taken once.  Degrees, columns and products are read off the
-    truncation's word-id tables and re-keyed from word ids to letter ids.
+    truncation's word-id tables and re-keyed from word ids to letter ids;
+    like those, they hold native scalars of the field.
     """
 
     def __init__(self, t):
@@ -306,9 +307,11 @@ class BarComplex:
     gate of cohomology_dims are exact without building a word or an entry.
     Iterating or indexing a degree's list builds that degree's words once,
     and iterating or indexing the ledger builds all its entries once.
-    Columns are kept on letter-id tuples: matrix_between walks the two
-    degrees it reads as (letter ids, vertex) keys and builds no word, and
-    d_of builds the words of the one column it returns.
+    Columns are kept on letter-id tuples, in native scalars of the field:
+    matrix_between walks the two degrees it reads as (letter ids, vertex)
+    keys and builds no word, and d_of builds the words of the one column it
+    returns; both hand out Fraction or FpElement coefficients.
+    cohomology_dims walks each degree it reads once.
     """
 
     def __init__(self, t, word_bound, window):
@@ -320,6 +323,7 @@ class BarComplex:
         self.field = t.field
         self.word_bound = word_bound
         self.window = tuple(window)
+        self._scalars = native_scalars(self.field)
         table = _LetterTable(t)
         trie = _WordTrie(table, sorted(t.presentation.vertices), word_bound)
         honest = trie.honest()
@@ -338,22 +342,24 @@ class BarComplex:
         self._letter_id = {e: i for i, e in enumerate(table.letters)}
 
     def _column(self, table, ids):
-        """The bar differential of an honest word, as {letter ids: coeff}."""
-        plus, minus = self.field.of(1), self.field.of(-1)
+        """The bar differential of an honest word, as {letter ids: native
+        coeff}."""
+        add = self._scalars.add_term
         column = {}
         prefix = 0
         for k, i in enumerate(ids):
-            sign = minus if prefix % 2 else plus
+            odd = prefix % 2
             for f, c in table.d[i].items():
-                vec_add_term(column, ids[:k] + (f,) + ids[k + 1:], sign * c)
+                add(column, ids[:k] + (f,) + ids[k + 1:], -c if odd else c)
             if k + 1 < len(ids):
-                sign = minus if (prefix + table.degree[i]) % 2 else plus
+                odd = (prefix + table.degree[i]) % 2
                 for g, c in table.products[i][ids[k + 1]].items():
-                    vec_add_term(column, ids[:k] + (g,) + ids[k + 2:], sign * c)
+                    add(column, ids[:k] + (g,) + ids[k + 2:], -c if odd else c)
             prefix += table.degree[i] - 1
         return column
 
     def _check_d_squared(self, trie, honest, by_ids):
+        add = self._scalars.add_term
         for ids, vertex, degree in honest:
             total = {}
             for u, c in by_ids[ids].items():
@@ -361,7 +367,7 @@ class BarComplex:
                 if next_column is None:
                     break
                 for v, c2 in next_column.items():
-                    vec_add_term(total, v, c * c2)
+                    add(total, v, c * c2)
             else:
                 if total:
                     raise DSquaredNonzero(degree, str(trie.bar_word(ids, vertex)))
@@ -373,8 +379,8 @@ class BarComplex:
         column = self._by_ids.get(tuple(self._letter_id[p] for p in word.letters))
         if column is None:
             return None
-        bar_word = self._trie.bar_word
-        return {bar_word(u, word.vertex): c for u, c in column.items()}
+        bar_word, public = self._trie.bar_word, self._scalars.public
+        return {bar_word(u, word.vertex): public(c) for u, c in column.items()}
 
     def _is_word(self, word):
         letters = word.letters
@@ -396,19 +402,27 @@ class BarComplex:
     def matrix_between(self, degree):
         """SparseMatrix of d from degree to degree+1 (dropped columns zero),
         indexed on (letter ids, vertex) keys without building a word."""
-        source = self._trie.keys_of_degree(degree)
-        row = {key: i for i, key in enumerate(self._trie.keys_of_degree(degree + 1))}
-        m = SparseMatrix(len(row), len(source))
-        for j, (ids, vertex) in enumerate(source):
-            for u, c in self._by_ids.get(ids, {}).items():
-                m.set(row[u, vertex], j, c)
-        return m
+        return self._scalars.public_matrix(self._matrices(degree, degree)[degree])
+
+    def _matrices(self, lo, hi):
+        """{degree: matrix_between(degree)} for lo..hi, in native scalars;
+        each degree's keys are walked once."""
+        keys = {d: self._trie.keys_of_degree(d) for d in range(lo, hi + 2)}
+        matrices = {}
+        for degree in range(lo, hi + 1):
+            source = keys[degree]
+            row = {key: i for i, key in enumerate(keys[degree + 1])}
+            m = matrices[degree] = SparseMatrix(len(row), len(source))
+            for j, (ids, vertex) in enumerate(source):
+                for u, c in self._by_ids.get(ids, {}).items():
+                    m.set(row[u, vertex], j, c)
+        return matrices
 
     def cohomology_dims(self, safe_window, strict=False):
         """{degree: dim H} on the window, gated on the ledger as cohomology
         is; d*d was checked at construction."""
         raw = _gated_cohomology(self, self.all_dims(), self._ledger_degrees,
-                                safe_window, strict, "bar truncation")
+                                safe_window, strict, "bar truncation", native=True)
         return {d: dim for d, (dim, _) in raw.items()}
 
 
@@ -424,11 +438,11 @@ def _dual_structure(t):
     generator name and weight of each letter, the linear entries (e, f, c)
     with c the coefficient of letter e in d(letter f), and the quadratic
     entries (e, p, q, c) with c the coefficient of letter e in the product
-    of letters p and q, both in letter table order.  The input's
-    differential must be complete (UnsafeWindow otherwise).  A product that
-    escapes the input's weight bound is skipped when the relations are
-    weight-homogeneous, since it cannot land on a stored word, and is a
-    ValueError otherwise.
+    of letters p and q, both in letter table order and with field scalars.
+    The input's differential must be complete (UnsafeWindow otherwise).  A
+    product that escapes the input's weight bound is skipped when the
+    relations are weight-homogeneous, since it cannot land on a stored word,
+    and is a ValueError otherwise.
     """
     if not t.presentation.augmented:
         raise ValueError("the Koszul duals need an augmented input")
@@ -442,7 +456,8 @@ def _dual_structure(t):
     letters = table.letters
     names = _letter_names(letters)
     weights = {names[i]: t.qb.weight_of(e) for i, e in enumerate(letters)}
-    linear = [(e, f, c) for f, column in enumerate(table.d) for e, c in column.items()]
+    public = t._scalars.public
+    linear = [(e, f, public(c)) for f, column in enumerate(table.d) for e, c in column.items()]
     homogeneous = _weight_homogeneous_relations(t.presentation)
     quadratic = []
     for p, row in enumerate(table.products):
@@ -454,7 +469,7 @@ def _dual_structure(t):
                     "product %s * %s escapes the input weight bound and the "
                     "relations are not weight-homogeneous; raise the bound"
                     % (letters[p], letters[q]))
-            quadratic.extend((e, p, q, c) for e, c in product.items())
+            quadratic.extend((e, p, q, public(c)) for e, c in product.items())
     return table, names, weights, linear, quadratic
 
 

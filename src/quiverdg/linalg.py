@@ -5,18 +5,27 @@ column vectors, so a matrix with shape (rows, cols) is a map k^cols -> k^rows.
 No floats and no pivoting by magnitude: leftmost-nonzero pivoting, which is
 exact.  RowSpace keeps its rows fully reduced, and back-substitution
 visits only the rows that hold the new pivot, found through a column -> rows
-index.  The eliminations (RowSpace, SpanSolver, kernel_image,
-cohomology_of_complex) run on scalars native to the field: over Q a Python
-int while the value is integral and a Fraction only when it is not, over F_p
-a Python int in range(p).  Their inputs may hold any scalars the field
-coerces, and what they hand out holds Fraction or FpElement entries.  The
-native run performs the same operations in the same order as the public
-scalars would, so every zero test, pivot and key order is the same.
+index.
+
+Scalars native to the field are a Python int while the value is integral
+and a Fraction only when it is not, over Q, and a Python int in range(p)
+over F_p.  native_scalars(field) returns the field's kernel (_Rationals or
+_Residues): conversions between native and public scalars, and the vector
+kernels (axpy, add_term, scaled, quotient, bilinear) on native ones.  The
+eliminations (RowSpace, SpanSolver, kernel_image, cohomology_of_complex) run
+on native scalars; so do the truncation's columns and product memo, the bar
+complex's letter table and columns, and FiniteDimAlgebra.mul.  Inputs may
+hold any scalars the field coerces, and everything handed out holds
+Fraction or FpElement entries, except where a caller in this package asks
+for native matrices and vectors (native=True).  A native run performs the
+same operations in the same order as the public scalars would, so every
+zero test, pivot and key order is the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .fields import FpElement, GroundField
 
@@ -103,9 +112,65 @@ class SparseMatrix:
         return out
 
 
-class _Rationals:
-    """Q inside an elimination: an int when the value is integral, a
-    Fraction only when it is not."""
+class _Scalars:
+    """The scalars native to one ground field, and the vector kernels on
+    them.  Vectors, matrices and structure tables held in native scalars
+    are converted to Fraction or FpElement entries only where they are
+    handed out (public), and values from outside are taken in by native."""
+
+    def native_vec(self, vec):
+        native = self.native
+        return {j: native(v) for j, v in vec.items()}
+
+    def public_vec(self, vec):
+        public = self.public
+        return {j: public(v) for j, v in vec.items()}
+
+    def native_matrix(self, m):
+        out = SparseMatrix(m.rows, m.cols)
+        native = self.native
+        out.entries = {rc: native(v) for rc, v in m.entries.items()}
+        return out
+
+    def public_matrix(self, m):
+        out = SparseMatrix(m.rows, m.cols)
+        public = self.public
+        out.entries = {rc: public(v) for rc, v in m.entries.items()}
+        return out
+
+    def table(self, structure):
+        """Structure constants {(i, j): {k: c}} as (D, {(i, j): {k: D c}}),
+        the D c native numerators over one denominator D (see numerators)."""
+        numerators, scale = self.numerators(
+            {(key, k): c for key, vec in structure.items() for k, c in vec.items()})
+        products = {}
+        for (key, k), c in numerators:
+            products.setdefault(key, {})[k] = c
+        return scale, products
+
+    def bilinear(self, table, u, v):
+        """The sum over i, j of u[i] v[j] times the structure vector (i, j)
+        of a table, with keys in the order vec_axpy gives them; u, v and the
+        result hold field scalars.  Each operand is taken as numerators over
+        one denominator, so the sum runs on native numerators and is divided
+        once per key.  It is zero exactly where the field sum is, since the
+        two differ by one nonzero factor."""
+        scale, products = table
+        u, du = self.numerators(u)
+        v, dv = self.numerators(v)
+        out = {}
+        axpy = self.axpy
+        for i, a in u:
+            for j, b in v:
+                vec = products.get((i, j))
+                if vec:
+                    axpy(out, a * b, vec)
+        return self.public_over(out, du * dv * scale)
+
+
+class _Rationals(_Scalars):
+    """Q on native scalars: an int when the value is integral, a Fraction
+    only when it is not."""
 
     def __init__(self, field):
         self.field = field
@@ -122,8 +187,32 @@ class _Rationals:
         return Fraction(v) if v.__class__ is int else v
 
     @staticmethod
+    def neg(v):
+        return -v
+
+    @staticmethod
+    def quotient(a, b):
+        s = Fraction(a, b)
+        return s.numerator if s.denominator == 1 else s
+
+    @staticmethod
+    def add_term(out, key, c):
+        """In-place out[key] += c, dropping the key when the sum is zero."""
+        s = out.get(key)
+        if s is not None:
+            c = s + c
+        if c:
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[key] = c
+        else:
+            out.pop(key, None)
+
+    @staticmethod
     def axpy(out, coeff, vec):
-        """In-place out += coeff * vec, demoting integral Fractions to ints."""
+        """In-place out += coeff * vec, demoting integral Fractions to ints.
+        A key whose sum cancels to zero is dropped, and re-enters at the
+        end if a later term revives it."""
         for j, v in vec.items():
             s = out.get(j)
             s = coeff * v if s is None else s + coeff * v
@@ -146,9 +235,30 @@ class _Rationals:
                 vec[j] = s.numerator if s.denominator == 1 else s
         return vec
 
+    @staticmethod
+    def numerators(vec):
+        """([(key, int)], D) for a vector of rationals, D the least common
+        denominator of its entries and each int an entry times D."""
+        den = 1
+        for c in vec.values():
+            d = c.denominator
+            if den % d:
+                den = lcm(den, d)
+        if den == 1:
+            return [(j, c.numerator) for j, c in vec.items()], 1
+        return [(j, c.numerator * (den // c.denominator)) for j, c in vec.items()], den
 
-class _Residues:
-    """F_p inside an elimination: ints in range(p)."""
+    @staticmethod
+    def public_over(vec, den):
+        """{key: Fraction(n, den)} of {key: int n}."""
+        if den == 1:
+            return {k: Fraction(n) for k, n in vec.items()}
+        return {k: Fraction(n, den) for k, n in vec.items()}
+
+
+class _Residues(_Scalars):
+    """F_p on native scalars: ints in range(p).  A sum or product may leave
+    that range inside a kernel; every value a kernel stores is reduced."""
 
     def __init__(self, field):
         self.field = field
@@ -157,10 +267,35 @@ class _Residues:
     def native(self, v):
         if v.__class__ is FpElement and v.p == self.p:
             return v.val
+        if v.__class__ is int:
+            return v % self.p
         return self.field.of(v).val
 
     def public(self, v):
         return FpElement(v, self.p)
+
+    def neg(self, v):
+        return -v % self.p
+
+    def inverse(self, v):
+        """1 / v mod p; ZeroDivisionError, as FpElement raises, when v is
+        zero mod p (pow would raise ValueError)."""
+        if not v % self.p:
+            raise ZeroDivisionError("division by zero in F_%d" % self.p)
+        return pow(v, -1, self.p)
+
+    def quotient(self, a, b):
+        return a * self.inverse(b) % self.p
+
+    def add_term(self, out, key, c):
+        """In-place out[key] += c mod p, dropping the key when the sum is
+        zero."""
+        s = out.get(key)
+        s = c % self.p if s is None else (s + c) % self.p
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
 
     def axpy(self, out, coeff, vec):
         """In-place out += coeff * vec, mod p."""
@@ -177,10 +312,25 @@ class _Residues:
         """vec /= lead in place, mod p; returns vec."""
         if lead != 1:
             p = self.p
-            inv = pow(lead, -1, p)
+            inv = self.inverse(lead)
             for j, v in vec.items():
                 vec[j] = v * inv % p
         return vec
+
+    def numerators(self, vec):
+        """([(key, native entry)], 1): a residue needs no denominator."""
+        native = self.native
+        return [(j, native(v)) for j, v in vec.items()], 1
+
+    def public_over(self, vec, den):
+        """public_vec(vec); den is always 1 (see numerators)."""
+        return self.public_vec(vec)
+
+
+def native_scalars(field):
+    """The native scalars of a field (field=None means Q)."""
+    field = field if field is not None else GroundField(0)
+    return _Residues(field) if field.characteristic else _Rationals(field)
 
 
 class RowSpace:
@@ -206,8 +356,7 @@ class RowSpace:
     """
 
     def __init__(self, field=None):
-        field = field if field is not None else GroundField(0)
-        self._scalars = _Residues(field) if field.characteristic else _Rationals(field)
+        self._scalars = native_scalars(field)
         self._rows = []
         self._holders = {}
         self.pivot_index = {}
@@ -216,28 +365,21 @@ class RowSpace:
     def rank(self):
         return len(self._rows)
 
-    def _native(self, vec):
-        native = self._scalars.native
-        return {j: native(v) for j, v in vec.items()}
-
-    def _public(self, vec):
-        public = self._scalars.public
-        return {j: public(v) for j, v in vec.items()}
-
     def row(self, n):
         """Stored row n (in insertion order), with public scalars."""
-        return self._public(self._rows[n])
+        return self._scalars.public_vec(self._rows[n])
 
     def reduce(self, vec):
         """Return vec minus its projection onto the stored span."""
-        return self._public(self._reduce(self._native(vec)))
+        scalars = self._scalars
+        return scalars.public_vec(self._reduce(scalars.native_vec(vec)))
 
     def add(self, vec):
         """Insert vec; return the new pivot index, or None if dependent."""
-        return self._add(self._native(vec))
+        return self._add(self._scalars.native_vec(vec))
 
     def contains(self, vec):
-        return not self._reduce(self._native(vec))
+        return not self._reduce(self._scalars.native_vec(vec))
 
     def freeze(self):
         """Drop the column -> rows index; the span can no longer grow."""
@@ -339,29 +481,36 @@ class SpanSolver:
         return {k: public(-v) for (_, k), v in residue.items()}
 
 
-def kernel_image(matrix, field):
+def kernel_image(matrix, field, native=False):
     """Exact kernel basis and rank of a sparse matrix.
 
     Returns (kernel_basis, rank) where kernel_basis is a list of column
     vectors spanning the null space.  rank + len(kernel_basis) == cols.
+    With native=True the matrix holds native scalars of the field, and so
+    does the kernel basis.
     """
     space = RowSpace(field)
-    native, public = space._scalars.native, space._scalars.public
+    scalars = space._scalars
+    if not native:
+        matrix = scalars.native_matrix(matrix)
     rows_by_index = {}
     for (r, c), v in matrix.entries.items():
-        rows_by_index.setdefault(r, {})[c] = native(v)
+        rows_by_index.setdefault(r, {})[c] = v
     for r in sorted(rows_by_index):
         space._add(rows_by_index[r])
-    one = field.one()
-    kernel = {j: {j: one} for j in range(matrix.cols) if j not in space.pivot_index}
+    kernel = {j: {j: 1} for j in range(matrix.cols) if j not in space.pivot_index}
     # a fully reduced row holds its own pivot and non-pivot columns only, so
     # one pass over the rows scatters every kernel entry, pivots in order
+    neg = scalars.neg
     for pivot, row_no in space.pivot_index.items():
         for j, c in space._rows[row_no].items():
             vec = kernel.get(j)
             if vec is not None:
-                vec[pivot] = public(-c)
-    return list(kernel.values()), len(space.pivot_index)
+                vec[pivot] = neg(c)
+    kernel = list(kernel.values())
+    if not native:
+        kernel = [scalars.public_vec(vec) for vec in kernel]
+    return kernel, len(space.pivot_index)
 
 
 def image_basis(matrix, field):
@@ -396,12 +545,14 @@ class GradedVectorSpace:
         return sum(len(labels) for labels in self.basis.values())
 
 
-def cohomology_of_complex(dims, differentials, window, field, images=None):
+def cohomology_of_complex(dims, differentials, window, field, images=None, native=False):
     """Cohomology of a complex from per-degree dimensions and differentials.
 
     dims: {degree: dimension}; differentials: {i: SparseMatrix from degree i
     to i+1}.  Degrees absent from dims are zero.  Returns {degree: (dim H,
-    representative cocycles)} for degrees in window.
+    representative cocycles)} for degrees in window.  With native=True the
+    matrices hold native scalars of the field, and so do the
+    representatives; otherwise both hold field scalars.
 
     The representatives of degree i are kernel vectors of d_i reduced by
     the fully reduced RowSpace of the columns of d_{i-1} (the image) and by
@@ -423,6 +574,10 @@ def cohomology_of_complex(dims, differentials, window, field, images=None):
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window [%s, %s]" % (lo, hi))
+    scalars = native_scalars(field)
+    if not native:
+        differentials = {i: scalars.native_matrix(m) for i, m in differentials.items()
+                         if lo - 1 <= i <= hi}
     result = {}
     for i in range(lo, hi + 1):
         n = dims.get(i, 0)
@@ -435,23 +590,23 @@ def cohomology_of_complex(dims, differentials, window, field, images=None):
             continue
         d_i = differentials.get(i)
         if d_i is not None:
-            kernel, _ = kernel_image(d_i, field)
-            kernel = [image._native(vec) for vec in kernel]
+            kernel, _ = kernel_image(d_i, field, native=True)
         else:
             kernel = [{j: 1} for j in range(n)]
         d_prev = differentials.get(i - 1)
         if d_prev is not None:
             for col in d_prev.columns():
-                image.add(col)
+                image._add(col)
         image.freeze()
         reps = []
         chosen = RowSpace(field)
         for vec in kernel:
             residue = chosen._reduce(image._reduce(vec))
             if residue:
-                reps.append(chosen._public(residue))
+                reps.append(dict(residue) if native else scalars.public_vec(residue))
                 chosen._insert(residue)
         if len(kernel) - image.rank != len(reps):
+            d_i, d_prev = scalars.public_matrix(d_i), scalars.public_matrix(d_prev)
             witness = next(j for j, col in enumerate(d_prev.columns()) if d_i.apply(col))
             raise DSquaredNonzero(i - 1, witness)
         result[i] = (len(reps), reps)

@@ -1,6 +1,7 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
-rung.  Only the L = 6 cohomology rung, the 5-letter bar rung and the A5
-realize rung run here, to keep the suite fast."""
+rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the A5
+realize rung, the F_101 verify_differential rung and the local-factors rung
+run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -10,6 +11,8 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "elimination_ladder.py
 RUNG = "cohomology/3-cycle-cy3/L6"
 BAR_RUNG = "bar/3-cycle-cy3-F101-L2/5-letters"
 REALIZE_RUNG = "realize/A5-cy2/L9"
+VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
+FACTORS_RUNG = "decompose_commutative/five-local-factors"
 
 
 def load_tool():
@@ -49,3 +52,15 @@ def test_the_realize_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(REALIZE_RUNG, tmp_path, monkeypatch)
     t = load_tool().RUNGS[REALIZE_RUNG]()()
     assert sum(t.dims().values()) == 8141
+
+
+def test_the_verify_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(VERIFY_RUNG, tmp_path, monkeypatch)
+    report = load_tool().RUNGS[VERIFY_RUNG]()()
+    assert report.ok and (report.checked_words, report.checked_pairs) == (5043, 36969)
+
+
+def test_the_local_factors_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(FACTORS_RUNG, tmp_path, monkeypatch)
+    factors = load_tool().RUNGS[FACTORS_RUNG]()()
+    assert len(factors) == 5 and all(f.residue_field_certified for f in factors)

@@ -105,6 +105,14 @@ def typed(items):
     return None if items is None else [(k, c, type(c)) for k, c in items]
 
 
+def is_native(field, c):
+    """An int in range(p) over F_p; over Q an int, or a Fraction that is
+    not integral."""
+    if field.characteristic:
+        return type(c) is int and 0 <= c < field.characteristic
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
 @st.composite
 def presentations(draw):
     """Closed-or-not base arrows, then one or two arrows, each with the
@@ -165,8 +173,12 @@ def test_realize_matches_the_old_column_loop(case):
         return
     t = realize(p, (0, 0), bound)
     assert t._words == words
-    for i, col in enumerate(t._columns):
-        assert typed(None if col is None else col.items()) == typed(columns[i]), words[i]
+    for i, word in enumerate(words):
+        col = t.d_of(word)
+        expected = columns[i]
+        assert typed(None if col is None else col.items()) == typed(
+            None if expected is None else [(words[k], c) for k, c in expected]), word
+    assert all(is_native(p.field, c) for col in t._columns if col for c in col.values())
     assert [(e.kind, e.degree, e.word) for e in t.differential_ledger] == ledger
     assert t.mul_overflow == overflow
     assert t.dims() == dims

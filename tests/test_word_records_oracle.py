@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
-from test_realize_oracle import SETTINGS, presentations
+from test_realize_oracle import SETTINGS, is_native, presentations
 
 from quiverdg.dgalgebra import (
     DgAlgebraPresentation,
@@ -247,10 +247,13 @@ def test_records_match_the_path_keyed_constructions(case):
     assert t._words == ref["words"]
     assert t._degree == ref["degree"]
     assert t._weight == ref["weight"]
-    for i, col in enumerate(t._columns):
+    for i, word in enumerate(t._words):
+        col = t.d_of(word)
         expected = ref["columns"][i]
         assert typed(None if col is None else col.items()) == typed(
-            None if expected is None else expected.items()), t._words[i]
+            None if expected is None
+            else [(ref["words"][k], c) for k, c in expected.items()]), word
+    assert all(is_native(p.field, c) for col in t._columns if col for c in col.values())
     assert t.differential_ledger == ref["ledger"]
     assert list(t.mul_overflow.items()) == list(ref["mul_overflow"].items())
     assert t.certified_finite_dimensional == ref["certified"]

@@ -15,7 +15,11 @@ rungs, over Q unless stated:
   rank-3 completion of the 3-cycle on (-8, 0) at L = 8 (5,043 words);
 - bar at 5 and 6 letters of the same 3-cycle completion over F_101,
   realized on (-40, 8) at L = 2, then its all_dims() and the length of its
-  differential ledger (58,824 and 411,771 words).
+  differential ledger (58,824 and 411,771 words);
+- verify_differential of the rank-3 completion of the 3-cycle realized on
+  (-8, 0) at L = 8, over Q and over F_101 (5,043 words, 36,969 pairs);
+- decompose_commutative of k[x]/(m), m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2,
+  on 1, x, ..., x^7: five local factors, as the benchmark builds it.
 
 Compare two commits by running the script in a checkout of each, with the
 same Python, and reading the rungs side by side.
@@ -28,15 +32,18 @@ import time
 
 from quiverdg import (
     Arrow,
+    FiniteDimAlgebra,
     GroundField,
     QuiverPresentation,
     Superpotential,
     bar,
     cohomology,
     cy_completion,
+    decompose_commutative,
     h0_algebra,
     jacobi_basis,
     realize,
+    verify_differential,
 )
 
 REPEATS = 5
@@ -91,6 +98,41 @@ def cycle_bar(letters):
     return call
 
 
+def cycle_verify(field):
+    t = realize(cy_completion(three_cycle(), 3, field=field), (-8, 0), 8)
+    return lambda: verify_differential(t)
+
+
+def local_factors():
+    # m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2, one (x + c)^e per entry, with None
+    # standing for x^2 + 1; x^k for k >= 8 is reduced modulo the monic m
+    m = [1]
+    for constant, power in ((0, 1), (-1, 2), (-2, 1), (None, 1), (3, 2)):
+        factor = [1, 0, 1] if constant is None else [constant, 1]
+        for _ in range(power):
+            product = [0] * (len(m) + len(factor) - 1)
+            for i, a in enumerate(m):
+                for j, b in enumerate(factor):
+                    product[i + j] += a * b
+            m = product
+    d = len(m) - 1
+    powers = [[0] * i + [1] for i in range(2 * d - 1)]
+    for k in range(d, 2 * d - 1):
+        vec = [0] * (k + 1)
+        vec[k] = 1
+        for top in range(k, d - 1, -1):
+            c = vec[top]
+            for i in range(d + 1):
+                vec[top - d + i] -= c * m[i]
+        powers[k] = vec[:d]
+    structure = {(i, j): {k: c for k, c in enumerate(powers[i + j]) if c}
+                 for i in range(d) for j in range(d)}
+    algebra = FiniteDimAlgebra(GroundField(0), ["x^%d" % i for i in range(d)],
+                               structure, {0: 1})
+    decompose_commutative(algebra)  # imports sympy before the clock starts
+    return lambda: decompose_commutative(algebra)
+
+
 # name -> builder of the timed call
 RUNGS = {
     "cohomology/3-cycle-cy3/L6": lambda: cycle_cohomology(6),
@@ -102,6 +144,9 @@ RUNGS = {
     "realize/3-cycle-cy3/L8": cycle_realize,
     "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
     "bar/3-cycle-cy3-F101-L2/6-letters": lambda: cycle_bar(6),
+    "verify_differential/3-cycle-cy3/L8": lambda: cycle_verify(GroundField(0)),
+    "verify_differential/3-cycle-cy3-F101/L8": lambda: cycle_verify(GroundField(101)),
+    "decompose_commutative/five-local-factors": local_factors,
 }
 
 
