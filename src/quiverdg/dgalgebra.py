@@ -25,8 +25,10 @@ from .algebras import FiniteDimAlgebra
 from .fields import GroundField
 from .linalg import (
     DSquaredNonzero,
-    GradedVectorSpace,
     SparseMatrix,
+    _cohomology_ranks,
+    _cohomology_representatives,
+    _kernel_basis,
     cohomology_of_complex,
     native_scalars,
     vec_add_term,
@@ -437,17 +439,24 @@ class TruncatedDgAlgebra:
         when a term pair escapes the weight bound (mismatched endpoints just
         multiply to zero).  It is the bilinear extension of word_product.
         """
-        native, axpy = self._scalars.native, self._scalars.axpy
-        right_ids = [(self._word_id(q), native(cq)) for q, cq in right.terms.items()]
+        native, word_id = self._scalars.native, self._word_id
+        total = self._product_on_ids(
+            ((word_id(p), native(cp)) for p, cp in left.terms.items()),
+            [(word_id(q), native(cq)) for q, cq in right.terms.items()])
+        return None if total is None else PathAlgebraElement(self._paths_of(total))
+
+    def _product_on_ids(self, left, right):
+        """product on native (id, coeff) pairs, left an iterable and right a
+        list, as {id: coeff}; None when a word product escapes."""
+        product, axpy = self._product, self._scalars.axpy
         total = {}
-        for p, cp in left.terms.items():
-            i, cp = self._word_id(p), native(cp)
-            for j, cq in right_ids:
-                pq = self._product(i, j)
+        for i, cp in left:
+            for j, cq in right:
+                pq = product(i, j)
                 if pq is None:
                     return None
                 axpy(total, cp * cq, pq)
-        return PathAlgebraElement(self._paths_of(total))
+        return total
 
     def word_product(self, p, q):
         """Reduced product of two basis words as {path: coeff}; None when it
@@ -633,20 +642,50 @@ class CohomologyResult:
     guarantee the truncation is faithful.  class_coordinates reads the class
     of a cocycle off the representatives; product, h0_algebra and the
     reflexivity splitting check all go through it.
+
+    cohomology fills dims and the image RowSpaces from ranks alone.  The
+    representatives, and the pivot order class_coordinates and product
+    read, are built the first time one of them is read, from the native
+    matrices cohomology keeps until then; they are the ones an eager
+    computation would give, in the same order and with the same scalars.
     """
 
-    def __init__(self, truncation, window, dims, representatives, pivoted, images):
+    def __init__(self, truncation, window, dims, images, matrices):
         self.truncation = truncation
         self.window = window
         self.dims = dims
-        self.representatives = representatives
-        # {degree: [(min(vec), index, vec)] in pivot order}, vec in native scalars
-        self._pivoted = pivoted
         self._images = images
+        self._matrices = matrices
 
-    def space(self):
-        return GradedVectorSpace(
-            {d: [str(r) for r in reps] for d, reps in self.representatives.items() if reps})
+    @cached_property
+    def _native(self):
+        """{degree: representative vectors}, keyed by position within the
+        degree, in native scalars; the kept matrices are dropped once read."""
+        t, matrices = self.truncation, self._matrices
+        self._matrices = None
+        return {degree: _cohomology_representatives(
+                    _kernel_basis(len(t.basis_by_degree.get(degree, ())), matrices[degree],
+                                  t.field),
+                    self._images[degree], t.field, dim) if dim else []
+                for degree, dim in self.dims.items()}
+
+    @cached_property
+    def representatives(self):
+        """{degree: [PathAlgebraElement]} with field scalars."""
+        t = self.truncation
+        public = t._scalars.public
+        out = {}
+        for degree, reps in self._native.items():
+            words = t.basis_by_degree.get(degree, [])
+            out[degree] = [
+                PathAlgebraElement({words[i]: public(c) for i, c in vec.items()}) for vec in reps]
+        return out
+
+    @cached_property
+    def _pivoted(self):
+        """{degree: [(min(vec), index, vec)] in pivot order}, vec native."""
+        return {degree: sorted((min(vec), k, vec) for k, vec in enumerate(reps))
+                for degree, reps in self._native.items()}
 
     def product(self, deg_left, i, deg_right, j):
         """Coordinates of reps[deg_left][i] * reps[deg_right][j] on the
@@ -655,41 +694,60 @@ class CohomologyResult:
         landing = deg_left + deg_right
         if not (self.window[0] <= landing <= self.window[1]):
             raise ValueError("landing degree %d outside window %s" % (landing, self.window))
-        t = self.truncation
-        product = t.product(self.representatives[deg_left][i],
-                            self.representatives[deg_right][j])
+        product = self._product(deg_left, i, deg_right, j)
         if product is None:
             return None
-        coords = self.class_coordinates(landing, product)
+        coords = self._class_of(landing, product)
         if coords is None:
             raise RuntimeError(
                 "product of cocycles is not a cocycle within the truncation; "
                 "the weight bound is too small to decide degree %d" % landing)
-        return coords
+        return self.truncation._scalars.public_vec(coords)
+
+    def _product(self, deg_left, i, deg_right, j):
+        """reps[deg_left][i] * reps[deg_right][j] as {position within the
+        landing degree: native coeff}, or None when a word product escapes:
+        the truncation's product of the two representatives, on ids."""
+        start = self.truncation._start
+        left, right = self._native[deg_left][i], self._native[deg_right][j]
+        left_start, right_start = start.get(deg_left, 0), start.get(deg_right, 0)
+        total = self.truncation._product_on_ids(
+            ((left_start + p, c) for p, c in left.items()),
+            [(right_start + q, c) for q, c in right.items()])
+        if total is None:
+            return None
+        landing_start = start.get(deg_left + deg_right, 0)
+        return {k - landing_start: c for k, c in total.items()}
 
     def class_coordinates(self, degree, element):
         """{representative index: coeff} of the class of an element of a
         window degree, supported on basis words, against representatives
         [degree]; None when the element is not in the span of the image of
-        d and the representatives.
+        d and the representatives.  The coefficients are field scalars (see
+        _class_of)."""
+        scalars = self.truncation._scalars
+        coords = self._class_of(
+            degree, scalars.native_vec(self.truncation._coordinates(element)))
+        return None if coords is None else scalars.public_vec(coords)
 
-        The element is reduced by the image RowSpace that
-        cohomology_of_complex handed out.  The representatives are zero at
-        every image pivot, so what is left is their combination.  It is read
-        off by forward substitution in order of each representative's pivot
-        min(rep), where no representative with a later pivot is nonzero, and
-        the keys come in that order.  The substitution runs on native
-        scalars, and the coefficients are handed out as field scalars.
+    def _class_of(self, degree, residue):
+        """class_coordinates of a native vector keyed by position within the
+        degree, in native scalars; residue is reduced in place.
+
+        It is reduced by the image RowSpace of the degree.  The
+        representatives are zero at every image pivot, so what is left is
+        their combination.  It is read off by forward substitution in order
+        of each representative's pivot min(rep), where no representative
+        with a later pivot is nonzero, and the keys come in that order.
         """
         image = self._images[degree]
         scalars = image._scalars
-        residue = image._reduce(scalars.native_vec(self.truncation._coordinates(element)))
+        residue = image._reduce(residue)
         coords = {}
         for pivot, k, rep in self._pivoted[degree]:
             c = residue.get(pivot)
             if c is not None:
-                c = scalars.quotient(c, rep[pivot])
-                coords[k] = scalars.public(c)
+                coords[k] = c = scalars.quotient(c, rep[pivot])
                 scalars.axpy(residue, -c, rep)
         return None if residue else coords
 
@@ -700,21 +758,16 @@ def _weight_homogeneous_relations(presentation):
         for r in presentation.relations)
 
 
-def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
-                      images=None, native=False):
-    """Cohomology of a truncated complex on a window, gated on its ledger.
+def _gated_matrices(c, ledger_degrees, safe_window, strict, overflow, native=False):
+    """The matrices of a truncated complex on a window, gated on its ledger.
 
     c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
-    has a field and matrix_between(degree); dims maps its degrees to their
-    dimensions, and ledger_degrees holds the degrees of its differential
-    ledger entries.  UnsafeWindow, naming the overflow, is raised when the
-    ledger meets the window (strict=True widens the check to one degree on
-    each side).  Returns cohomology_of_complex's {degree:
-    (dim, representative vectors)}, and fills images as cohomology_of_complex
-    does; like it, it raises DSquaredNonzero, with a column index as the
-    witness, when d o d is nonzero into a window degree.  With native=True
-    the matrices come from c._matrices(lo - 1, hi) in native scalars, and
-    the representatives are native too.
+    has a field and matrix_between(degree); ledger_degrees holds the degrees
+    of its differential ledger entries.  UnsafeWindow, naming the overflow,
+    is raised when the ledger meets the window (strict=True widens the check
+    to one degree on each side).  Returns {degree: matrix} for degrees lo - 1
+    to hi; with native=True they come from c._matrices(lo - 1, hi) in native
+    scalars.
     """
     lo, hi = safe_window
     if lo > hi:
@@ -725,10 +778,21 @@ def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
         raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
                            % (overflow, touched, lo, hi))
     if native:
-        matrices = c._matrices(lo - 1, hi)
-    else:
-        matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
-    return cohomology_of_complex(dims, matrices, (lo, hi), c.field, images=images,
+        return c._matrices(lo - 1, hi)
+    return {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
+
+
+def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
+                      images=None, native=False):
+    """cohomology_of_complex of a truncated complex on a window, gated on its
+    ledger: the matrices of _gated_matrices, with dims mapping the complex's
+    degrees to their dimensions.  Returns cohomology_of_complex's {degree:
+    (dim, representative vectors)}, and fills images as it does; like it, it
+    raises DSquaredNonzero, with a column index as the witness, when d o d
+    is nonzero into a window degree.
+    """
+    matrices = _gated_matrices(c, ledger_degrees, safe_window, strict, overflow, native)
+    return cohomology_of_complex(dims, matrices, safe_window, c.field, images=images,
                                  native=native)
 
 
@@ -742,14 +806,20 @@ def cohomology(t, safe_window, strict=False):
     ledger has entries just below the window; for weight-graded differentials
     the ledger is empty and both modes agree.  d*d is checked on the words
     of degrees lo - 1 to hi; DSquaredNonzero names the first failing word.
-    The ranks cohomology_of_complex takes already decide it for degrees
-    lo - 1 to hi - 1; the words of degree hi, whose squares land outside the
-    window, are squared directly.
+    The ranks step of cohomology_of_complex decides it for degrees lo - 1 to
+    hi - 1; the words of degree hi, whose squares land outside the window,
+    are squared directly.
+
+    Only the ranks step runs here: the gate, the image RowSpaces, the d o d
+    checks and the dims are done, and both exceptions raised, before the
+    result is returned.  The representatives step runs the first time the
+    result's representatives, class_coordinates or product are read (see
+    CohomologyResult), so a caller that reads only dims takes no kernel.
     """
-    images = {}
+    matrices = _gated_matrices(t, {e.degree for e in t.differential_ledger},
+                               safe_window, strict, "differential", native=True)
     try:
-        raw = _gated_cohomology(t, t.dims(), {e.degree for e in t.differential_ledger},
-                                safe_window, strict, "differential", images, native=True)
+        dims, images = _cohomology_ranks(t.dims(), matrices, safe_window, t.field)
     except DSquaredNonzero as err:
         raise DSquaredNonzero(
             err.degree, str(t.basis_by_degree[err.degree][err.witness])) from None
@@ -759,18 +829,7 @@ def cohomology(t, safe_window, strict=False):
         square = None if col is None else t._d(col)
         if square:
             raise DSquaredNonzero(hi, str(t._words[i]))
-    out_dims = {}
-    representatives = {}
-    pivoted = {}
-    public = t._scalars.public
-    for degree in range(lo, hi + 1):
-        dim, reps = raw[degree]
-        out_dims[degree] = dim
-        words = t.basis_by_degree.get(degree, [])
-        representatives[degree] = [
-            PathAlgebraElement({words[i]: public(c) for i, c in vec.items()}) for vec in reps]
-        pivoted[degree] = sorted((min(vec), k, vec) for k, vec in enumerate(reps))
-    return CohomologyResult(t, (lo, hi), out_dims, representatives, pivoted, images)
+    return CohomologyResult(t, (lo, hi), dims, images, matrices)
 
 
 def classify(t, cohomology_result=None):
@@ -858,8 +917,9 @@ def _h0_of_weight_slice(t):
     weight to words of that weight, so this slice is a direct summand of
     the truncation at L + 1 and the rest of it is the truncation at L.  Its
     words of degrees -1 to 2 are walked as label-tuple records and fed to
-    cohomology_of_complex as cohomology feeds a truncation: the same rank
-    check of d o d into degree 0, then the square of each degree-0 word.
+    the ranks step of cohomology_of_complex as cohomology feeds a
+    truncation: the same rank check of d o d into degree 0, then the square
+    of each degree-0 word.
     The slice's words come after the lighter ones in each degree of the
     truncation at L + 1, whose lighter words passed these checks at L, so
     DSquaredNonzero names the word the truncation at L + 1 would name.
@@ -891,7 +951,7 @@ def _h0_of_weight_slice(t):
         return str(Path(*words[degree][k][:3]))
 
     try:
-        raw = cohomology_of_complex({0: len(words[0])}, matrices, (0, 0), t.field, native=True)
+        dims, _ = _cohomology_ranks({0: len(words[0])}, matrices, (0, 0), t.field)
     except DSquaredNonzero as err:
         raise DSquaredNonzero(err.degree, name(err.degree, err.witness)) from None
     axpy = t._scalars.axpy
@@ -901,7 +961,7 @@ def _h0_of_weight_slice(t):
             axpy(square, c, columns[1][i])
         if square:
             raise DSquaredNonzero(0, name(0, k))
-    return raw[0][0]
+    return dims[0]
 
 
 def h0_algebra(t):
@@ -927,26 +987,28 @@ def h0_algebra(t):
             "H^0 dimension moved from %d to %d between weight bounds %d and %d"
             % (coh.dims[0], next_dim, t.weight_bound, t.weight_bound + 1))
     reps = coh.representatives[0]
-    field = t.field
 
-    def coordinates(element):
-        if element is None:
-            raise NotStabilized(
-                "representative product escapes weight bound %d; raise it"
-                % t.weight_bound)
-        coords = coh.class_coordinates(0, element)
+    def in_span(coords):
         if coords is None:
             raise NotStabilized(
                 "element does not lie in the computed cocycle span; raise the bound")
         return coords
 
+    # the representatives are multiplied on ids and reduced in native
+    # scalars; FiniteDimAlgebra takes the structure constants in with
+    # field.of, which gives the field scalars class_coordinates would
     structure = {}
-    for i, left in enumerate(reps):
-        for j, right in enumerate(reps):
-            coords = coordinates(t.product(left, right))
+    for i in range(len(reps)):
+        for j in range(len(reps)):
+            product = coh._product(0, i, 0, j)
+            if product is None:
+                raise NotStabilized(
+                    "representative product escapes weight bound %d; raise it"
+                    % t.weight_bound)
+            coords = in_span(coh._class_of(0, product))
             if coords:
                 structure[(i, j)] = coords
-    unit = coordinates(t.qb.reduce(t.unit_element()))
+    unit = in_span(coh.class_coordinates(0, t.qb.reduce(t.unit_element())))
     labels = [str(r) for r in reps]
-    algebra = FiniteDimAlgebra(field, labels, structure, unit)
+    algebra = FiniteDimAlgebra(t.field, labels, structure, unit)
     return H0Result(algebra, reps, t.weight_bound, (coh.dims[0], next_dim))

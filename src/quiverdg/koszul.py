@@ -420,7 +420,13 @@ class BarComplex:
 
     def cohomology_dims(self, safe_window, strict=False):
         """{degree: dim H} on the window, gated on the ledger as cohomology
-        is; d*d was checked at construction."""
+        is; d*d was checked at construction.
+
+        It runs cohomology_of_complex, both steps, on the native matrices:
+        the ranks step gives the dims, and rank d_hi is read off the kernel
+        of d_hi.  The other kernels are taken only for degrees whose dim H
+        is nonzero, and the representatives they give are dropped.
+        """
         raw = _gated_cohomology(self, self.all_dims(), self._ledger_degrees,
                                 safe_window, strict, "bar truncation", native=True)
         return {d: dim for d, (dim, _) in raw.items()}

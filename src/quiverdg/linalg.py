@@ -554,22 +554,15 @@ def cohomology_of_complex(dims, differentials, window, field, images=None, nativ
     matrices hold native scalars of the field, and so do the
     representatives; otherwise both hold field scalars.
 
-    The representatives of degree i are kernel vectors of d_i reduced by
-    the fully reduced RowSpace of the columns of d_{i-1} (the image) and by
-    the representatives before them.  So each representative is zero at
-    every image pivot and at the pivot min(rep) of every earlier
-    representative, and the pivots are distinct.  When a dict is passed as
-    images, images[i] receives that image RowSpace for each degree i in
-    window: reducing a cocycle by it leaves a unique combination of the
-    representatives, read off by forward substitution in pivot order.  Each
-    image RowSpace is frozen once built, so it keeps no index.
-
-    d_i o d_{i-1} = 0 is read off these ranks for every window degree i.
-    With K = ker d_i and I = im d_{i-1}, there are dim (K + I) - dim I
-    representatives, which equals dim K - dim I exactly when I lies in K.
-    Otherwise DSquaredNonzero(i - 1, j) is raised, for the lowest such i,
-    with j the first column of d_{i-1} that d_i does not kill.  The
-    composite out of the top window degree is not seen.
+    It runs both steps.  The ranks step (_cohomology_ranks) builds each
+    window degree's image RowSpace, checks d o d and reads every dim H off
+    ranks; here rank d_hi is read off the kernel of d_hi, which the
+    representatives of the top degree need anyway.  The representatives
+    step (_cohomology_representatives) then takes the kernel of d_i for
+    each other degree i whose dim H is nonzero; a degree with dim H zero has
+    no representatives, and its kernel is not taken.  When a dict is passed
+    as images, images[i] receives the image RowSpace of each degree i in
+    window once the ranks step has passed.
     """
     lo, hi = window
     if lo > hi:
@@ -578,36 +571,110 @@ def cohomology_of_complex(dims, differentials, window, field, images=None, nativ
     if not native:
         differentials = {i: scalars.native_matrix(m) for i, m in differentials.items()
                          if lo - 1 <= i <= hi}
+    top_kernel = _kernel_basis(dims.get(hi, 0), differentials.get(hi), field)
+    h, built = _cohomology_ranks(dims, differentials, window, field,
+                                 dims.get(hi, 0) - len(top_kernel))
+    if images is not None:
+        images.update(built)
     result = {}
     for i in range(lo, hi + 1):
-        n = dims.get(i, 0)
-        image = RowSpace(field)
-        if images is not None:
-            images[i] = image
-        if n == 0:
-            image.freeze()
-            result[i] = (0, [])
-            continue
-        d_i = differentials.get(i)
-        if d_i is not None:
-            kernel, _ = kernel_image(d_i, field, native=True)
-        else:
-            kernel = [{j: 1} for j in range(n)]
-        d_prev = differentials.get(i - 1)
-        if d_prev is not None:
-            for col in d_prev.columns():
-                image._add(col)
-        image.freeze()
         reps = []
-        chosen = RowSpace(field)
-        for vec in kernel:
-            residue = chosen._reduce(image._reduce(vec))
-            if residue:
-                reps.append(dict(residue) if native else scalars.public_vec(residue))
-                chosen._insert(residue)
-        if len(kernel) - image.rank != len(reps):
-            d_i, d_prev = scalars.public_matrix(d_i), scalars.public_matrix(d_prev)
-            witness = next(j for j, col in enumerate(d_prev.columns()) if d_i.apply(col))
-            raise DSquaredNonzero(i - 1, witness)
-        result[i] = (len(reps), reps)
+        if h[i]:
+            kernel = top_kernel if i == hi else _kernel_basis(
+                dims.get(i, 0), differentials.get(i), field)
+            reps = _cohomology_representatives(kernel, built[i], field, h[i])
+            if not native:
+                reps = [scalars.public_vec(vec) for vec in reps]
+        result[i] = (h[i], reps)
     return result
+
+
+def _cohomology_ranks(dims, differentials, window, field, top_rank=None):
+    """The ranks step: ({degree: dim H}, {degree: image RowSpace}) for the
+    degrees lo..hi of the window, from native matrices.
+
+    images[i] is the fully reduced RowSpace of the columns of d_{i-1}, added
+    in column order, so its rank is rank d_{i-1}; it is frozen once built,
+    so it keeps no index.  rank d_hi is top_rank when given; otherwise the
+    image of d_hi out of the top degree is built for it and dropped.  Then
+    dim H^i = n_i - rank d_i - rank d_{i-1}.
+
+    That count holds only when d_i o d_{i-1} = 0, so it is checked for every
+    window degree i by applying d_i to the stored rows of images[i], which
+    span im d_{i-1}.  Otherwise DSquaredNonzero(i - 1, j) is raised, for the
+    lowest such i, with j the first column of d_{i-1} that d_i does not
+    kill.  The composite out of the top window degree is not seen.
+    """
+    lo, hi = window
+    scalars = native_scalars(field)
+    axpy = scalars.axpy
+    images = {}
+    d_prev = differentials.get(lo - 1)
+    columns = [] if d_prev is None else d_prev.columns()
+    for i in range(lo, hi + 1):
+        image = images[i] = _column_space(columns, field)
+        d_i = differentials.get(i)
+        if d_i is None:
+            columns = []
+            continue
+        columns = d_i.columns()
+        for row in image._rows:
+            total = {}
+            for j, c in row.items():
+                col = columns[j]
+                if col:
+                    axpy(total, c, col)
+            if total:
+                d_i, d_prev = scalars.public_matrix(d_i), scalars.public_matrix(
+                    differentials[i - 1])
+                witness = next(j for j, col in enumerate(d_prev.columns()) if d_i.apply(col))
+                raise DSquaredNonzero(i - 1, witness)
+    if top_rank is None:
+        top_rank = _column_space(columns, field).rank
+    ranks = [images[i].rank for i in range(lo + 1, hi + 1)] + [top_rank]
+    h = {i: dims.get(i, 0) - rank - images[i].rank for i, rank in zip(range(lo, hi + 1), ranks)}
+    return h, images
+
+
+def _column_space(columns, field):
+    """The frozen RowSpace of native columns, added in order; each column is
+    reduced in place."""
+    space = RowSpace(field)
+    for col in columns:
+        space._add(col)
+    space.freeze()
+    return space
+
+
+def _kernel_basis(n, d_i, field):
+    """The native kernel basis of kernel_image, or of the zero map on k^n
+    when d_i is None."""
+    if d_i is None:
+        return [{j: 1} for j in range(n)]
+    return kernel_image(d_i, field, native=True)[0]
+
+
+def _cohomology_representatives(kernel, image, field, dim):
+    """The representatives step for one degree i: dim native cocycles whose
+    classes are a basis of H^i, from the kernel basis of d_i (_kernel_basis),
+    the RowSpace of im d_{i-1} and dim H^i from _cohomology_ranks.
+
+    The representatives are the kernel vectors reduced by the image and by
+    the representatives before them.  So each representative is zero at
+    every image pivot and at the pivot min(rep) of every earlier
+    representative, and the pivots are distinct: reducing a cocycle by the
+    image leaves a unique combination of the representatives, read off by
+    forward substitution in pivot order.  Once dim of them are found, the
+    image and they span the kernel, so every later kernel vector would
+    reduce to zero and none is reduced.
+    """
+    reps = []
+    chosen = RowSpace(field)
+    for vec in kernel:
+        if len(reps) == dim:
+            break
+        residue = chosen._reduce(image._reduce(vec))
+        if residue:
+            reps.append(dict(residue))
+            chosen._insert(residue)
+    return reps

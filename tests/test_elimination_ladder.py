@@ -1,7 +1,7 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the A5
-realize rung, the F_101 verify_differential rung and the local-factors rung
-run here, to keep the suite fast."""
+realize rung, the F_101 verify_differential rung, the local-factors rung and
+the Koszul pair rung run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -13,6 +13,7 @@ BAR_RUNG = "bar/3-cycle-cy3-F101-L2/5-letters"
 REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
+KOSZUL_RUNG = "verify_koszul_pair/3-cycle/n2-L7"
 
 
 def load_tool():
@@ -64,3 +65,8 @@ def test_the_local_factors_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(FACTORS_RUNG, tmp_path, monkeypatch)
     factors = load_tool().RUNGS[FACTORS_RUNG]()()
     assert len(factors) == 5 and all(f.residue_field_certified for f in factors)
+
+
+def test_the_koszul_pair_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(KOSZUL_RUNG, tmp_path, monkeypatch)
+    assert load_tool().RUNGS[KOSZUL_RUNG]()().kind == "MatchWithinWindow"

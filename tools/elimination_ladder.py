@@ -8,7 +8,11 @@ realized where the call takes a truncation, before the clock starts.  The
 rungs, over Q unless stated:
 
 - cohomology of the rank-3 Calabi-Yau completion of the 3-cycle, realized
-  on the window (-L, 0) at weight bound L, for L = 6, 7, 8;
+  on the window (-L, 0) at weight bound L, for L = 6, 7, 8, with its
+  representatives read (cohomology builds them on first read); and at
+  L = 8 with only its dims read;
+- verify_koszul_pair of the 3-cycle for n = 2 at word bound 7 on (-7, 0),
+  which realizes both sides inside the timed call;
 - jacobi_basis of xxyy - xyxy + xxx on two loops at L = 9;
 - h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8;
 - realize of that completion on (-4, 0) at L = 9 (8,141 words), and of the
@@ -44,6 +48,7 @@ from quiverdg import (
     jacobi_basis,
     realize,
     verify_differential,
+    verify_koszul_pair,
 )
 
 REPEATS = 5
@@ -57,7 +62,16 @@ def three_cycle():
 
 def cycle_cohomology(bound):
     t = realize(cy_completion(three_cycle(), 3), (-bound, 0), bound)
-    return lambda: cohomology(t, (-bound, 0))
+    return lambda: cohomology(t, (-bound, 0)).representatives
+
+
+def cycle_cohomology_dims(bound):
+    t = realize(cy_completion(three_cycle(), 3), (-bound, 0), bound)
+    return lambda: cohomology(t, (-bound, 0)).dims
+
+
+def cycle_koszul_pair(n, bound):
+    return lambda: verify_koszul_pair(three_cycle(), n, bound, (-bound, 0))
 
 
 def two_loop_jacobi():
@@ -138,6 +152,8 @@ RUNGS = {
     "cohomology/3-cycle-cy3/L6": lambda: cycle_cohomology(6),
     "cohomology/3-cycle-cy3/L7": lambda: cycle_cohomology(7),
     "cohomology/3-cycle-cy3/L8": lambda: cycle_cohomology(8),
+    "cohomology-dims/3-cycle-cy3/L8": lambda: cycle_cohomology_dims(8),
+    "verify_koszul_pair/3-cycle/n2-L7": lambda: cycle_koszul_pair(2, 7),
     "jacobi_basis/two-loops-xxyy-xyxy+xxx/L9": two_loop_jacobi,
     "h0_algebra/A5-cy2/L8": a5_h0,
     "realize/A5-cy2/L9": a5_realize,
