@@ -21,21 +21,18 @@ import json
 import sys
 import traceback
 
-from .algebras import FiniteDimAlgebra
+# Module level holds the layers that `import quiverdg` loads anyway, plus the
+# small certificates module; a command that needs algebras, koszul,
+# reflexivity or surfaces imports it in its handler, so a process loads only
+# the layers its command uses.
 from .certificates import replay_certificate
 from .dgalgebra import (DgAlgebraPresentation, DSquaredNonzero,
                         InconsistentPresentation, NotStabilized, UnsafeWindow,
                         cohomology, h0_algebra, realize, verify_differential)
 from .fields import GroundField
 from .ginzburg import cy_completion, ginzburg, jacobi_basis, verify_koszul_pair
-from .koszul import completeness_report, dual_bar
 from .quiver import (Arrow, PathAlgebraElement, QuiverPresentation,
                      Superpotential, UnknownArrow)
-from .reflexivity import SymbolicFamily, check
-from .surfaces import (BoundaryComponent, DualNumbersFactor, MalformedRibbon,
-                       MarkedSurfaceArcSystem, NoMarkedInterval, NotFormal,
-                       NotGentle, classify_arc_system, extract_sod,
-                       gentle_presentation, quadratic_dual, trace_faces)
 
 SCHEMA = "report-v1"
 
@@ -175,6 +172,8 @@ def _parse_superpotential(raw, field, location):
 
 
 def _parse_surface(raw, location):
+    from .surfaces import BoundaryComponent, MalformedRibbon, MarkedSurfaceArcSystem
+
     components = []
     for pos, entry in enumerate(_need(raw, "components", location, list)):
         where = "%s.components[%d]" % (location, pos)
@@ -197,6 +196,8 @@ def _parse_surface(raw, location):
 
 
 def _parse_algebra(raw, field, location):
+    from .algebras import FiniteDimAlgebra
+
     basis = [str(b) for b in _need(raw, "basis", location, list)]
     structure = {}
     for pos, entry in enumerate(_need(raw, "structure", location, list)):
@@ -215,6 +216,8 @@ def _parse_algebra(raw, field, location):
 
 
 def _parse_family(raw, location):
+    from .reflexivity import SymbolicFamily
+
     try:
         return SymbolicFamily(str(_need(raw, "family", location)),
                               degree=raw.get("degree", 0),
@@ -336,6 +339,8 @@ def _presentation_block(g):
 
 
 def _factor_block(factor):
+    from .surfaces import DualNumbersFactor
+
     if isinstance(factor, DualNumbersFactor):
         return {"kind": "dual-numbers", "vertex": factor.vertex,
                 "loop": factor.loop, "degree": factor.degree}
@@ -435,6 +440,8 @@ def _cmd_cy(job):
 
 
 def _cmd_koszul_dual(job):
+    from .koszul import dual_bar
+
     job.object_of_kind("dg-presentation")
     job.need_bounds("window", "words")
     presentation = _parse_dg_presentation(job.raw_object, job.field,
@@ -457,6 +464,8 @@ def _cmd_koszul_dual(job):
 
 
 def _cmd_complete(job):
+    from .koszul import completeness_report
+
     job.object_of_kind("dg-presentation")
     job.need_bounds("window", "words")
     presentation = _parse_dg_presentation(job.raw_object, job.field,
@@ -489,6 +498,9 @@ def _cmd_complete(job):
 
 
 def _cmd_gentle(job):
+    from .surfaces import (classify_arc_system, extract_sod, gentle_presentation,
+                           quadratic_dual, trace_faces)
+
     job.object_of_kind("surface")
     system = _parse_surface(job.raw_object, "document.object")
     faces = trace_faces(system)
@@ -574,6 +586,8 @@ def _reflexive_input(job):
 
 
 def _cmd_reflexive(job):
+    from .reflexivity import check
+
     verdict = check(_reflexive_input(job))
     failures = replay_certificate(verdict.certificate)
     if failures:
@@ -635,6 +649,8 @@ def _dual_numbers(degree, field):
 
 
 def _check_koszul_dual_row():
+    from .koszul import dual_bar
+
     field = GroundField(0)
     t = realize(_dual_numbers(-1, field), (0, 8), 4)
     dims = cohomology(dual_bar(t, 4, (0, 8)), (0, 8)).dims
@@ -654,6 +670,8 @@ def _check_koszul_pair_point():
 
 
 def _check_completeness_kind():
+    from .koszul import completeness_report
+
     field = GroundField(0)
     t = realize(_dual_numbers(1, field), (0, 3), 4)
     report = completeness_report(t, 4, (0, 3))
@@ -677,6 +695,8 @@ def _check_preprojective_h0():
 
 
 def _check_replayable_verdicts():
+    from .reflexivity import SymbolicFamily, check
+
     a2 = _selftest_corpus()[2]
     fixtures = (
         SymbolicFamily("laurent", 1),
@@ -778,6 +798,17 @@ def _load_document(path):
     return document
 
 
+def _document_faults():
+    """The validator exceptions that mean a fault in the document object.
+    It is called only when a command has raised, so surfaces is imported
+    for its exceptions on that path alone."""
+    from .surfaces import MalformedRibbon, NoMarkedInterval, NotFormal, NotGentle
+
+    return (InconsistentPresentation, DSquaredNonzero, UnsafeWindow,
+            NotStabilized, MalformedRibbon, NotFormal, NotGentle,
+            NoMarkedInterval, ValueError, KeyError)
+
+
 def run(command, document, args):
     """Run one command against a parsed document; returns (lines, report)."""
     job = Job(command, document, args)
@@ -801,9 +832,7 @@ def main(argv=None):
         print("input error at %s: %s" % (err.location, err.message),
               file=sys.stderr)
         return EXIT_INPUT
-    except (InconsistentPresentation, DSquaredNonzero, UnsafeWindow,
-            NotStabilized, MalformedRibbon, NotFormal, NotGentle,
-            NoMarkedInterval, ValueError, KeyError) as err:
+    except _document_faults() as err:
         # the object came from the document, so a failed validator or an
         # unsafe window is the user's to fix
         print("input error at document.object: %s: %s"

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from operator import itemgetter
 
-from .algebras import FiniteDimAlgebra
 from .fields import GroundField
 from .linalg import (
     DSquaredNonzero,
@@ -518,18 +517,21 @@ class TruncatedDgAlgebra:
         """SparseMatrix of d from degree to degree+1 (ledgered columns zero)."""
         return self._scalars.public_matrix(self._matrices(degree, degree)[degree])
 
+    def _position_columns(self, degree):
+        """The columns of matrix_between(degree), as new {row: coeff} dicts
+        in native scalars, the rows being positions within degree + 1; the
+        ranks step's columns_of."""
+        start, columns = self._ids_in(degree + 1).start, self._columns
+        return [{} if columns[i] is None else {k - start: c for k, c in columns[i].items()}
+                for i in self._ids_in(degree)]
+
     def _matrices(self, lo, hi):
         """{degree: matrix_between(degree)} for lo..hi, in native scalars."""
         matrices = {}
         for degree in range(lo, hi + 1):
-            source, target = self._ids_in(degree), self._ids_in(degree + 1)
-            m = matrices[degree] = SparseMatrix(len(target), len(source))
-            for j, i in enumerate(source):
-                col = self._columns[i]
-                if col is None:
-                    continue
-                for k, c in col.items():
-                    m.set(k - target.start, j, c)
+            columns = self._position_columns(degree)
+            m = matrices[degree] = SparseMatrix(len(self._ids_in(degree + 1)), len(columns))
+            m.entries = {(k, j): c for j, col in enumerate(columns) for k, c in col.items()}
         return matrices
 
 
@@ -646,26 +648,24 @@ class CohomologyResult:
     cohomology fills dims and the image RowSpaces from ranks alone.  The
     representatives, and the pivot order class_coordinates and product
     read, are built the first time one of them is read, from the native
-    matrices cohomology keeps until then; they are the ones an eager
+    matrices of the truncation, built then; they are the ones an eager
     computation would give, in the same order and with the same scalars.
     """
 
-    def __init__(self, truncation, window, dims, images, matrices):
+    def __init__(self, truncation, window, dims, images):
         self.truncation = truncation
         self.window = window
         self.dims = dims
         self._images = images
-        self._matrices = matrices
 
     @cached_property
     def _native(self):
         """{degree: representative vectors}, keyed by position within the
-        degree, in native scalars; the kept matrices are dropped once read."""
-        t, matrices = self.truncation, self._matrices
-        self._matrices = None
+        degree, in native scalars."""
+        t = self.truncation
         return {degree: _cohomology_representatives(
-                    _kernel_basis(len(t.basis_by_degree.get(degree, ())), matrices[degree],
-                                  t.field),
+                    _kernel_basis(len(t.basis_by_degree.get(degree, ())),
+                                  t._matrices(degree, degree)[degree], t.field),
                     self._images[degree], t.field, dim) if dim else []
                 for degree, dim in self.dims.items()}
 
@@ -758,16 +758,11 @@ def _weight_homogeneous_relations(presentation):
         for r in presentation.relations)
 
 
-def _gated_matrices(c, ledger_degrees, safe_window, strict, overflow, native=False):
-    """The matrices of a truncated complex on a window, gated on its ledger.
-
-    c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
-    has a field and matrix_between(degree); ledger_degrees holds the degrees
-    of its differential ledger entries.  UnsafeWindow, naming the overflow,
-    is raised when the ledger meets the window (strict=True widens the check
-    to one degree on each side).  Returns {degree: matrix} for degrees lo - 1
-    to hi; with native=True they come from c._matrices(lo - 1, hi) in native
-    scalars.
+def _gate(ledger_degrees, safe_window, strict, overflow):
+    """Check a cohomology window against the degrees of a truncated
+    complex's differential ledger.  UnsafeWindow, naming the overflow, is
+    raised when the ledger meets the window (strict=True widens the check to
+    one degree on each side), and ValueError when the window is empty.
     """
     lo, hi = safe_window
     if lo > hi:
@@ -777,21 +772,29 @@ def _gated_matrices(c, ledger_degrees, safe_window, strict, overflow, native=Fal
     if touched:
         raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
                            % (overflow, touched, lo, hi))
-    if native:
-        return c._matrices(lo - 1, hi)
-    return {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
 
 
 def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
                       images=None, native=False):
     """cohomology_of_complex of a truncated complex on a window, gated on its
-    ledger: the matrices of _gated_matrices, with dims mapping the complex's
-    degrees to their dimensions.  Returns cohomology_of_complex's {degree:
-    (dim, representative vectors)}, and fills images as it does; like it, it
-    raises DSquaredNonzero, with a column index as the witness, when d o d
-    is nonzero into a window degree.
+    ledger (see _gate).
+
+    c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
+    has a field and matrix_between(degree); ledger_degrees holds the degrees
+    of its differential ledger entries, and dims maps the complex's degrees
+    to their dimensions.  The matrices are those of degrees lo - 1 to hi;
+    with native=True they come from c._matrices(lo - 1, hi) in native
+    scalars.  Returns cohomology_of_complex's {degree: (dim, representative
+    vectors)}, and fills images as it does; like it, it raises
+    DSquaredNonzero, with a column index as the witness, when d o d is
+    nonzero into a window degree.
     """
-    matrices = _gated_matrices(c, ledger_degrees, safe_window, strict, overflow, native)
+    _gate(ledger_degrees, safe_window, strict, overflow)
+    lo, hi = safe_window
+    if native:
+        matrices = c._matrices(lo - 1, hi)
+    else:
+        matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
     return cohomology_of_complex(dims, matrices, safe_window, c.field, images=images,
                                  native=native)
 
@@ -810,16 +813,16 @@ def cohomology(t, safe_window, strict=False):
     hi - 1; the words of degree hi, whose squares land outside the window,
     are squared directly.
 
-    Only the ranks step runs here: the gate, the image RowSpaces, the d o d
-    checks and the dims are done, and both exceptions raised, before the
-    result is returned.  The representatives step runs the first time the
-    result's representatives, class_coordinates or product are read (see
-    CohomologyResult), so a caller that reads only dims takes no kernel.
+    Only the ranks step runs here, on the truncation's columns: the gate,
+    the image RowSpaces, the d o d checks and the dims are done, and both
+    exceptions raised, before the result is returned.  The representatives
+    step runs the first time the result's representatives,
+    class_coordinates or product are read (see CohomologyResult), so a
+    caller that reads only dims takes no kernel and builds no matrix.
     """
-    matrices = _gated_matrices(t, {e.degree for e in t.differential_ledger},
-                               safe_window, strict, "differential", native=True)
+    _gate({e.degree for e in t.differential_ledger}, safe_window, strict, "differential")
     try:
-        dims, images = _cohomology_ranks(t.dims(), matrices, safe_window, t.field)
+        dims, images = _cohomology_ranks(t.dims(), t._position_columns, safe_window, t.field)
     except DSquaredNonzero as err:
         raise DSquaredNonzero(
             err.degree, str(t.basis_by_degree[err.degree][err.witness])) from None
@@ -829,7 +832,7 @@ def cohomology(t, safe_window, strict=False):
         square = None if col is None else t._d(col)
         if square:
             raise DSquaredNonzero(hi, str(t._words[i]))
-    return CohomologyResult(t, (lo, hi), dims, images, matrices)
+    return CohomologyResult(t, (lo, hi), dims, images)
 
 
 def classify(t, cohomology_result=None):
@@ -940,18 +943,16 @@ def _h0_of_weight_slice(t):
             {position[term]: c
              for term, c in p._leibniz_into({}, record[0], native=True).items()}
             for record in words[degree]]
-    matrices = {}
-    for degree in (-1, 0):
-        m = matrices[degree] = SparseMatrix(len(words[degree + 1]), len(words[degree]))
-        for j, col in enumerate(columns[degree]):
-            for k, c in col.items():
-                m.set(k, j, c)
 
     def name(degree, k):
         return str(Path(*words[degree][k][:3]))
 
     try:
-        dims, _ = _cohomology_ranks({0: len(words[0])}, matrices, (0, 0), t.field)
+        # the ranks step reduces the columns it is given, and columns[0] is
+        # read again below, so it is handed copies
+        dims, _ = _cohomology_ranks({0: len(words[0])},
+                                    lambda degree: [dict(col) for col in columns[degree]],
+                                    (0, 0), t.field)
     except DSquaredNonzero as err:
         raise DSquaredNonzero(err.degree, name(err.degree, err.witness)) from None
     axpy = t._scalars.axpy
@@ -976,6 +977,8 @@ def h0_algebra(t):
     plus that slice's (see _h0_of_weight_slice); this is exact, not an
     estimate.  Any other presentation is realized again at L + 1.
     """
+    from .algebras import FiniteDimAlgebra
+
     coh = cohomology(t, (0, 0))
     p = t.presentation
     if not p.relations and p.is_weight_graded():

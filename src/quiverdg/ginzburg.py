@@ -22,7 +22,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebras import FiniteDimAlgebra
 from .dgalgebra import (
     DgAlgebraPresentation,
     InconsistentPresentation,
@@ -32,7 +31,6 @@ from .dgalgebra import (
     verify_differential,
 )
 from .fields import GroundField
-from .koszul import dual_bar
 from .quiver import (
     Arrow,
     PathAlgebraElement,
@@ -103,6 +101,8 @@ def build_rn(quiver, n, field=None):
     Products of two non-idempotent basis elements vanish except for the two
     contractions a * a^ = t at the tail of a and a^ * a = t at its head.
     """
+    from .algebras import FiniteDimAlgebra
+
     _require_degree_zero(quiver)
     field = field if field is not None else GroundField(0)
     duals = {a.name: _dual_name(a.name) for a in quiver.arrows}
@@ -342,6 +342,8 @@ def verify_koszul_pair(quiver, n, word_bound, window, field=None):
     same weights the completion carries), so their word counts agree degree
     by degree and the cohomology comparison is the honest content.
     """
+    from .koszul import dual_bar
+
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window [%s, %s]" % (lo, hi))

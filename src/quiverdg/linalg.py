@@ -572,7 +572,12 @@ def cohomology_of_complex(dims, differentials, window, field, images=None, nativ
         differentials = {i: scalars.native_matrix(m) for i, m in differentials.items()
                          if lo - 1 <= i <= hi}
     top_kernel = _kernel_basis(dims.get(hi, 0), differentials.get(hi), field)
-    h, built = _cohomology_ranks(dims, differentials, window, field,
+
+    def columns_of(i):
+        d_i = differentials.get(i)
+        return None if d_i is None else d_i.columns()
+
+    h, built = _cohomology_ranks(dims, columns_of, window, field,
                                  dims.get(hi, 0) - len(top_kernel))
     if images is not None:
         images.update(built)
@@ -589,9 +594,12 @@ def cohomology_of_complex(dims, differentials, window, field, images=None, nativ
     return result
 
 
-def _cohomology_ranks(dims, differentials, window, field, top_rank=None):
+def _cohomology_ranks(dims, columns_of, window, field, top_rank=None):
     """The ranks step: ({degree: dim H}, {degree: image RowSpace}) for the
-    degrees lo..hi of the window, from native matrices.
+    degrees lo..hi of the window, from native columns.  columns_of(i) is
+    the list of columns of d_i, each a {row: native coeff} dict, or None
+    when there is no d_i; every call must return new dicts, since the
+    columns are reduced in place.
 
     images[i] is the fully reduced RowSpace of the columns of d_{i-1}, added
     in column order, so its rank is rank d_{i-1}; it is frozen once built,
@@ -606,34 +614,35 @@ def _cohomology_ranks(dims, differentials, window, field, top_rank=None):
     kill.  The composite out of the top window degree is not seen.
     """
     lo, hi = window
-    scalars = native_scalars(field)
-    axpy = scalars.axpy
+    axpy = native_scalars(field).axpy
     images = {}
-    d_prev = differentials.get(lo - 1)
-    columns = [] if d_prev is None else d_prev.columns()
+    columns = columns_of(lo - 1) or []
     for i in range(lo, hi + 1):
         image = images[i] = _column_space(columns, field)
-        d_i = differentials.get(i)
-        if d_i is None:
+        columns = columns_of(i)
+        if columns is None:
             columns = []
             continue
-        columns = d_i.columns()
         for row in image._rows:
-            total = {}
-            for j, c in row.items():
-                col = columns[j]
-                if col:
-                    axpy(total, c, col)
-            if total:
-                d_i, d_prev = scalars.public_matrix(d_i), scalars.public_matrix(
-                    differentials[i - 1])
-                witness = next(j for j, col in enumerate(d_prev.columns()) if d_i.apply(col))
+            if _applied(columns, row, axpy):
+                d_prev = columns_of(i - 1)
+                witness = next(j for j, col in enumerate(d_prev) if _applied(columns, col, axpy))
                 raise DSquaredNonzero(i - 1, witness)
     if top_rank is None:
         top_rank = _column_space(columns, field).rank
     ranks = [images[i].rank for i in range(lo + 1, hi + 1)] + [top_rank]
     h = {i: dims.get(i, 0) - rank - images[i].rank for i, rank in zip(range(lo, hi + 1), ranks)}
     return h, images
+
+
+def _applied(columns, vec, axpy):
+    """The matrix with these native columns applied to a native vector."""
+    total = {}
+    for j, c in vec.items():
+        col = columns[j]
+        if col:
+            axpy(total, c, col)
+    return total
 
 
 def _column_space(columns, field):

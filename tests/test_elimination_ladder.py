@@ -5,6 +5,8 @@ the Koszul pair rung run here, to keep the suite fast."""
 
 import importlib.util
 import json
+import os
+import statistics
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "elimination_ladder.py"
@@ -14,6 +16,7 @@ REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
 KOSZUL_RUNG = "verify_koszul_pair/3-cycle/n2-L7"
+COLD_RUNG = "cold-import/quiverdg"
 
 
 def load_tool():
@@ -70,3 +73,20 @@ def test_the_local_factors_rung_writes_its_json(tmp_path, monkeypatch):
 def test_the_koszul_pair_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(KOSZUL_RUNG, tmp_path, monkeypatch)
     assert load_tool().RUNGS[KOSZUL_RUNG]()().kind == "MatchWithinWindow"
+
+
+# A cold-start rung times fresh processes under the caller's environment,
+# so the caller puts src on PYTHONPATH, as the tool's usage line does.
+def test_the_cold_import_rung_writes_its_json(tmp_path, monkeypatch):
+    ladder = load_tool()
+    src = str(TOOL.parent.parent / "src")
+    monkeypatch.setenv("PYTHONPATH",
+                       os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    monkeypatch.setattr(ladder, "RUNGS", {COLD_RUNG: ladder.RUNGS[COLD_RUNG]})
+    monkeypatch.chdir(tmp_path)
+    ladder.main(["smoke"])
+    rung = json.loads((tmp_path / "BENCH_smoke.json").read_text())["rungs"][COLD_RUNG]
+    assert sorted(rung) == ["median_s", "python_c_pass_s", "runs_s"]
+    assert len(rung["runs_s"]) == 5
+    assert rung["median_s"] == statistics.median(rung["runs_s"]) > 0
+    assert rung["python_c_pass_s"] > 0

@@ -221,3 +221,25 @@ def test_a_slice_square_failure_names_the_first_degree_zero_word():
     expected = outcome(ref_h0_algebra, t)
     assert expected == ("DSquaredNonzero", 0, "x1")
     assert outcome(h0_algebra, t) == expected
+
+
+def test_a_slice_square_failure_reads_the_unreduced_columns():
+    # d(x1) = u + v, d(x2) = u + 2v, d(v) = z: d o d fails on both x1 and x2.
+    # The rank of d out of degree 0 reduces the two columns to u and v, and
+    # the square of u alone is zero, so the witness must be read off the
+    # columns as they were before that reduction.
+    q = QuiverPresentation(["v0"], [Arrow(name, "v0", "v0", degree) for name, degree in
+                                    (("x1", 0), ("x2", 0), ("u", 1), ("v", 1), ("z", 2))])
+
+    def element(*terms):
+        return sum((PathAlgebraElement.from_path(q.path([name]), c) for name, c in terms),
+                   PathAlgebraElement.zero())
+
+    p = DgAlgebraPresentation(
+        ["v0"], q.arrows, weights={a.name: 2 for a in q.arrows},
+        differential={"x1": element(("u", 1), ("v", 1)), "x2": element(("u", 1), ("v", 2)),
+                      "v": element(("z", 1))})
+    t = realize(p, (-1, 0), 1)
+    expected = outcome(ref_h0_algebra, t)
+    assert expected == ("DSquaredNonzero", 0, "x1")
+    assert outcome(h0_algebra, t) == expected

@@ -25,14 +25,32 @@ rungs, over Q unless stated:
 - decompose_commutative of k[x]/(m), m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2,
   on 1, x, ..., x^7: five local factors, as the benchmark builds it.
 
+The cold-start rungs are different: each is the median wall time, not
+process_time, of five fresh Python processes, run under the caller's
+environment, with the median wall time of five `python -c pass` runs
+recorded next to it as python_c_pass_s.  They are
+
+- cold-import/quiverdg: `python -c "import quiverdg"`;
+- cold-import/quiverdg.cli: `python -c "import quiverdg.cli"`;
+- cold-cli/disk_gentle-gentle: `python -m quiverdg.cli gentle` on
+  tests/data/disk_gentle.json, with --quiet.
+
+The caller's environment decides among other things whether Python may
+cache compiled bytecode (PYTHONDONTWRITEBYTECODE); without a cache every
+process compiles the modules it imports, which moves these rungs by tens of
+milliseconds.
+
 Compare two commits by running the script in a checkout of each, with the
 same Python, and reading the rungs side by side.
 """
 
 import json
 import platform
+import statistics
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from quiverdg import (
     Arrow,
@@ -52,6 +70,7 @@ from quiverdg import (
 )
 
 REPEATS = 5
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 
 def three_cycle():
@@ -147,7 +166,12 @@ def local_factors():
     return lambda: decompose_commutative(algebra)
 
 
-# name -> builder of the timed call
+def fresh_process(*args):
+    """A cold-start rung: the argv of one Python process, timed whole."""
+    return [sys.executable, *args]
+
+
+# name -> builder of the timed call, or of the argv of a cold-start rung
 RUNGS = {
     "cohomology/3-cycle-cy3/L6": lambda: cycle_cohomology(6),
     "cohomology/3-cycle-cy3/L7": lambda: cycle_cohomology(7),
@@ -163,6 +187,10 @@ RUNGS = {
     "verify_differential/3-cycle-cy3/L8": lambda: cycle_verify(GroundField(0)),
     "verify_differential/3-cycle-cy3-F101/L8": lambda: cycle_verify(GroundField(101)),
     "decompose_commutative/five-local-factors": local_factors,
+    "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
+    "cold-import/quiverdg.cli": lambda: fresh_process("-c", "import quiverdg.cli"),
+    "cold-cli/disk_gentle-gentle": lambda: fresh_process(
+        "-m", "quiverdg.cli", "gentle", str(DATA / "disk_gentle.json"), "--quiet"),
 }
 
 
@@ -175,10 +203,31 @@ def process_times(call):
     return runs
 
 
+def wall_times(argv):
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        # no timeout: with one, Popen.wait polls in steps of up to 50 ms,
+        # which rounds every wall time up to the next step
+        subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
+        runs.append(time.perf_counter() - start)
+    return [round(r, 6) for r in runs]
+
+
+def cold_rung(argv):
+    runs = wall_times(argv)
+    return {"median_s": statistics.median(runs), "runs_s": runs,
+            "python_c_pass_s": statistics.median(wall_times(fresh_process("-c", "pass")))}
+
+
 def ladder(label):
     rungs = {}
     for name, build in RUNGS.items():
-        runs = process_times(build())
+        call = build()
+        if isinstance(call, list):
+            rungs[name] = cold_rung(call)
+            continue
+        runs = process_times(call)
         rungs[name] = {"best_s": round(min(runs), 6), "runs_s": [round(r, 6) for r in runs]}
     return {"label": label, "python": platform.python_version(),
             "repeats": REPEATS, "rungs": rungs}
@@ -193,7 +242,11 @@ def main(argv):
         json.dump(result, out, indent=2)
         out.write("\n")
     for name, rung in result["rungs"].items():
-        print("%-42s %.4f s" % (name, rung["best_s"]))
+        if "median_s" in rung:
+            print("%-42s %.4f s (python -c pass %.4f s)"
+                  % (name, rung["median_s"], rung["python_c_pass_s"]))
+        else:
+            print("%-42s %.4f s" % (name, rung["best_s"]))
 
 
 if __name__ == "__main__":
