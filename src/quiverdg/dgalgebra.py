@@ -28,9 +28,7 @@ from .linalg import (
     _cohomology_ranks,
     _cohomology_representatives,
     _kernel_basis,
-    cohomology_of_complex,
     native_scalars,
-    vec_add_term,
 )
 from .quiver import (
     Path,
@@ -166,27 +164,28 @@ class DgAlgebraPresentation:
 
     def d_of_element(self, element):
         """Free Leibniz extension of the generator differential (no
-        reduction), summed over the signed letter table by _leibniz_into."""
+        reduction), summed over the signed letter table by _leibniz_into.
+        The coefficients are taken in as native scalars, and the result
+        holds field scalars."""
+        native, public = self._scalars.native, self._scalars.public
         total = {}
         for word, coeff in element.terms.items():
-            self._leibniz_into(total, word.labels, coeff)
+            self._leibniz_into(total, word.labels, native(coeff))
         path = self.quiver.path
-        return PathAlgebraElement({path(labels): c for labels, c in total.items()})
+        return PathAlgebraElement({path(labels): public(c) for labels, c in total.items()})
 
-    def _leibniz_into(self, total, labels, coeff=None, native=False):
+    def _leibniz_into(self, total, labels, coeff=None):
         """Add coeff * d(w), for the word w with these labels, into total,
         which is keyed by label tuples, and return total; coeff None stands
-        for one and spares the multiplication.  Table coefficients enter as
-        field scalars, or as native ones with native=True, where coeff and
-        total hold native scalars too.
+        for one and spares the multiplication.  coeff, total and the table
+        coefficients hold native scalars.
 
         d(w) is the sum over the letters of w, left to right, of the word
         with that letter replaced by each term of its differential, in term
         order, with the table coefficient for the parity of the degree of
         the letters before it.  A sum that cancels to zero is dropped.
         """
-        signed, odd, public = self._signed, self._odd, self._scalars.public
-        add = self._scalars.add_term if native else vec_add_term
+        signed, odd, add = self._signed, self._odd, self._scalars.add_term
         parity = 0
         for i, label in enumerate(labels):
             terms = signed.get(label)
@@ -194,8 +193,6 @@ class DgAlgebraPresentation:
                 head, tail = labels[:i], labels[i + 1:]
                 for middle, c in terms[parity]:
                     key = head + middle + tail
-                    if not native:
-                        c = public(c)
                     if coeff is None and key not in total:
                         total[key] = c  # a table coefficient is nonzero and reduced
                     else:
@@ -293,7 +290,7 @@ class TruncatedDgAlgebra:
         self._by_labels = ids = {record[0]: i for i, record in enumerate(words) if record[0]}
         weights = presentation.weights
         for i, (labels, source, target, _, degree) in enumerate(words):
-            free = presentation._leibniz_into({}, labels, native=True)
+            free = presentation._leibniz_into({}, labels)
             col = {}
             for term, c in free.items():
                 k = ids.get(term)
@@ -515,7 +512,7 @@ class TruncatedDgAlgebra:
 
     def matrix_between(self, degree):
         """SparseMatrix of d from degree to degree+1 (ledgered columns zero)."""
-        return self._scalars.public_matrix(self._matrices(degree, degree)[degree])
+        return self._scalars.public_matrix(self._matrix(degree))
 
     def _position_columns(self, degree):
         """The columns of matrix_between(degree), as new {row: coeff} dicts
@@ -525,14 +522,12 @@ class TruncatedDgAlgebra:
         return [{} if columns[i] is None else {k - start: c for k, c in columns[i].items()}
                 for i in self._ids_in(degree)]
 
-    def _matrices(self, lo, hi):
-        """{degree: matrix_between(degree)} for lo..hi, in native scalars."""
-        matrices = {}
-        for degree in range(lo, hi + 1):
-            columns = self._position_columns(degree)
-            m = matrices[degree] = SparseMatrix(len(self._ids_in(degree + 1)), len(columns))
-            m.entries = {(k, j): c for j, col in enumerate(columns) for k, c in col.items()}
-        return matrices
+    def _matrix(self, degree):
+        """matrix_between(degree) in native scalars."""
+        columns = self._position_columns(degree)
+        m = SparseMatrix(len(self._ids_in(degree + 1)), len(columns))
+        m.entries = {(k, j): c for j, col in enumerate(columns) for k, c in col.items()}
+        return m
 
 
 def realize(presentation, window, weight_bound):
@@ -665,7 +660,7 @@ class CohomologyResult:
         t = self.truncation
         return {degree: _cohomology_representatives(
                     _kernel_basis(len(t.basis_by_degree.get(degree, ())),
-                                  t._matrices(degree, degree)[degree], t.field),
+                                  t._matrix(degree), t.field),
                     self._images[degree], t.field, dim) if dim else []
                 for degree, dim in self.dims.items()}
 
@@ -772,31 +767,6 @@ def _gate(ledger_degrees, safe_window, strict, overflow):
     if touched:
         raise UnsafeWindow(touched, "%s overflow at degrees %s inside window [%d, %d]"
                            % (overflow, touched, lo, hi))
-
-
-def _gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
-                      images=None, native=False):
-    """cohomology_of_complex of a truncated complex on a window, gated on its
-    ledger (see _gate).
-
-    c is a truncated complex (a TruncatedDgAlgebra or a bar complex): it
-    has a field and matrix_between(degree); ledger_degrees holds the degrees
-    of its differential ledger entries, and dims maps the complex's degrees
-    to their dimensions.  The matrices are those of degrees lo - 1 to hi;
-    with native=True they come from c._matrices(lo - 1, hi) in native
-    scalars.  Returns cohomology_of_complex's {degree: (dim, representative
-    vectors)}, and fills images as it does; like it, it raises
-    DSquaredNonzero, with a column index as the witness, when d o d is
-    nonzero into a window degree.
-    """
-    _gate(ledger_degrees, safe_window, strict, overflow)
-    lo, hi = safe_window
-    if native:
-        matrices = c._matrices(lo - 1, hi)
-    else:
-        matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
-    return cohomology_of_complex(dims, matrices, safe_window, c.field, images=images,
-                                 native=native)
 
 
 def cohomology(t, safe_window, strict=False):
@@ -941,7 +911,7 @@ def _h0_of_weight_slice(t):
     for degree in (-1, 0, 1):
         columns[degree] = [
             {position[term]: c
-             for term, c in p._leibniz_into({}, record[0], native=True).items()}
+             for term, c in p._leibniz_into({}, record[0]).items()}
             for record in words[degree]]
 
     def name(degree, k):

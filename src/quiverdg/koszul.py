@@ -29,13 +29,19 @@ from .dgalgebra import (
     InconsistentPresentation,
     OverflowEntry,
     UnsafeWindow,
-    _gated_cohomology,
+    _gate,
     _weight_homogeneous_relations,
     cohomology,
     realize,
 )
 from .fields import GroundField
-from .linalg import DSquaredNonzero, SparseMatrix, native_scalars, vec_add_term
+from .linalg import (
+    DSquaredNonzero,
+    SparseMatrix,
+    _cohomology_ranks,
+    native_scalars,
+    vec_add_term,
+)
 from .quiver import Arrow, PathAlgebraElement, QuiverPresentation
 
 
@@ -311,7 +317,9 @@ class BarComplex:
     matrix_between walks the two degrees it reads as (letter ids, vertex)
     keys and builds no word, and d_of builds the words of the one column it
     returns; both hand out Fraction or FpElement coefficients.
-    cohomology_dims walks each degree it reads once.
+    cohomology_dims runs only the ranks step of cohomology, on columns keyed
+    by position and built from the same keys, with each degree's keys
+    walked once per call; it takes no kernel and builds no matrix.
     """
 
     def __init__(self, t, word_bound, window):
@@ -402,34 +410,36 @@ class BarComplex:
     def matrix_between(self, degree):
         """SparseMatrix of d from degree to degree+1 (dropped columns zero),
         indexed on (letter ids, vertex) keys without building a word."""
-        return self._scalars.public_matrix(self._matrices(degree, degree)[degree])
+        target = self._trie.keys_of_degree(degree + 1)
+        columns = self._position_columns(self._trie.keys_of_degree(degree), target)
+        m = SparseMatrix(len(target), len(columns))
+        m.entries = {(k, j): c for j, col in enumerate(columns) for k, c in col.items()}
+        return self._scalars.public_matrix(m)
 
-    def _matrices(self, lo, hi):
-        """{degree: matrix_between(degree)} for lo..hi, in native scalars;
-        each degree's keys are walked once."""
-        keys = {d: self._trie.keys_of_degree(d) for d in range(lo, hi + 2)}
-        matrices = {}
-        for degree in range(lo, hi + 1):
-            source = keys[degree]
-            row = {key: i for i, key in enumerate(keys[degree + 1])}
-            m = matrices[degree] = SparseMatrix(len(row), len(source))
-            for j, (ids, vertex) in enumerate(source):
-                for u, c in self._by_ids.get(ids, {}).items():
-                    m.set(row[u, vertex], j, c)
-        return matrices
+    def _position_columns(self, source, target):
+        """The columns of d out of the words with keys source, as new {row:
+        coeff} dicts in native scalars, the rows being positions in the key
+        list target; a dropped word's column is empty."""
+        row = {key: i for i, key in enumerate(target)}
+        by_ids = self._by_ids
+        return [{row[u, vertex]: c for u, c in by_ids.get(ids, {}).items()}
+                for ids, vertex in source]
 
     def cohomology_dims(self, safe_window, strict=False):
         """{degree: dim H} on the window, gated on the ledger as cohomology
         is; d*d was checked at construction.
 
-        It runs cohomology_of_complex, both steps, on the native matrices:
-        the ranks step gives the dims, and rank d_hi is read off the kernel
-        of d_hi.  The other kernels are taken only for degrees whose dim H
-        is nonzero, and the representatives they give are dropped.
+        It runs the gate and the ranks step of cohomology alone, with
+        rank d_hi read off the column space of d_hi, so it takes no kernel
+        and builds no matrix.
         """
-        raw = _gated_cohomology(self, self.all_dims(), self._ledger_degrees,
-                                safe_window, strict, "bar truncation", native=True)
-        return {d: dim for d, (dim, _) in raw.items()}
+        _gate(self._ledger_degrees, safe_window, strict, "bar truncation")
+        lo, hi = safe_window
+        keys = {d: self._trie.keys_of_degree(d) for d in range(lo - 1, hi + 2)}
+        dims, _ = _cohomology_ranks(
+            self.all_dims(), lambda i: self._position_columns(keys[i], keys[i + 1]),
+            safe_window, self.field)
+        return dims
 
 
 def bar(t, word_bound, window):

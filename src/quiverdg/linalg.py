@@ -17,9 +17,9 @@ on native scalars; so do the truncation's columns and product memo, the bar
 complex's letter table and columns, and FiniteDimAlgebra.mul.  Inputs may
 hold any scalars the field coerces, and everything handed out holds
 Fraction or FpElement entries, except where a caller in this package asks
-for native matrices and vectors (native=True).  A native run performs the
-same operations in the same order as the public scalars would, so every
-zero test, pivot and key order is the same.
+kernel_image for a native matrix and kernel (native=True).  A native run
+performs the same operations in the same order as the public scalars would,
+so every zero test, pivot and key order is the same.
 """
 
 from __future__ import annotations
@@ -65,13 +65,10 @@ def vec_axpy(out, coeff, vec):
 class SparseMatrix:
     """A rows-by-cols matrix storing only nonzero entries."""
 
-    def __init__(self, rows, cols, entries=None):
+    def __init__(self, rows, cols):
         self.rows = rows
         self.cols = cols
         self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                self.set(r, c, v)
 
     def set(self, r, c, v):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
@@ -80,9 +77,6 @@ class SparseMatrix:
             self.entries[(r, c)] = v
         else:
             self.entries.pop((r, c), None)
-
-    def get(self, r, c):
-        return self.entries.get((r, c))
 
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
@@ -103,12 +97,6 @@ class SparseMatrix:
                 out[r] = s
             else:
                 out.pop(r, None)
-        return out
-
-    def transpose(self):
-        out = SparseMatrix(self.cols, self.rows)
-        for (r, c), v in self.entries.items():
-            out.set(c, r, v)
         return out
 
 
@@ -513,46 +501,13 @@ def kernel_image(matrix, field, native=False):
     return kernel, len(space.pivot_index)
 
 
-def image_basis(matrix, field):
-    """A reduced basis of the column space, as vectors in k^rows."""
-    space = RowSpace(field)
-    for col in matrix.columns():
-        if col:
-            space.add(col)
-    return [space.row(n) for n in range(space.rank)]
-
-
-class GradedVectorSpace:
-    """Finite-dimensional graded vector space: labeled basis per degree."""
-
-    def __init__(self, basis_by_degree=None):
-        self.basis = {d: list(labels) for d, labels in (basis_by_degree or {}).items() if labels}
-
-    def dim(self, degree):
-        return len(self.basis.get(degree, ())) if degree in self.basis else 0
-
-    def dims(self):
-        return {d: len(labels) for d, labels in sorted(self.basis.items())}
-
-    def degrees(self):
-        return sorted(self.basis)
-
-    def shift(self, amount=1):
-        """Degree shift by [amount]: an element of degree i lands in degree i - amount."""
-        return GradedVectorSpace({d - amount: labels for d, labels in self.basis.items()})
-
-    def total_dim(self):
-        return sum(len(labels) for labels in self.basis.values())
-
-
-def cohomology_of_complex(dims, differentials, window, field, images=None, native=False):
+def cohomology_of_complex(dims, differentials, window, field, images=None):
     """Cohomology of a complex from per-degree dimensions and differentials.
 
     dims: {degree: dimension}; differentials: {i: SparseMatrix from degree i
     to i+1}.  Degrees absent from dims are zero.  Returns {degree: (dim H,
-    representative cocycles)} for degrees in window.  With native=True the
-    matrices hold native scalars of the field, and so do the
-    representatives; otherwise both hold field scalars.
+    representative cocycles)} for degrees in window, the representatives
+    with field scalars.
 
     It runs both steps.  The ranks step (_cohomology_ranks) builds each
     window degree's image RowSpace, checks d o d and reads every dim H off
@@ -568,9 +523,8 @@ def cohomology_of_complex(dims, differentials, window, field, images=None, nativ
     if lo > hi:
         raise ValueError("empty window [%s, %s]" % (lo, hi))
     scalars = native_scalars(field)
-    if not native:
-        differentials = {i: scalars.native_matrix(m) for i, m in differentials.items()
-                         if lo - 1 <= i <= hi}
+    differentials = {i: scalars.native_matrix(m) for i, m in differentials.items()
+                     if lo - 1 <= i <= hi}
     top_kernel = _kernel_basis(dims.get(hi, 0), differentials.get(hi), field)
 
     def columns_of(i):
@@ -588,8 +542,7 @@ def cohomology_of_complex(dims, differentials, window, field, images=None, nativ
             kernel = top_kernel if i == hi else _kernel_basis(
                 dims.get(i, 0), differentials.get(i), field)
             reps = _cohomology_representatives(kernel, built[i], field, h[i])
-            if not native:
-                reps = [scalars.public_vec(vec) for vec in reps]
+            reps = [scalars.public_vec(vec) for vec in reps]
         result[i] = (h[i], reps)
     return result
 

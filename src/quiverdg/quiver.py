@@ -118,9 +118,6 @@ class QuiverPresentation:
     def path_degree(self, path):
         return sum(self._by_name[name].degree for name in path.labels)
 
-    def out_arrows(self, vertex):
-        return [a for a in self.arrows if a.source == vertex]
-
 
 class PathAlgebraElement:
     """A finite k-linear combination of paths; zero coefficients are dropped."""

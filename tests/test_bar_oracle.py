@@ -17,6 +17,12 @@ only the letter table, BarWord and the cohomology gate.  On every draw:
 - or, when the reference raises DSquaredNonzero, the same degree and
   witness word.
 
+The reference's cohomology_dims runs ref_gated_cohomology, a copy of the
+gated cohomology on public matrices that bar complexes ran before
+cohomology_dims took the ranks step alone: the gate, then
+cohomology_of_complex, both steps, on matrix_between of degrees lo - 1 to
+hi.
+
 Random presentations live on one to three vertices over Q, F_5 and F_101.
 One to three closed arrows in degrees -2..1, weighing 1 or 2, and one or
 two arrows whose differentials are combinations of closed paths of length
@@ -38,12 +44,12 @@ from quiverdg.dgalgebra import (
     DgAlgebraPresentation,
     OverflowEntry,
     UnsafeWindow,
-    _gated_cohomology,
+    _gate,
     realize,
 )
 from quiverdg.fields import GroundField
 from quiverdg.koszul import BarWord, _LetterTable, bar
-from quiverdg.linalg import DSquaredNonzero, SparseMatrix, vec_add_term
+from quiverdg.linalg import DSquaredNonzero, SparseMatrix, cohomology_of_complex, vec_add_term
 from quiverdg.quiver import Arrow, PathAlgebraElement, QuiverPresentation, enumerate_paths
 
 FIELDS = (GroundField(0), GroundField(5), GroundField(101))
@@ -51,6 +57,17 @@ COEFFS = (1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3))
 WORDS = 1500
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def ref_gated_cohomology(c, dims, ledger_degrees, safe_window, strict, overflow,
+                         images=None):
+    """cohomology_of_complex of a truncated complex c on a window, gated on
+    its ledger, on the public matrices c.matrix_between of degrees lo - 1 to
+    hi; fills images as cohomology_of_complex does."""
+    _gate(ledger_degrees, safe_window, strict, overflow)
+    lo, hi = safe_window
+    matrices = {d: c.matrix_between(d) for d in range(lo - 1, hi + 1)}
+    return cohomology_of_complex(dims, matrices, safe_window, c.field, images=images)
 
 
 class EagerBar:
@@ -164,8 +181,8 @@ class EagerBar:
 
     def cohomology_dims(self, safe_window, strict):
         ledger_degrees = {e.degree for e in self.differential_ledger}
-        raw = _gated_cohomology(self, self.all_dims(), ledger_degrees, safe_window,
-                                strict, "bar truncation")
+        raw = ref_gated_cohomology(self, self.all_dims(), ledger_degrees, safe_window,
+                                   strict, "bar truncation")
         return {d: dim for d, (dim, _) in raw.items()}
 
 

@@ -19,17 +19,24 @@ inhomogeneous relations) or when the coalgebra is not conilpotent; a
 window that a dual's ledger meets is counted too, and both duals must then
 raise UnsafeWindow at the same degrees.  The last test prints the counts
 of one run (pytest -s).
+
+The two paths stay separate because they do not accept the same inputs: a
+plain test pins an augmented truncation that dual_bar dualizes and
+dual_coalgebra rejects as not conilpotent, so building dual_bar as
+cobar(dual_coalgebra(t)) would change an answer.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quiverdg.dgalgebra import (
     DgAlgebraPresentation,
     InconsistentPresentation,
+    TruncatedDgAlgebra,
     UnsafeWindow,
     cohomology,
     realize,
@@ -116,3 +123,19 @@ def test_the_draws_compare_cohomology():
         test_cobar_of_the_dual_coalgebra_has_the_dual_bar_cohomology()
     print(dict(SEEN))
     assert SEEN["compared"]
+
+
+def test_dual_bar_dualizes_what_the_dual_coalgebra_rejects():
+    # a*a = a: the letter [a] splits as [a] (x) [a], which does not descend
+    # in weight, so the dual coalgebra is not conilpotent; dual_bar writes
+    # the dual of the product into its differential all the same
+    q = QuiverPresentation(("v",), (Arrow("a", "v", "v", 0),))
+    a = PathAlgebraElement.from_path(q.path(["a"]))
+    idempotent = PathAlgebraElement.from_path(q.path(["a", "a"])) - a
+    t = realize(DgAlgebraPresentation(("v",), q.arrows, relations=(idempotent,)), (0, 0), 3)
+    dual = dual_bar(t, 3, (0, 3))
+    assert isinstance(dual, TruncatedDgAlgebra)
+    assert dual.dims() == {0: 1, 1: 1, 2: 1, 3: 1}
+    with pytest.raises(NotConilpotent) as err:
+        dual_coalgebra(t)
+    assert str(err.value) == "splitting [a] -> [a] (x) [a] does not descend in weight"

@@ -1,7 +1,8 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
-rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the A5
-realize rung, the F_101 verify_differential rung, the local-factors rung and
-the Koszul pair rung run here, to keep the suite fast."""
+rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
+cohomology_dims rung, the A5 realize rung, the F_101 verify_differential
+rung, the local-factors rung and the Koszul pair rung run here, to keep the
+suite fast."""
 
 import importlib.util
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "elimination_ladder.py"
 RUNG = "cohomology/3-cycle-cy3/L6"
 BAR_RUNG = "bar/3-cycle-cy3-F101-L2/5-letters"
+BAR_DIMS_RUNG = "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters"
 REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
@@ -50,6 +52,12 @@ def test_the_bar_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(BAR_RUNG, tmp_path, monkeypatch)
     dims, ledger = load_tool().RUNGS[BAR_RUNG]()()
     assert (sum(dims.values()), ledger) == (58824, 58620)
+
+
+def test_the_bar_cohomology_dims_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(BAR_DIMS_RUNG, tmp_path, monkeypatch)
+    dims = load_tool().RUNGS[BAR_DIMS_RUNG]()()
+    assert dims == {-6: 0, -5: 0, -4: 0, -3: 0, -2: 0, -1: 0, 0: 84}
 
 
 def test_the_realize_rung_writes_its_json(tmp_path, monkeypatch):

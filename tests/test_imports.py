@@ -4,6 +4,11 @@ No linter ships with the project, so this ast walk is the unused-import
 check.  A name counts as used when it is loaded anywhere in the module or
 listed in the module's __all__.  An import line marked `# noqa: F401` is an
 intentional re-export and is exempt.
+
+The same walk finds code with no caller: a module-level function or class
+that no name or attribute anywhere in src refers to outside its own body,
+that is not in quiverdg.__all__ and is not a dunder.  NO_CALLER_IN_SRC lists
+the ones that stay, each with its reason.
 """
 
 import ast
@@ -57,3 +62,52 @@ def test_the_check_sees_an_unused_import():
     unused = [name for name, _ in imported_names(tree, source.splitlines())
               if name not in used_names(tree)]
     assert unused == ["SpanSolver"]
+
+
+# Module-level functions and classes that no code in src refers to but that
+# stay, each with its reason.
+NO_CALLER_IN_SRC = {
+    "ginzburg.build_rn": "tests/test_ginzburg.py checks rn_presentation against it: "
+                         "R_n's structure constants read straight off the multiplication law",
+    "linalg.cohomology_of_complex": "cohomology of a complex given as matrices, both steps; "
+                                    "perfbench/tracer.py wraps it, and tests use it as API "
+                                    "and as the reference for the truncated paths",
+    "quiver.enumerate_paths": "perfbench/tracer.py wraps it, and the oracle tests walk "
+                              "paths with it",
+}
+
+
+def names_without_a_caller(sources):
+    """"module.name" of each module-level function or class in sources
+    ({module: source}) that no ast.Name or ast.Attribute refers to outside
+    its own body, dunders left out."""
+    definitions, references = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        definitions += [(module, node) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                             ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append((module, node))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append((module, node))
+    found = []
+    for module, definition in definitions:
+        name = definition.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(where != module or id(node) not in own
+                   for where, node in references.get(name, ())):
+            found.append("%s.%s" % (module, name))
+    return found
+
+
+def test_every_module_level_name_has_a_caller():
+    import quiverdg
+
+    sources = {path.stem: path.read_text() for path in MODULES}
+    found = [name for name in names_without_a_caller(sources)
+             if name.split(".")[1] not in quiverdg.__all__ and name not in NO_CALLER_IN_SRC]
+    assert not found, "no caller in src: " + ", ".join(found)

@@ -28,7 +28,8 @@ up to 3, so the ledger often meets the window) and test_d_squared_oracle's
 (one vertex over Q and F_5, differentials that chain, so d o d often fails).
 
 Two plain tests count calls of linalg.kernel_image: callers that read only
-dims take no kernel, and reading representatives does.
+dims take no kernel, BarComplex.cohomology_dims among them, and reading
+representatives does.
 """
 
 from collections import Counter
@@ -51,7 +52,7 @@ from quiverdg.dgalgebra import (
 )
 from quiverdg.fields import GroundField
 from quiverdg.ginzburg import cy_completion, verify_koszul_pair
-from quiverdg.koszul import completeness_report
+from quiverdg.koszul import bar, completeness_report
 from quiverdg.linalg import DSquaredNonzero, RowSpace, kernel_image, native_scalars
 from quiverdg.quiver import Arrow, PathAlgebraElement, QuiverPresentation
 
@@ -309,6 +310,8 @@ def test_callers_that_read_dims_take_no_kernel(kernel_calls):
     result = cohomology(t, (-6, 0))
     assert result.dims == {-6: 3, -5: 6, -4: 9, -3: 12, -2: 15, -1: 18, 0: 21}
     assert classify(t)["connective"]["value"]
+    b = bar(realize(square_zero(0), (0, 0), 2), 3, (-3, 0))
+    assert b.cohomology_dims((-3, 0)) == {-3: 1, -2: 1, -1: 1, 0: 1}
     assert kernel_calls == []
     # the representatives take the kernel of each degree's differential,
     # once, on first read

@@ -75,7 +75,5 @@ def test_bar_cohomology_records_its_spans():
     finally:
         tracer.uninstall()
     assert dims == {-3: 1, -2: 1, -1: 1, 0: 1}
-    names = [span[0] for span in tracer.spans]
-    assert names[0] == "koszul.cohomology_dims"
-    assert "linalg.cohomology_of_complex" in names
-    assert "linalg.kernel_image" in names
+    # the bar path runs the ranks step alone: no kernel, no matrix
+    assert [span[0] for span in tracer.spans] == ["koszul.cohomology_dims"]

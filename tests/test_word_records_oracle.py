@@ -55,7 +55,8 @@ def ref_enumerate_paths(quiver, bound, weights=None):
     for name, w in weights.items():
         if w < 1:
             raise ValueError("arrow weight for %s must be positive" % name)
-    out_by_vertex = {v: sorted(quiver.out_arrows(v), key=lambda a: a.name)
+    out_by_vertex = {v: sorted((a for a in quiver.arrows if a.source == v),
+                               key=lambda a: a.name)
                      for v in quiver.vertices}
     found = []
     stack = [(quiver.trivial(v), 0) for v in sorted(quiver.vertices)]
@@ -160,7 +161,7 @@ def ref_truncation(p, bound):
     ids = {w.labels: i for i, w in enumerate(words) if w.labels}
     columns, ledger = [], []
     for i, word in enumerate(words):
-        free = p._leibniz_into({}, word.labels)
+        free = {labels: p.field.of(c) for labels, c in p._leibniz_into({}, word.labels).items()}
         col = {}
         for labels, c in free.items():
             k = ids.get(labels)

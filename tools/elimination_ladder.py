@@ -20,6 +20,10 @@ rungs, over Q unless stated:
 - bar at 5 and 6 letters of the same 3-cycle completion over F_101,
   realized on (-40, 8) at L = 2, then its all_dims() and the length of its
   differential ledger (58,824 and 411,771 words);
+- cohomology_dims on (-6, 0) of the bar at 6 letters of R_2 of the 3-cycle
+  (rn_presentation) over F_101, realized on (-8, 8) at L = 2, as the
+  benchmark's duals-relations-cli workload runs it; the bar is built before
+  the clock starts;
 - verify_differential of the rank-3 completion of the 3-cycle realized on
   (-8, 0) at L = 8, over Q and over F_101 (5,043 words, 36,969 pairs);
 - decompose_commutative of k[x]/(m), m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2,
@@ -68,6 +72,7 @@ from quiverdg import (
     verify_differential,
     verify_koszul_pair,
 )
+from quiverdg.ginzburg import rn_presentation
 
 REPEATS = 5
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -131,6 +136,12 @@ def cycle_bar(letters):
     return call
 
 
+def r2_bar_cohomology_dims():
+    t = realize(rn_presentation(three_cycle(), 2, field=GroundField(101)), (-8, 8), 2)
+    b = bar(t, 6, (-8, 8))
+    return lambda: b.cohomology_dims((-6, 0))
+
+
 def cycle_verify(field):
     t = realize(cy_completion(three_cycle(), 3, field=field), (-8, 0), 8)
     return lambda: verify_differential(t)
@@ -184,6 +195,7 @@ RUNGS = {
     "realize/3-cycle-cy3/L8": cycle_realize,
     "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
     "bar/3-cycle-cy3-F101-L2/6-letters": lambda: cycle_bar(6),
+    "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters": r2_bar_cohomology_dims,
     "verify_differential/3-cycle-cy3/L8": lambda: cycle_verify(GroundField(0)),
     "verify_differential/3-cycle-cy3-F101/L8": lambda: cycle_verify(GroundField(101)),
     "decompose_commutative/five-local-factors": local_factors,
