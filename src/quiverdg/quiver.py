@@ -2,8 +2,9 @@
 
 Composition reads left to right: in a product p*q the path p is traversed
 first, so p*q is nonzero exactly when target(p) == source(q).  Monomials are
-ordered by (length, labels); elimination prefers to rewrite the heaviest
-monomial of a relation, so normal forms are supported on short paths.
+ordered by (weight, labels), the weight of a path being the sum of its arrow
+weights; reduction modulo relations rewrites the heaviest monomial of an
+element of the ideal, so normal forms are supported on light paths.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .fields import GroundField
-from .linalg import RowSpace, vec_add_term
+from .linalg import native_scalars, vec_add_term
 
 
 class UnknownArrow(Exception):
@@ -60,7 +61,7 @@ def concat(p, q):
 
 
 def monomial_key(path):
-    """Sort key; elimination uses the reverse of this order for pivots."""
+    """Sort key of the terms a PathAlgebraElement prints: (length, labels)."""
     return (len(path.labels), path.labels)
 
 
@@ -277,6 +278,15 @@ def _checked_weights(quiver, weights):
     return weights
 
 
+def _out_arrows(quiver, weights):
+    """{vertex: [(name, target, weight, degree)]} of the arrows out of each
+    vertex, in name order: the order in which the walks extend a word."""
+    out = {v: [] for v in quiver.vertices}
+    for a in sorted(quiver.arrows, key=lambda a: a.name):
+        out[a.source].append((a.name, a.target, weights[a.name], a.degree))
+    return out
+
+
 def _word_records(quiver, bound, weights=None):
     """Yield a record (labels, source, target, weight, degree) for every path
     of weight <= bound, depth first.
@@ -288,9 +298,7 @@ def _word_records(quiver, bound, weights=None):
     walk's vertex order among themselves.
     """
     weights = _checked_weights(quiver, weights)
-    out = {v: [] for v in quiver.vertices}
-    for a in sorted(quiver.arrows, key=lambda a: a.name):
-        out[a.source].append((a.name, a.target, weights[a.name], a.degree))
+    out = _out_arrows(quiver, weights)
     stack = [((), v, v, 0, 0) for v in sorted(quiver.vertices)]
     while stack:
         record = stack.pop()
@@ -319,26 +327,27 @@ def enumerate_paths(quiver, bound, weights=None):
 
 
 class QuotientBasis:
-    """Monomial basis of a path algebra modulo relations, up to a length bound.
+    """Monomial basis of a path algebra modulo relations, up to a weight bound.
 
-    `basis` lists the surviving paths in (length, labels) order; `reduce`
-    rewrites any element supported in lengths <= bound to its normal form on
+    `basis` lists the surviving paths in (weight, labels) order; `reduce`
+    rewrites any element supported in weights <= bound to its normal form on
     that basis.  _records holds the word record of each basis path, in the
-    same order.  The path -> column index that reduce needs is built on the
-    first call, so a caller that never reduces never hashes a path.
+    same order.  A word off the basis is rewritten by the truncated Groebner
+    basis of reduce_modulo_relations (empty without relations).  reduce
+    keeps the row of each path it meets for the life of the basis, so a
+    caller that never reduces never hashes a path.
     """
 
-    def __init__(self, quiver, length_bound, field, weights, words, rows, records, basis):
+    def __init__(self, quiver, length_bound, field, weights, records, basis, rewriting):
         self.quiver = quiver
         self.length_bound = length_bound
         self.field = field
         self.weights = weights
         self.basis = basis
         self._records = records
-        self._words = words  # every word record, in column order
-        self._rows = rows
-        self._column_of = None
-        self._path_at = None
+        self._rewriting = rewriting
+        self._scalars = rewriting.scalars
+        self._rows = {}  # path -> (weight, row), row None on a basis path
 
     def __len__(self):
         return len(self.basis)
@@ -346,40 +355,196 @@ class QuotientBasis:
     def weight_of(self, path):
         return sum(self.weights[name] for name in path.labels)
 
-    def _index(self):
-        """Build the column -> path list and the path -> column dict, reusing
-        the basis paths."""
-        path_of = {record[:2]: p for record, p in zip(self._records, self.basis)}
-        self._path_at = [path_of[record[:2]] if record[:2] in path_of else Path(*record[:3])
-                         for record in self._words]
-        self._column_of = {p: i for i, p in enumerate(self._path_at)}
+    def _row(self, path):
+        """(weight, row) of a word of weight <= bound, or None when path is
+        not such a word.  row is None for a basis word; for any other word it
+        is the word minus its normal form, keyed by paths, the word first
+        with coefficient one and the normal form heaviest first."""
+        found = self._rows.get(path)
+        if found is not None:
+            return found
+        try:
+            if self.quiver.path(path.labels, base=path.source) != path:
+                return None
+        except (UnknownArrow, ValueError):
+            return None
+        weight = self.weight_of(path)
+        if weight > self.length_bound:
+            return None
+        rewriting, row = self._rewriting, None
+        if rewriting.find(path.labels, self.length_bound - weight) is not None:
+            neg = self._scalars.neg
+            row = {path: 1}
+            for term, c in rewriting.rewrite({path.labels: 1}, self.length_bound).items():
+                row[Path(term, path.source, path.target)] = neg(c)
+        found = self._rows[path] = (weight, row)
+        return found
 
     def reduce(self, element):
-        if self._column_of is None:
-            self._index()
-        vec = {}
+        """The normal form of element.  It subtracts, heaviest off-basis path
+        first, the coefficient times that path minus its normal form, so the
+        terms keep the element's order and new ones follow in the order they
+        arise."""
+        scalars = self._scalars
+        out = {}
+        pivots = []
         for path, coeff in element.terms.items():
-            col = self._column_of.get(path)
-            if col is None:
+            found = self._row(path)
+            if found is None:
                 raise ValueError(
                     "path %s exceeds the length bound %d" % (path, self.length_bound))
-            vec[col] = coeff
-        residue = self._rows.reduce(vec)
-        return PathAlgebraElement({self._path_at[i]: c for i, c in residue.items()})
+            out[path] = scalars.native(coeff)
+            if found[1] is not None:
+                pivots.append((found[0], path.labels, path, found[1]))
+        if pivots:
+            axpy = scalars.axpy
+            for _, _, path, row in sorted(pivots, key=itemgetter(0, 1), reverse=True):
+                axpy(out, -out[path], row)
+        return PathAlgebraElement(scalars.public_vec(out))
+
+
+class _Rewriting:
+    """The Groebner basis of reduce_modulo_relations, truncated at weight
+    `bound`, as rewriting rules on label tuples in native scalars.
+
+    Positive weights make (weight, labels) a monomial order.  Each element g
+    is monic in its leading word LM(g) and carries a sugar: a relation
+    starts at its heaviest weight, u*g*v has w(u) + sugar(g) + w(v), and a
+    combination has the largest sugar of its parts, so every term of g
+    weighs at most its sugar.  Rewriting at level D subtracts c*u*g*v for an
+    occurrence u LM(g) v of weight at most D - slack_g, which keeps within
+    the span of the products u*r*v of sugar at most D.  With a central
+    variable t of weight one, g stands for its homogenisation of degree
+    sugar(g), and this is the degree-truncated Buchberger algorithm
+    (Bergman's diamond lemma; Green for path algebras).
+    """
+
+    def __init__(self, relations, bound, weights, scalars):
+        self.bound = bound
+        self.weights = weights
+        self.scalars = scalars
+        self.rules = {}  # leading word -> (slack, monic element)
+        self.lengths = []  # distinct lengths of the leading words, ascending
+        pending = {}  # sugar -> relations and pairs to reduce at that level
+        for r in relations:
+            sugar = max(map(self.weight, r))
+            if sugar <= bound:
+                pending.setdefault(sugar, []).append(r)
+        for level in range(1, bound + 1):
+            for item in pending.pop(level, ()):
+                if isinstance(item, tuple):
+                    (u1, g1, v1), (u2, g2, v2) = item
+                    f = {}
+                    self._spread(f, 1, u1, g1, v1)
+                    self._spread(f, -1, u2, g2, v2)
+                else:
+                    f = dict(item)
+                f = self.rewrite(f, level)
+                if f:
+                    self._add(f, level, pending)
+
+    def weight(self, labels):
+        return sum(map(self.weights.__getitem__, labels))
+
+    def _key(self, labels):
+        return (self.weight(labels), labels)
+
+    def _spread(self, out, coeff, u, element, v):
+        """out += coeff * u * element * v."""
+        add_term = self.scalars.add_term
+        for term, c in element.items():
+            add_term(out, u + term + v, coeff * c)
+
+    def find(self, labels, room):
+        """(u, g, v) for the first occurrence u LM(g) v = labels with
+        slack_g <= room, or None."""
+        rules, n = self.rules, len(labels)
+        for i in range(n):
+            for k in self.lengths:
+                if i + k > n:
+                    break
+                rule = rules.get(labels[i:i + k])
+                if rule is not None and rule[0] <= room:
+                    return labels[:i], rule[1], labels[i + k:]
+        return None
+
+    def rewrite(self, f, level):
+        """Rewrite the native vector f (label tuple -> coeff), all of its
+        terms weighing at most level, heaviest term first until no term is a
+        leading word at that level; returns the result heaviest first.  f is
+        consumed."""
+        add_term, done = self.scalars.add_term, {}
+        while f:
+            m = max(f, key=self._key)
+            c = f.pop(m)
+            hit = self.find(m, level - self.weight(m))
+            if hit is None:
+                done[m] = c
+                continue
+            u, g, v = hit
+            for term, a in g.items():
+                word = u + term + v
+                if word != m:
+                    add_term(f, word, -c * a)
+        return done
+
+    def _add(self, f, sugar, pending):
+        """Store the reduced nonzero f, heaviest first, as a monic element of
+        the given sugar, and queue its pairs with every element, itself
+        included, whose sugar fits the bound.  A pair's sugar exceeds the
+        sugar of both its elements, so at the bound there is none."""
+        lead = next(iter(f))
+        g = self.scalars.scaled(f, f[lead])
+        slack = sugar - self.weight(lead)
+        self.rules[lead] = (slack, g)
+        if len(lead) not in self.lengths:
+            self.lengths = sorted(self.lengths + [len(lead)])
+        if sugar == self.bound:
+            return
+        for other, (other_slack, h) in list(self.rules.items()):
+            extra = max(slack, other_slack)
+            for word, left, right in _pairs(lead, g, other, h):
+                level = self.weight(word) + extra
+                if level <= self.bound:
+                    pending.setdefault(level, []).append((left, right))
+
+
+def _pairs(lead, g, other, h):
+    """(word, (u1, g1, v1), (u2, g2, v2)) with u1 LM(g1) v1 = word = u2 LM(g2)
+    v2, for each overlap of the leading words lead and other (a proper
+    suffix of one begins the other) and each inclusion of one in the
+    other."""
+    orders = [(other, h, lead, g)] if other == lead else [(other, h, lead, g), (lead, g, other, h)]
+    for a, ga, b, gb in orders:
+        for k in range(1, min(len(a), len(b))):
+            if a[-k:] == b[:k]:
+                yield a + b[k:], ((), ga, b[k:]), (a[:-k], gb, ())
+        if a != b:
+            for i in range(len(a) - len(b) + 1):
+                if a[i:i + len(b)] == b:
+                    yield a, ((), ga, ()), (a[:i], gb, a[i + len(b):])
 
 
 def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights=None):
     """Quotient basis of kQ/(relations) restricted to path weight <= bound.
 
-    With the default weights (1 per arrow) the bound is a length bound.
-    Spans every product u*r*v whose heaviest term fits inside the bound and
-    eliminates.  For relations whose terms all share one weight the count is
-    exactly the dimension of the weightwise quotient; for mixed-weight
-    relations it is the filtered count described by that same product span.
-    Relations must be vertex-homogeneous with every term of length >= 1
-    (the ideal must miss the span of the trivial paths).  The words come
-    from one walk of the quiver as label-tuple records; with no relations
-    every word is a basis word and no column index is built.
+    With the default weights (1 per arrow) the bound is a length bound.  The
+    quotient is kQ_{<=L} modulo the span V_L of every product u*r*v whose
+    heaviest term fits the bound L.  For relations whose terms all share one
+    weight the count is exactly the dimension of the weightwise quotient;
+    for mixed-weight relations it is the filtered count described by that
+    same product span.  Relations must be vertex-homogeneous with every term
+    of length >= 1 (the ideal must miss the span of the trivial paths).
+
+    V_L is not spanned: a Groebner basis of it in the (weight, labels) order
+    is computed by Buchberger's algorithm on overlap and inclusion pairs,
+    in order of sugar, keeping only steps whose sugar fits L.  Each element
+    g carries slack_g = sugar(g) - weight(LM(g)), and a word w of weight <=
+    L is a leading word of V_L, so off the basis, exactly when it contains
+    some LM(g) with slack_g <= L - weight(w).  The basis words come from one
+    walk of the quiver that does not extend a word containing a leading
+    word of slack 0, since every extension within the bound contains it
+    too.  With no relations every word is a basis word.
 
     Coefficients are reduced into the field before a relation's heaviest
     weight is taken.  For integer relations the basis over F_p is at least
@@ -392,9 +557,7 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
         raise ValueError("length bound must be >= 0")
     field = field if field is not None else GroundField(0)
     weights = _checked_weights(quiver, weights)
-
-    def term_weight(path):
-        return sum(weights[name] for name in path.labels)
+    scalars = native_scalars(field)
 
     cleaned = []
     for r in relations:
@@ -410,48 +573,41 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
             raise ValueError("relations must be vertex-homogeneous: %r" % (element,))
         if any(p.is_trivial() for p in terms):
             raise ValueError("relation terms must have length >= 1: %r" % (element,))
-        cleaned.append(element)
+        cleaned.append({p.labels: scalars.native(c) for p, c in terms.items()})
 
-    records = sorted(_word_records(quiver, length_bound, weights), key=_ascending)
-    # Columns number the words heaviest first, so elimination pivots on a
-    # relation's heaviest term; the trivial paths, which lead the ascending
-    # records and which no relation touches, take the last columns in their
-    # ascending order.
-    trivial = len(quiver.vertices)
-    words = records[trivial:][::-1] + records[:trivial]
-    rows = RowSpace(field)
-    if cleaned:
-        column_of = {record[0]: i for i, record in enumerate(words[:len(words) - trivial])}
-        # words by endpoint, each list ascending, so weights ascend in it
-        by_source = {}
-        by_target = {}
-        for labels, source, target, weight, _ in records:
-            by_source.setdefault(source, []).append((labels, weight))
-            by_target.setdefault(target, []).append((labels, weight))
-        for r in cleaned:
-            src, tgt = r.endpoints()
-            heaviest = max(term_weight(p) for p in r.terms)
-            terms = [(t.labels, c) for t, c in r.terms.items()]
-            for u, u_weight in by_target.get(src, ()):
-                room = length_bound - u_weight - heaviest
-                if room < 0:
-                    break
-                for v, v_weight in by_source.get(tgt, ()):
-                    if v_weight > room:
-                        break
-                    vec = {}
-                    for t, c in terms:
-                        col = column_of[u + t + v]
-                        s = vec.get(col)
-                        s = c if s is None else s + c
-                        if s:
-                            vec[col] = s
-                        else:
-                            vec.pop(col, None)
-                    if vec:
-                        rows.add(vec)
-        kept = [record for i, record in enumerate(words) if i not in rows.pivot_index]
-        split = len(kept) - trivial
-        records = kept[split:] + kept[:split][::-1]
+    rewriting = _Rewriting(cleaned, length_bound, weights, scalars)
+    if not rewriting.rules:
+        records = _word_records(quiver, length_bound, weights)
+    else:
+        records = _normal_words(quiver, length_bound, weights, rewriting)
+    records = sorted(records, key=_ascending)
     basis = [Path(labels, source, target) for labels, source, target, _, _ in records]
-    return QuotientBasis(quiver, length_bound, field, weights, words, rows, records, basis)
+    return QuotientBasis(quiver, length_bound, field, weights, records, basis, rewriting)
+
+
+def _normal_words(quiver, bound, weights, rewriting):
+    """The records, in _word_records's form, of the words of weight <= bound
+    that contain no leading word LM(g) with slack_g <= bound - weight.  The
+    walk carries the least slack of a leading word in each word and extends
+    a word only while that slack is above 0."""
+    out = _out_arrows(quiver, weights)
+    rules, lengths = rewriting.rules, rewriting.lengths
+    unseen = bound + 1  # above every slack that can matter
+    stack = [((), v, v, 0, 0, unseen) for v in sorted(quiver.vertices)]
+    while stack:
+        labels, source, target, weight, degree, slack = stack.pop()
+        if slack > bound - weight:
+            yield labels, source, target, weight, degree
+        if not slack:
+            continue
+        for name, head, w, d in out[target]:
+            if weight + w <= bound:
+                word = labels + (name,)
+                least = slack
+                for k in lengths:
+                    if k > len(word):
+                        break
+                    rule = rules.get(word[-k:])
+                    if rule is not None and rule[0] < least:
+                        least = rule[0]
+                stack.append((word, source, head, weight + w, degree + d, least))

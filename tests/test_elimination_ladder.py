@@ -1,8 +1,8 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the A5 realize rung, the F_101 verify_differential
-rung, the local-factors rung and the Koszul pair rung run here, to keep the
-suite fast."""
+rung, the local-factors rung, the Koszul pair rung and the L = 16 Jacobi
+rung of C^3 run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -18,6 +18,7 @@ REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
 KOSZUL_RUNG = "verify_koszul_pair/3-cycle/n2-L7"
+JACOBI_RUNG = "jacobi_basis/C3-xyz-xzy/L16"
 COLD_RUNG = "cold-import/quiverdg"
 
 
@@ -81,6 +82,12 @@ def test_the_local_factors_rung_writes_its_json(tmp_path, monkeypatch):
 def test_the_koszul_pair_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(KOSZUL_RUNG, tmp_path, monkeypatch)
     assert load_tool().RUNGS[KOSZUL_RUNG]()().kind == "MatchWithinWindow"
+
+
+def test_the_c3_jacobi_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(JACOBI_RUNG, tmp_path, monkeypatch)
+    # k[x, y, z] has C(L + 3, 3) monomials of degree at most L
+    assert len(load_tool().RUNGS[JACOBI_RUNG]()()) == 969
 
 
 # A cold-start rung times fresh processes under the caller's environment,

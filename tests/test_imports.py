@@ -8,7 +8,12 @@ intentional re-export and is exempt.
 The same walk finds code with no caller: a module-level function or class
 that no name or attribute anywhere in src refers to outside its own body,
 that is not in quiverdg.__all__ and is not a dunder.  NO_CALLER_IN_SRC lists
-the ones that stay, each with its reason.
+the ones that stay, each with its reason.  It also finds public methods (no
+leading underscore) of module-level classes whose name no name or attribute
+in src refers to outside the method's own body; NO_METHOD_CALLER_IN_SRC
+lists the ones that stay.  A method counts as called when any attribute of
+its name is read, whatever the object, so the check can miss a method but
+never flags one that src calls.
 """
 
 import ast
@@ -77,30 +82,87 @@ NO_CALLER_IN_SRC = {
 }
 
 
-def names_without_a_caller(sources):
-    """"module.name" of each module-level function or class in sources
-    ({module: source}) that no ast.Name or ast.Attribute refers to outside
-    its own body, dunders left out."""
-    definitions, references = [], {}
+# Public methods that no code in src calls but that stay, each with its
+# reason.
+NO_METHOD_CALLER_IN_SRC = {
+    "linalg.SparseMatrix.apply": "matrix times vector; tests check the truncation's and the "
+                                 "bar's matrices against their columns with it",
+    "dgalgebra.TruncatedDgAlgebra.reported_dims": "dims over the whole window, zeros included; "
+                                                  "the koszul and dgalgebra tests read it",
+    "dgalgebra.DgAlgebraPresentation.degree_of": "the degree of a path; the oracle tests group "
+                                                 "their reference bases by it",
+    "reflexivity.CompletenessTriple.note_for": "the provenance note of one flag, for a caller "
+                                               "that reads one flag; tests/test_reflexivity.py",
+    "dgalgebra.TruncatedDgAlgebra.d_of": "public view of a column with field scalars; the "
+                                         "oracle tests compare columns through it",
+    "dgalgebra.TruncatedDgAlgebra.d_element": "public view: d of an element on basis words",
+    "dgalgebra.TruncatedDgAlgebra.word_product": "public view: the reduced product of two "
+                                                 "basis words",
+    "dgalgebra.TruncatedDgAlgebra.matrix_between": "public view: the differential between two "
+                                                   "degrees as a SparseMatrix",
+    "koszul.BarComplex.d_of": "public view of a bar column with field scalars",
+    "koszul.BarComplex.matrix_between": "public view: the bar differential between two "
+                                        "degrees as a SparseMatrix",
+    "koszul.BarComplex.cohomology_dims": "bar cohomology by ranks alone; perfbench/workloads.py "
+                                         "and tools/elimination_ladder.py run it",
+}
+
+
+def references_in(sources):
+    """(trees, references) of sources ({module: source}): the parsed trees
+    by module, and {name: [(module, node)]} of every ast.Name and
+    ast.Attribute."""
+    trees, references = {}, {}
     for module, source in sources.items():
-        tree = ast.parse(source)
-        definitions += [(module, node) for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                             ast.ClassDef))]
+        trees[module] = tree = ast.parse(source)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references.setdefault(node.id, []).append((module, node))
             elif isinstance(node, ast.Attribute):
                 references.setdefault(node.attr, []).append((module, node))
+    return trees, references
+
+
+def referred_to_outside(references, module, definition):
+    own = {id(node) for node in ast.walk(definition)}
+    return any(where != module or id(node) not in own
+               for where, node in references.get(definition.name, ()))
+
+
+def names_without_a_caller(sources):
+    """"module.name" of each module-level function or class in sources
+    ({module: source}) that no ast.Name or ast.Attribute refers to outside
+    its own body, dunders left out."""
+    trees, references = references_in(sources)
     found = []
-    for module, definition in definitions:
-        name = definition.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        own = {id(node) for node in ast.walk(definition)}
-        if not any(where != module or id(node) not in own
-                   for where, node in references.get(name, ())):
-            found.append("%s.%s" % (module, name))
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                           ast.ClassDef)):
+                continue
+            name = definition.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not referred_to_outside(references, module, definition):
+                found.append("%s.%s" % (module, name))
+    return found
+
+
+def methods_without_a_caller(sources):
+    """"module.Class.method" of each public method of a module-level class
+    in sources whose name no ast.Name or ast.Attribute refers to outside
+    the method's own body."""
+    trees, references = references_in(sources)
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not method.name.startswith("_")
+                        and not referred_to_outside(references, module, method)):
+                    found.append("%s.%s.%s" % (module, cls.name, method.name))
     return found
 
 
@@ -111,3 +173,21 @@ def test_every_module_level_name_has_a_caller():
     found = [name for name in names_without_a_caller(sources)
              if name.split(".")[1] not in quiverdg.__all__ and name not in NO_CALLER_IN_SRC]
     assert not found, "no caller in src: " + ", ".join(found)
+
+
+def test_every_public_method_has_a_caller():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    found = [name for name in methods_without_a_caller(sources)
+             if name not in NO_METHOD_CALLER_IN_SRC]
+    assert not found, "no caller in src: " + ", ".join(found)
+
+
+def test_the_method_check_sees_a_method_without_a_caller():
+    source = ("class A:\n"
+              "    def used(self):\n        return self.unused\n"
+              "    def unused(self):\n        return self.unused()\n"
+              "    def _private(self):\n        pass\n"
+              "A().used()\n")
+    assert methods_without_a_caller({"m": source}) == []
+    source = source.replace("return self.unused\n", "return 0\n")
+    assert methods_without_a_caller({"m": source}) == ["m.A.unused"]

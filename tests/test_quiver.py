@@ -276,3 +276,29 @@ def test_quotient_mixed_length_relation():
     nf2 = qb.reduce(elem(q, (["x", "x"], 1)))
     nf4 = qb.reduce(elem(q, (["x", "x", "x", "x"], 1)))
     assert nf2 == nf4
+
+
+def test_quotient_with_a_leading_word_of_slack_one():
+    # r = x*x - y on two loops.  The overlap x*x*x gives r*x - x*r = x*y -
+    # y*x, of sugar 3 and leading word y*x of weight 2: slack 1.  So at
+    # bound 3 y*x is off the basis, while y*x*y and the other words of
+    # weight 3 through y*x stay: they would need sugar 4.  By hand, V_3 is
+    # spanned by r, x*r, r*x, y*r and r*y, whose leading words are x*x,
+    # x*x*x, y*x (from r*x - x*r), y*x*x and x*x*y; 15 words minus 5.
+    q = QuiverPresentation(["v"], [Arrow("x", "v", "v"), Arrow("y", "v", "v")])
+    r = elem(q, (["x", "x"], 1), (["y"], -1))
+    qb = reduce_modulo_relations(q, [r], 3)
+    by_weight = {}
+    for p in qb.basis:
+        by_weight.setdefault(len(p), []).append(str(p))
+    assert by_weight == {0: ["e_v"], 1: ["x", "y"], 2: ["x*y", "y*y"],
+                         3: ["x*y*x", "x*y*y", "y*x*y", "y*y*x", "y*y*y"]}
+    # y*x*x = y*r + y*y and x*x*x = x*r + x*y; x*y*x is a basis word
+    reduced = qb.reduce(elem(q, (["y", "x", "x"], 2), (["x", "y", "x"], 1),
+                             (["y", "x"], 1), (["x", "x", "x"], -3)))
+    assert list(reduced.terms.items()) == [(q.path(["x", "y", "x"]), Fraction(1)),
+                                           (q.path(["y", "y"]), Fraction(2)),
+                                           (q.path(["x", "y"]), Fraction(-2))]
+    # at bound 2 only r fits, and y*x is a basis word
+    assert [str(p) for p in reduce_modulo_relations(q, [r], 2).basis] == [
+        "e_v", "x", "y", "x*y", "y*x", "y*y"]

@@ -13,7 +13,9 @@ rungs, over Q unless stated:
   L = 8 with only its dims read;
 - verify_koszul_pair of the 3-cycle for n = 2 at word bound 7 on (-7, 0),
   which realizes both sides inside the timed call;
-- jacobi_basis of xxyy - xyxy + xxx on two loops at L = 9;
+- jacobi_basis of xxyy - xyxy + xxx on two loops at L = 9, and of xyz - xzy
+  on three loops (the commutative C^3, C(L + 3, 3) words) at L = 7, 8, 9,
+  12 and 16;
 - h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8;
 - realize of that completion on (-4, 0) at L = 9 (8,141 words), and of the
   rank-3 completion of the 3-cycle on (-8, 0) at L = 8 (5,043 words);
@@ -106,6 +108,12 @@ def two_loop_jacobi():
     return lambda: jacobi_basis(quiver, potential, 9)
 
 
+def c3_jacobi(bound):
+    quiver = QuiverPresentation(("v",), tuple(Arrow(name, "v", "v") for name in "xyz"))
+    potential = Superpotential(quiver, {("x", "y", "z"): 1, ("x", "z", "y"): -1})
+    return lambda: jacobi_basis(quiver, potential, bound)
+
+
 def a5():
     return QuiverPresentation(
         tuple(str(i) for i in range(1, 6)),
@@ -190,6 +198,11 @@ RUNGS = {
     "cohomology-dims/3-cycle-cy3/L8": lambda: cycle_cohomology_dims(8),
     "verify_koszul_pair/3-cycle/n2-L7": lambda: cycle_koszul_pair(2, 7),
     "jacobi_basis/two-loops-xxyy-xyxy+xxx/L9": two_loop_jacobi,
+    "jacobi_basis/C3-xyz-xzy/L7": lambda: c3_jacobi(7),
+    "jacobi_basis/C3-xyz-xzy/L8": lambda: c3_jacobi(8),
+    "jacobi_basis/C3-xyz-xzy/L9": lambda: c3_jacobi(9),
+    "jacobi_basis/C3-xyz-xzy/L12": lambda: c3_jacobi(12),
+    "jacobi_basis/C3-xyz-xzy/L16": lambda: c3_jacobi(16),
     "h0_algebra/A5-cy2/L8": a5_h0,
     "realize/A5-cy2/L9": a5_realize,
     "realize/3-cycle-cy3/L8": cycle_realize,
