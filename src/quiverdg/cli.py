@@ -61,16 +61,51 @@ class InternalFailure(Exception):
 # ---------------------------------------------------------------------------
 # document parsing
 
+def _is_int(value):
+    """An int that is not a bool: JSON true must not run as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _need(mapping, key, location, kinds=None):
+    """mapping[key], of one of the types kinds when given; a bool is not
+    taken for an int."""
     if not isinstance(mapping, dict):
         raise InputError(location, "expected an object")
     if key not in mapping:
         raise InputError(location, "missing key %r" % key)
     value = mapping[key]
-    if kinds is not None and not isinstance(value, kinds):
+    if kinds is not None and (not isinstance(value, kinds)
+                              or isinstance(value, bool) and kinds is not bool):
         raise InputError("%s.%s" % (location, key),
                          "unexpected value type %s" % type(value).__name__)
     return value
+
+
+def _optional(mapping, key, location, kinds, default=None):
+    """_need for a key that may be absent or null, which gives default."""
+    if mapping.get(key) is None:
+        return default
+    return _need(mapping, key, location, kinds)
+
+
+def _scalar(field, raw, location):
+    """A coefficient of the document in the field.  It is a string such as
+    "-2/3" or an integer: a JSON float is binary, so it is not exact."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise InputError(location, "scalar %r is not a string or an integer" % (raw,))
+    try:
+        return field.of(raw)
+    except ZeroDivisionError:
+        raise InputError(location, "scalar %r divides by zero" % (raw,))
+    except ValueError as err:
+        raise InputError(location, str(err))
+
+
+def _strings(raw, location):
+    """A JSON list as a tuple of strings."""
+    if not isinstance(raw, list):
+        raise InputError(location, "expected a list")
+    return tuple(str(s) for s in raw)
 
 
 def _parse_arrows(raw, location):
@@ -80,7 +115,7 @@ def _parse_arrows(raw, location):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(where, "an arrow is [name, source, target, degree]")
         name, source, target, degree = entry
-        if not isinstance(degree, int):
+        if not _is_int(degree):
             raise InputError(where, "arrow degree must be an integer")
         arrows.append(Arrow(str(name), str(source), str(target), degree))
     return tuple(arrows)
@@ -98,20 +133,20 @@ def _parse_quiver(raw, location):
 
 def _parse_element(quiver, field, raw, location):
     """A sum of terms [coeff-string, [labels...], base-vertex-or-null]."""
+    if not isinstance(raw, list):
+        raise InputError(location, "an element is a list of terms")
     total = PathAlgebraElement.zero()
     for pos, term in enumerate(raw):
         where = "%s[%d]" % (location, pos)
-        if not (isinstance(term, list) and len(term) == 3):
+        if not (isinstance(term, list) and len(term) == 3 and isinstance(term[1], list)):
             raise InputError(where, "a term is [coeff, [labels...], base]")
         coeff_raw, labels, base = term
+        coeff = _scalar(field, coeff_raw, where)
         try:
-            coeff = field.of(coeff_raw)
             path = quiver.path([str(x) for x in labels],
                                base=None if base is None else str(base))
         except UnknownArrow as err:
             raise InputError(where, "unknown generator %s" % err)
-        except ZeroDivisionError:
-            raise InputError(where, "scalar %r divides by zero" % (coeff_raw,))
         except (ValueError, KeyError) as err:
             raise InputError(where, str(err))
         total = total + PathAlgebraElement.from_path(path, coeff)
@@ -130,16 +165,16 @@ def _parse_dg_presentation(raw, field, location):
             differential[str(name)] = _parse_element(
                 scratch, field, terms, "%s.differential.%s" % (location, name))
     relations = []
-    for pos, terms in enumerate(raw.get("relations", [])):
+    for pos, terms in enumerate(_optional(raw, "relations", location, list, [])):
         relations.append(_parse_element(
             scratch, field, terms, "%s.relations[%d]" % (location, pos)))
-    weights = None
-    if raw.get("weights") is not None:
-        weights = {str(k): v for k, v in raw["weights"].items()}
+    weights = _optional(raw, "weights", location, dict)
+    if weights is not None:
+        weights = {str(k): _need(weights, k, location + ".weights", int) for k in weights}
     try:
         return DgAlgebraPresentation(
-            vertices, generators, differential=differential,
-            relations=relations, augmented=raw.get("augmented", True),
+            vertices, generators, differential=differential, relations=relations,
+            augmented=_optional(raw, "augmented", location, bool, True),
             weights=weights, field=field)
     except (ValueError, InconsistentPresentation) as err:
         raise InputError(location, str(err))
@@ -151,20 +186,16 @@ def _parse_superpotential(raw, field, location):
     terms = {}
     for pos, entry in enumerate(_need(raw, "terms", location, list)):
         where = "%s.terms[%d]" % (location, pos)
-        if not (isinstance(entry, list) and len(entry) == 2):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
             raise InputError(where, "a term is [[labels...], coeff]")
         labels, coeff = entry
         labels = tuple(str(x) for x in labels)
         try:
             for name in labels:
                 quiver.arrow(name)
-            terms[labels] = field.of(coeff)
         except UnknownArrow as err:
             raise InputError(where, "unknown arrow %s" % err)
-        except ZeroDivisionError:
-            raise InputError(where, "scalar %r divides by zero" % (coeff,))
-        except ValueError as err:
-            raise InputError(where, str(err))
+        terms[labels] = _scalar(field, coeff, where)
     try:
         return quiver, Superpotential(quiver, terms, field=field)
     except ValueError as err:
@@ -178,17 +209,18 @@ def _parse_surface(raw, location):
     for pos, entry in enumerate(_need(raw, "components", location, list)):
         where = "%s.components[%d]" % (location, pos)
         name = str(_need(entry, "name", where))
-        fully = bool(_need(entry, "fully_marked", where))
-        intervals = tuple(tuple(str(s) for s in group)
-                          for group in entry.get("intervals", []))
+        fully = _need(entry, "fully_marked", where, bool)
+        intervals = tuple(_strings(group, "%s.intervals[%d]" % (where, k)) for k, group
+                          in enumerate(_optional(entry, "intervals", where, list, [])))
         components.append(BoundaryComponent(
-            name, fully, winding=entry.get("winding"),
-            slots=tuple(str(s) for s in entry.get("slots", [])),
+            name, fully, winding=_optional(entry, "winding", where, int),
+            slots=_strings(_optional(entry, "slots", where, list, []), where + ".slots"),
             intervals=intervals,
             enclosed_after_slot=entry.get("enclosed_after_slot")))
-    arcs = {str(k): tuple(str(s) for s in v)
-            for k, v in _need(raw, "arcs", location, dict).items()}
-    degrees = {str(k): v for k, v in raw.get("flow_degrees", {}).items()}
+    arcs = _need(raw, "arcs", location, dict)
+    arcs = {str(k): _strings(v, "%s.arcs.%s" % (location, k)) for k, v in arcs.items()}
+    degrees = _optional(raw, "flow_degrees", location, dict, {})
+    degrees = {str(k): _need(degrees, k, location + ".flow_degrees", int) for k in degrees}
     try:
         return MarkedSurfaceArcSystem(components, arcs, degrees)
     except (ValueError, MalformedRibbon) as err:
@@ -202,13 +234,16 @@ def _parse_algebra(raw, field, location):
     structure = {}
     for pos, entry in enumerate(_need(raw, "structure", location, list)):
         where = "%s.structure[%d]" % (location, pos)
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and _is_int(entry[0]) and _is_int(entry[1]) and isinstance(entry[2], dict)):
             raise InputError(where, "a structure row is [i, j, {k: coeff}]")
         i, j, vec = entry
-        structure[(i, j)] = {int(k): field.of(c) for k, c in vec.items()}
-    unit = {int(k): field.of(c)
+        structure[(i, j)] = {int(k): _scalar(field, c, where) for k, c in vec.items()}
+    unit = {int(k): _scalar(field, c, location + ".unit")
             for k, c in _need(raw, "unit", location, dict).items()}
-    degrees = raw.get("degrees")
+    degrees = _optional(raw, "degrees", location, list)
+    if degrees is not None and not (len(degrees) == len(basis) and all(map(_is_int, degrees))):
+        raise InputError(location + ".degrees", "the degrees are one integer per basis element")
     try:
         return FiniteDimAlgebra(field, basis, structure, unit, degrees=degrees)
     except (ValueError, IndexError) as err:
@@ -220,8 +255,8 @@ def _parse_family(raw, location):
 
     try:
         return SymbolicFamily(str(_need(raw, "family", location)),
-                              degree=raw.get("degree", 0),
-                              variables=raw.get("variables", 1))
+                              degree=_optional(raw, "degree", location, int, 0),
+                              variables=_optional(raw, "variables", location, int, 1))
     except ValueError as err:
         raise InputError(location, str(err))
 
@@ -252,7 +287,7 @@ class Job:
             self.field = GroundField(characteristic)
         except ValueError as err:
             raise InputError("document.characteristic", str(err))
-        requested = document.get("commands")
+        requested = _optional(document, "commands", "document", list)
         if requested is not None and command not in requested:
             raise InputError("document.commands",
                              "document does not request command %r" % command)
@@ -267,7 +302,7 @@ class Job:
         elif bounds.get("window") is not None:
             raw = bounds["window"]
             if not (isinstance(raw, list) and len(raw) == 2
-                    and all(isinstance(x, int) for x in raw)):
+                    and all(_is_int(x) for x in raw)):
                 raise InputError("document.bounds.window",
                                  "a window is [lo, hi] with integers")
             if raw[0] > raw[1]:
@@ -277,7 +312,7 @@ class Job:
         self.words = args.words if args.words is not None else bounds.get("words")
         self.paths = args.paths if args.paths is not None else bounds.get("paths")
         for name, value in (("words", self.words), ("paths", self.paths)):
-            if value is not None and (not isinstance(value, int) or value < 1):
+            if value is not None and (not _is_int(value) or value < 1):
                 raise InputError("document.bounds.%s" % name,
                                  "bound must be a positive integer")
 
@@ -399,7 +434,7 @@ def _cmd_ginzburg(job):
 def _cmd_cy(job):
     job.object_of_kind("quiver")
     job.need_bounds("window", "words")
-    if not isinstance(job.rank, int) or job.rank < 1:
+    if not _is_int(job.rank) or job.rank < 1:
         raise InputError("document.n",
                          "command 'cy' needs a positive completion rank n")
     quiver = _parse_quiver(job.raw_object, "document.object")
@@ -573,7 +608,7 @@ def _reflexive_input(job):
                                                   "document.object")
         return ginzburg(quiver, potential)
     if kind == "quiver":
-        if not isinstance(job.rank, int) or job.rank < 1:
+        if not _is_int(job.rank) or job.rank < 1:
             raise InputError("document.n",
                              "a bare quiver is checked through its completion; "
                              "give the rank n")

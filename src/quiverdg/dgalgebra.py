@@ -24,7 +24,6 @@ from operator import itemgetter
 from .fields import GroundField
 from .linalg import (
     DSquaredNonzero,
-    SparseMatrix,
     _cohomology_ranks,
     _cohomology_representatives,
     _kernel_basis,
@@ -512,22 +511,16 @@ class TruncatedDgAlgebra:
 
     def matrix_between(self, degree):
         """SparseMatrix of d from degree to degree+1 (ledgered columns zero)."""
-        return self._scalars.public_matrix(self._matrix(degree))
+        return self._scalars.public_matrix(len(self._ids_in(degree + 1)),
+                                           self._position_columns(degree))
 
     def _position_columns(self, degree):
         """The columns of matrix_between(degree), as new {row: coeff} dicts
         in native scalars, the rows being positions within degree + 1; the
-        ranks step's columns_of."""
+        ranks step's columns_of and the kernel step's input."""
         start, columns = self._ids_in(degree + 1).start, self._columns
         return [{} if columns[i] is None else {k - start: c for k, c in columns[i].items()}
                 for i in self._ids_in(degree)]
-
-    def _matrix(self, degree):
-        """matrix_between(degree) in native scalars."""
-        columns = self._position_columns(degree)
-        m = SparseMatrix(len(self._ids_in(degree + 1)), len(columns))
-        m.entries = {(k, j): c for j, col in enumerate(columns) for k, c in col.items()}
-        return m
 
 
 def realize(presentation, window, weight_bound):
@@ -642,9 +635,10 @@ class CohomologyResult:
 
     cohomology fills dims and the image RowSpaces from ranks alone.  The
     representatives, and the pivot order class_coordinates and product
-    read, are built the first time one of them is read, from the native
-    matrices of the truncation, built then; they are the ones an eager
-    computation would give, in the same order and with the same scalars.
+    read, are built the first time one of them is read, from the kernels of
+    the truncation's native position-keyed columns, taken then; they are
+    the ones an eager computation would give, in the same order and with
+    the same scalars.
     """
 
     def __init__(self, truncation, window, dims, images):
@@ -660,7 +654,7 @@ class CohomologyResult:
         t = self.truncation
         return {degree: _cohomology_representatives(
                     _kernel_basis(len(t.basis_by_degree.get(degree, ())),
-                                  t._matrix(degree), t.field),
+                                  t._position_columns(degree), t.field),
                     self._images[degree], t.field, dim) if dim else []
                 for degree, dim in self.dims.items()}
 

@@ -37,7 +37,6 @@ from .dgalgebra import (
 from .fields import GroundField
 from .linalg import (
     DSquaredNonzero,
-    SparseMatrix,
     _cohomology_ranks,
     native_scalars,
     vec_add_term,
@@ -411,10 +410,8 @@ class BarComplex:
         """SparseMatrix of d from degree to degree+1 (dropped columns zero),
         indexed on (letter ids, vertex) keys without building a word."""
         target = self._trie.keys_of_degree(degree + 1)
-        columns = self._position_columns(self._trie.keys_of_degree(degree), target)
-        m = SparseMatrix(len(target), len(columns))
-        m.entries = {(k, j): c for j, col in enumerate(columns) for k, c in col.items()}
-        return self._scalars.public_matrix(m)
+        return self._scalars.public_matrix(
+            len(target), self._position_columns(self._trie.keys_of_degree(degree), target))
 
     def _position_columns(self, source, target):
         """The columns of d out of the words with keys source, as new {row:

@@ -16,10 +16,9 @@ eliminations (RowSpace, SpanSolver, kernel_image, cohomology_of_complex) run
 on native scalars; so do the truncation's columns and product memo, the bar
 complex's letter table and columns, and FiniteDimAlgebra.mul.  Inputs may
 hold any scalars the field coerces, and everything handed out holds
-Fraction or FpElement entries, except where a caller in this package asks
-kernel_image for a native matrix and kernel (native=True).  A native run
-performs the same operations in the same order as the public scalars would,
-so every zero test, pivot and key order is the same.
+Fraction or FpElement entries.  A native run performs the same operations
+in the same order as the public scalars would, so every zero test, pivot
+and key order is the same.
 """
 
 from __future__ import annotations
@@ -114,17 +113,13 @@ class _Scalars:
         public = self.public
         return {j: public(v) for j, v in vec.items()}
 
-    def native_matrix(self, m):
-        out = SparseMatrix(m.rows, m.cols)
-        native = self.native
-        out.entries = {rc: native(v) for rc, v in m.entries.items()}
-        return out
-
-    def public_matrix(self, m):
-        out = SparseMatrix(m.rows, m.cols)
+    def public_matrix(self, rows, columns):
+        """The rows-by-len(columns) SparseMatrix of native columns, with
+        public scalars."""
+        m = SparseMatrix(rows, len(columns))
         public = self.public
-        out.entries = {rc: public(v) for rc, v in m.entries.items()}
-        return out
+        m.entries = {(k, j): public(c) for j, col in enumerate(columns) for k, c in col.items()}
+        return m
 
     def table(self, structure):
         """Structure constants {(i, j): {k: c}} as (D, {(i, j): {k: D c}}),
@@ -469,36 +464,17 @@ class SpanSolver:
         return {k: public(-v) for (_, k), v in residue.items()}
 
 
-def kernel_image(matrix, field, native=False):
+def kernel_image(matrix, field):
     """Exact kernel basis and rank of a sparse matrix.
 
     Returns (kernel_basis, rank) where kernel_basis is a list of column
-    vectors spanning the null space.  rank + len(kernel_basis) == cols.
-    With native=True the matrix holds native scalars of the field, and so
-    does the kernel basis.
+    vectors spanning the null space, with field scalars.
+    rank + len(kernel_basis) == cols.
     """
-    space = RowSpace(field)
-    scalars = space._scalars
-    if not native:
-        matrix = scalars.native_matrix(matrix)
-    rows_by_index = {}
-    for (r, c), v in matrix.entries.items():
-        rows_by_index.setdefault(r, {})[c] = v
-    for r in sorted(rows_by_index):
-        space._add(rows_by_index[r])
-    kernel = {j: {j: 1} for j in range(matrix.cols) if j not in space.pivot_index}
-    # a fully reduced row holds its own pivot and non-pivot columns only, so
-    # one pass over the rows scatters every kernel entry, pivots in order
-    neg = scalars.neg
-    for pivot, row_no in space.pivot_index.items():
-        for j, c in space._rows[row_no].items():
-            vec = kernel.get(j)
-            if vec is not None:
-                vec[pivot] = neg(c)
-    kernel = list(kernel.values())
-    if not native:
-        kernel = [scalars.public_vec(vec) for vec in kernel]
-    return kernel, len(space.pivot_index)
+    scalars = native_scalars(field)
+    kernel = _kernel_basis(matrix.cols, [scalars.native_vec(col) for col in matrix.columns()],
+                           field)
+    return [scalars.public_vec(vec) for vec in kernel], matrix.cols - len(kernel)
 
 
 def cohomology_of_complex(dims, differentials, window, field, images=None):
@@ -509,45 +485,41 @@ def cohomology_of_complex(dims, differentials, window, field, images=None):
     representative cocycles)} for degrees in window, the representatives
     with field scalars.
 
-    It runs both steps.  The ranks step (_cohomology_ranks) builds each
-    window degree's image RowSpace, checks d o d and reads every dim H off
-    ranks; here rank d_hi is read off the kernel of d_hi, which the
-    representatives of the top degree need anyway.  The representatives
-    step (_cohomology_representatives) then takes the kernel of d_i for
-    each other degree i whose dim H is nonzero; a degree with dim H zero has
-    no representatives, and its kernel is not taken.  When a dict is passed
-    as images, images[i] receives the image RowSpace of each degree i in
-    window once the ranks step has passed.
+    Each matrix of degrees lo - 1 to hi is converted to native columns once,
+    and both steps read them.  The ranks step (_cohomology_ranks) builds
+    each window degree's image RowSpace, checks d o d and reads every dim H
+    off ranks.  The representatives step (_cohomology_representatives) then
+    takes the kernel of d_i for each degree i whose dim H is nonzero; a
+    degree with dim H zero has no representatives, and its kernel is not
+    taken.  When a dict is passed as images, images[i] receives the image
+    RowSpace of each degree i in window once the ranks step has passed.
     """
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window [%s, %s]" % (lo, hi))
     scalars = native_scalars(field)
-    differentials = {i: scalars.native_matrix(m) for i, m in differentials.items()
-                     if lo - 1 <= i <= hi}
-    top_kernel = _kernel_basis(dims.get(hi, 0), differentials.get(hi), field)
+    columns = {i: [scalars.native_vec(col) for col in m.columns()]
+               for i, m in differentials.items() if lo - 1 <= i <= hi}
 
     def columns_of(i):
-        d_i = differentials.get(i)
-        return None if d_i is None else d_i.columns()
+        d_i = columns.get(i)
+        return None if d_i is None else [dict(col) for col in d_i]
 
-    h, built = _cohomology_ranks(dims, columns_of, window, field,
-                                 dims.get(hi, 0) - len(top_kernel))
+    h, built = _cohomology_ranks(dims, columns_of, window, field)
     if images is not None:
         images.update(built)
     result = {}
     for i in range(lo, hi + 1):
         reps = []
         if h[i]:
-            kernel = top_kernel if i == hi else _kernel_basis(
-                dims.get(i, 0), differentials.get(i), field)
+            kernel = _kernel_basis(dims.get(i, 0), columns.get(i), field)
             reps = _cohomology_representatives(kernel, built[i], field, h[i])
             reps = [scalars.public_vec(vec) for vec in reps]
         result[i] = (h[i], reps)
     return result
 
 
-def _cohomology_ranks(dims, columns_of, window, field, top_rank=None):
+def _cohomology_ranks(dims, columns_of, window, field):
     """The ranks step: ({degree: dim H}, {degree: image RowSpace}) for the
     degrees lo..hi of the window, from native columns.  columns_of(i) is
     the list of columns of d_i, each a {row: native coeff} dict, or None
@@ -556,8 +528,8 @@ def _cohomology_ranks(dims, columns_of, window, field, top_rank=None):
 
     images[i] is the fully reduced RowSpace of the columns of d_{i-1}, added
     in column order, so its rank is rank d_{i-1}; it is frozen once built,
-    so it keeps no index.  rank d_hi is top_rank when given; otherwise the
-    image of d_hi out of the top degree is built for it and dropped.  Then
+    so it keeps no index.  rank d_hi is the rank of the image of d_hi out of
+    the top degree, built for it and dropped; no kernel is taken.  Then
     dim H^i = n_i - rank d_i - rank d_{i-1}.
 
     That count holds only when d_i o d_{i-1} = 0, so it is checked for every
@@ -581,9 +553,8 @@ def _cohomology_ranks(dims, columns_of, window, field, top_rank=None):
                 d_prev = columns_of(i - 1)
                 witness = next(j for j, col in enumerate(d_prev) if _applied(columns, col, axpy))
                 raise DSquaredNonzero(i - 1, witness)
-    if top_rank is None:
-        top_rank = _column_space(columns, field).rank
-    ranks = [images[i].rank for i in range(lo + 1, hi + 1)] + [top_rank]
+    ranks = [images[i].rank for i in range(lo + 1, hi + 1)]
+    ranks.append(_column_space(columns, field).rank)
     h = {i: dims.get(i, 0) - rank - images[i].rank for i, rank in zip(range(lo, hi + 1), ranks)}
     return h, images
 
@@ -608,12 +579,31 @@ def _column_space(columns, field):
     return space
 
 
-def _kernel_basis(n, d_i, field):
-    """The native kernel basis of kernel_image, or of the zero map on k^n
-    when d_i is None."""
-    if d_i is None:
+def _kernel_basis(n, columns, field):
+    """The native kernel basis of the map with these native columns, which
+    are scattered into rows and not changed, or of the zero map on k^n when
+    columns is None: one vector per non-pivot column j, in order, with 1 at
+    j and its other entries in the order the rows, added in order, found
+    their pivots."""
+    if columns is None:
         return [{j: 1} for j in range(n)]
-    return kernel_image(d_i, field, native=True)[0]
+    rows = {}
+    for j, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[j] = v
+    space = RowSpace(field)
+    for r in sorted(rows):
+        space._add(rows[r])
+    kernel = {j: {j: 1} for j in range(len(columns)) if j not in space.pivot_index}
+    # a fully reduced row holds its own pivot and non-pivot columns only, so
+    # one pass over the rows scatters every kernel entry, pivots in order
+    neg = space._scalars.neg
+    for pivot, row_no in space.pivot_index.items():
+        for j, c in space._rows[row_no].items():
+            vec = kernel.get(j)
+            if vec is not None:
+                vec[pivot] = neg(c)
+    return list(kernel.values())
 
 
 def _cohomology_representatives(kernel, image, field, dim):

@@ -28,7 +28,7 @@ from .dgalgebra import (DgAlgebraPresentation, NotStabilized,
                         realize, verify_differential)
 from .ginzburg import GinzburgPresentation
 from .linalg import RowSpace
-from .quiver import PathAlgebraElement
+from .quiver import PathAlgebraElement, reduce_modulo_relations
 from .surfaces import GentlePresentation, MarkedSurfaceArcSystem, fukaya_verdict
 
 FAMILY_KINDS = ("polynomial", "laurent", "power-series-complete-local")
@@ -249,8 +249,12 @@ def _check_family(family):
 # gentle presentations
 
 def _flow_dimension(g, bound):
-    t = realize(g.dg_presentation(), (0, 0), bound)
-    return len(t.qb)
+    """The number of nonzero flows of length <= bound.  A gentle presentation
+    has no differential, so this is the size of its quotient basis, and no
+    truncation is realized for it."""
+    p = g.dg_presentation()
+    return len(reduce_modulo_relations(p.quiver, p.relations, bound, field=p.field,
+                                       weights=p.weights))
 
 
 def _check_gentle(g):

@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -213,3 +214,97 @@ def test_document_term_faults_exit_one(capsys, tmp_path, command,
     assert code == 1, err
     assert "input error at %s: " % location in err
     assert message in err
+
+
+def document_of(name):
+    return json.loads((DATA / ("%s.json" % name)).read_text())
+
+
+def mutated(document, path, value):
+    """A copy of the document with the value at `path` replaced."""
+    document = copy.deepcopy(document)
+    target = document
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return document
+
+
+CIRCLE, LOOP, ANNULUS = (document_of(name) for name in
+                         ("circle_pair", "one_loop_ginzburg", "annulus_pair"))
+ALGEBRA = {"characteristic": 0,
+           "object": {"kind": "algebra", "basis": ["1", "e"],
+                      "structure": [[0, 0, {"0": "1"}], [0, 1, {"1": "1"}],
+                                    [1, 0, {"1": "1"}]],
+                      "unit": {"0": "1"}}}
+SHAPE_FAULTS = {
+    "relations-not-a-list": (
+        "koszul-dual", mutated(CIRCLE, ("object", "relations"), 5),
+        "document.object.relations"),
+    "relation-not-a-list": (
+        "koszul-dual", mutated(CIRCLE, ("object", "relations"), [3]),
+        "document.object.relations[0]"),
+    "weights-a-list": (
+        "koszul-dual", mutated(CIRCLE, ("object", "weights"), [1]),
+        "document.object.weights"),
+    "weight-a-bool": (
+        "koszul-dual", mutated(CIRCLE, ("object", "weights"), {"eps": True}),
+        "document.object.weights.eps"),
+    "differential-value-not-a-list": (
+        "koszul-dual", mutated(CIRCLE, ("object", "differential"), {"eps": 3}),
+        "document.object.differential.eps"),
+    "words-a-bool": (
+        "koszul-dual", mutated(CIRCLE, ("bounds", "words"), True), "document.bounds.words"),
+    "term-labels-not-a-list": (
+        "ginzburg", mutated(LOOP, ("object", "terms"), [[3, "1"]]),
+        "document.object.terms[0]"),
+    "intervals-not-a-list": (
+        "gentle", mutated(ANNULUS, ("object", "components", 0, "intervals"), 3),
+        "document.object.components[0].intervals"),
+    "interval-not-a-list": (
+        "gentle", mutated(ANNULUS, ("object", "components", 0, "intervals"), [3]),
+        "document.object.components[0].intervals[0]"),
+    "slots-not-a-list": (
+        "gentle", mutated(ANNULUS, ("object", "components", 1, "slots"), 3),
+        "document.object.components[1].slots"),
+    "arc-not-a-list": (
+        "gentle", mutated(ANNULUS, ("object", "arcs", "g"), 3), "document.object.arcs.g"),
+    "flow-degrees-a-list": (
+        "gentle", mutated(ANNULUS, ("object", "flow_degrees"), [3]),
+        "document.object.flow_degrees"),
+    "rank-a-bool": (
+        "cy", mutated(document_of("a2_preprojective"), ("n",), True), "document.n"),
+    "structure-vector-a-list": (
+        "reflexive", mutated(ALGEBRA, ("object", "structure", 0, 2), ["1"]),
+        "document.object.structure[0]"),
+    "coefficient-a-list": (
+        "koszul-dual", mutated(CIRCLE, ("object", "relations", 0, 0, 0), ["1"]),
+        "document.object.relations[0][0]"),
+    "coefficient-a-float": (
+        "koszul-dual", mutated(CIRCLE, ("object", "relations", 0, 0, 0), 1.5),
+        "document.object.relations[0][0]"),
+    "term-coefficient-null": (
+        "ginzburg", mutated(LOOP, ("object", "terms", 0, 1), None), "document.object.terms[0]"),
+    "unit-coefficient-a-list": (
+        "reflexive", mutated(ALGEBRA, ("object", "unit", "0"), [1]), "document.object.unit"),
+    "degrees-of-strings": (
+        "reflexive", mutated(ALGEBRA, ("object", "degrees"), ["a", 0]),
+        "document.object.degrees"),
+}
+
+
+@pytest.mark.parametrize("command,document,location", SHAPE_FAULTS.values(),
+                         ids=SHAPE_FAULTS.keys())
+def test_document_shape_faults_exit_one(capsys, tmp_path, command, document, location):
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run_cli([command, str(path)], capsys)
+    assert code == 1, err
+    assert "input error at %s: " % location in err
+
+
+def test_the_algebra_document_of_the_shape_faults_runs(capsys, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(ALGEBRA))
+    code, _, err = run_cli(["reflexive", str(path)], capsys)
+    assert code == 0, err

@@ -1,8 +1,9 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
-cohomology_dims rung, the A5 realize rung, the F_101 verify_differential
-rung, the local-factors rung, the Koszul pair rung and the L = 16 Jacobi
-rung of C^3 run here, to keep the suite fast."""
+cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
+rung, the A5 realize rung, the F_101 verify_differential rung, the
+local-factors rung, the Koszul pair rung and the L = 16 Jacobi rung of C^3
+run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -14,6 +15,8 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "elimination_ladder.py
 RUNG = "cohomology/3-cycle-cy3/L6"
 BAR_RUNG = "bar/3-cycle-cy3-F101-L2/5-letters"
 BAR_DIMS_RUNG = "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters"
+DUAL_BAR_RUNG = "dual_bar/3-cycle-cy3-F101-L2/5-letters"
+COMPLETENESS_RUNG = "completeness_report/square-zero-3/L10"
 REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
@@ -59,6 +62,20 @@ def test_the_bar_cohomology_dims_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(BAR_DIMS_RUNG, tmp_path, monkeypatch)
     dims = load_tool().RUNGS[BAR_DIMS_RUNG]()()
     assert dims == {-6: 0, -5: 0, -4: 0, -3: 0, -2: 0, -1: 0, 0: 84}
+
+
+def test_the_dual_bar_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(DUAL_BAR_RUNG, tmp_path, monkeypatch)
+    dual = load_tool().RUNGS[DUAL_BAR_RUNG]()()
+    assert sum(map(len, dual.basis_by_degree.values())) == 1449
+    assert dual.dims() == {0: 3, 1: 6, 2: 21, 3: 63, 4: 156, 5: 291, 6: 378, 7: 324,
+                           8: 165, 9: 39, 10: 3}
+
+
+def test_the_completeness_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(COMPLETENESS_RUNG, tmp_path, monkeypatch)
+    report = load_tool().RUNGS[COMPLETENESS_RUNG]()()
+    assert report.kind == "CompleteWithinWindow" and len(report.rows) == 19
 
 
 def test_the_realize_rung_writes_its_json(tmp_path, monkeypatch):

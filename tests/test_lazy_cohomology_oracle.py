@@ -27,9 +27,9 @@ vertices over Q, F_5 and F_101, random differentials and relations, weights
 up to 3, so the ledger often meets the window) and test_d_squared_oracle's
 (one vertex over Q and F_5, differentials that chain, so d o d often fails).
 
-Two plain tests count calls of linalg.kernel_image: callers that read only
-dims take no kernel, BarComplex.cohomology_dims among them, and reading
-representatives does.
+Two plain tests count the kernels the engine takes (the _kernel_basis that
+dgalgebra binds): callers that read only dims take no kernel,
+BarComplex.cohomology_dims among them, and reading representatives does.
 """
 
 from collections import Counter
@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from test_d_squared_oracle import presentations as chained_presentations
 from test_realize_oracle import COEFFS, SETTINGS, presentations
 
-from quiverdg import linalg
+from quiverdg import dgalgebra
 from quiverdg.dgalgebra import (
     DgAlgebraPresentation,
     InconsistentPresentation,
@@ -53,7 +53,13 @@ from quiverdg.dgalgebra import (
 from quiverdg.fields import GroundField
 from quiverdg.ginzburg import cy_completion, verify_koszul_pair
 from quiverdg.koszul import bar, completeness_report
-from quiverdg.linalg import DSquaredNonzero, RowSpace, kernel_image, native_scalars
+from quiverdg.linalg import (
+    DSquaredNonzero,
+    RowSpace,
+    SparseMatrix,
+    _kernel_basis,
+    native_scalars,
+)
 from quiverdg.quiver import Arrow, PathAlgebraElement, QuiverPresentation
 
 WINDOWS = ((-2, 0), (-1, 1), (0, 0), (0, 2), (1, 3))
@@ -65,6 +71,32 @@ SEEN = Counter()
 
 # ---------------------------------------------------------------------------
 # the reference: eager cohomology as it was
+
+def converted(m, convert):
+    """A copy of a SparseMatrix with convert applied to each entry."""
+    out = SparseMatrix(m.rows, m.cols)
+    out.entries = {rc: convert(v) for rc, v in m.entries.items()}
+    return out
+
+
+def ref_native_kernel(matrix, field):
+    """The kernel basis of a matrix of native scalars, as kernel_image took
+    it natively: rows added in row order, kernel vectors in pivot order."""
+    space = RowSpace(field)
+    rows_by_index = {}
+    for (r, c), v in matrix.entries.items():
+        rows_by_index.setdefault(r, {})[c] = v
+    for r in sorted(rows_by_index):
+        space._add(rows_by_index[r])
+    kernel = {j: {j: 1} for j in range(matrix.cols) if j not in space.pivot_index}
+    neg = space._scalars.neg
+    for pivot, row_no in space.pivot_index.items():
+        for j, c in space._rows[row_no].items():
+            vec = kernel.get(j)
+            if vec is not None:
+                vec[pivot] = neg(c)
+    return list(kernel.values())
+
 
 def ref_cohomology_of_complex(dims, differentials, window, field, images):
     """cohomology_of_complex on native matrices, every kernel taken, d o d
@@ -82,7 +114,7 @@ def ref_cohomology_of_complex(dims, differentials, window, field, images):
             continue
         d_i = differentials.get(i)
         if d_i is not None:
-            kernel, _ = kernel_image(d_i, field, native=True)
+            kernel = ref_native_kernel(d_i, field)
         else:
             kernel = [{j: 1} for j in range(n)]
         d_prev = differentials.get(i - 1)
@@ -98,7 +130,7 @@ def ref_cohomology_of_complex(dims, differentials, window, field, images):
                 reps.append(dict(residue))
                 chosen._insert(residue)
         if len(kernel) - image.rank != len(reps):
-            d_i, d_prev = scalars.public_matrix(d_i), scalars.public_matrix(d_prev)
+            d_i, d_prev = converted(d_i, scalars.public), converted(d_prev, scalars.public)
             witness = next(j for j, col in enumerate(d_prev.columns()) if d_i.apply(col))
             raise DSquaredNonzero(i - 1, witness)
         result[i] = (len(reps), reps)
@@ -117,7 +149,8 @@ class RefCohomology:
             raise UnsafeWindow(touched, "differential overflow at degrees %s inside window "
                                "[%d, %d]" % (touched, lo, hi))
         scalars = native_scalars(t.field)
-        matrices = {d: scalars.native_matrix(t.matrix_between(d)) for d in range(lo - 1, hi + 1)}
+        matrices = {d: converted(t.matrix_between(d), scalars.native)
+                    for d in range(lo - 1, hi + 1)}
         self.images = {}
         try:
             raw = ref_cohomology_of_complex(t.dims(), matrices, (lo, hi), t.field, self.images)
@@ -283,10 +316,10 @@ def test_the_draws_reach_every_outcome():
 def kernel_calls(monkeypatch):
     calls = []
 
-    def counted(matrix, field, native=False):
-        calls.append(matrix.cols)
-        return kernel_image(matrix, field, native=native)
-    monkeypatch.setattr(linalg, "kernel_image", counted)
+    def counted(n, columns, field):
+        calls.append(n)
+        return _kernel_basis(n, columns, field)
+    monkeypatch.setattr(dgalgebra, "_kernel_basis", counted)
     return calls
 
 

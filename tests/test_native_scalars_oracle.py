@@ -68,7 +68,7 @@ from quiverdg.linalg import (
     DSquaredNonzero,
     RowSpace,
     SparseMatrix,
-    kernel_image,
+    _kernel_basis,
     native_scalars,
     vec_add_term,
 )
@@ -421,9 +421,11 @@ def test_truncation_views_match_the_boxed_code(case, data):
     assert_native(field, (c for col in t._columns if col for c in col.values()))
     scalars = native_scalars(field)
     for degree in range(min(t.basis_by_degree), max(t.basis_by_degree) + 1):
-        kernel, rank = kernel_image(t._matrix(degree), field, native=True)
+        columns = t._position_columns(degree)
+        kernel = _kernel_basis(len(columns), columns, field)
         assert_native(field, (c for vec in kernel for c in vec.values()))
-        assert ([typed(scalars.public_vec(vec)) for vec in kernel], rank) == \
+        assert ([typed(scalars.public_vec(vec)) for vec in kernel],
+                len(columns) - len(kernel)) == \
             ref_kernel_image(b.matrix_between(degree), field)
     for word in t._words:
         assert typed(t.d_of(word)) == typed(b.d_of(word)), word

@@ -22,6 +22,11 @@ rungs, over Q unless stated:
 - bar at 5 and 6 letters of the same 3-cycle completion over F_101,
   realized on (-40, 8) at L = 2, then its all_dims() and the length of its
   differential ledger (58,824 and 411,771 words);
+- dual_bar at 5 letters of that realization, as the benchmark's
+  duals-relations-cli workload builds it;
+- completeness_report at word bound 10 on (0, 18) of k[eps]/eps^2 with eps
+  in degree -2 over F_101, realized on (0, 18) at L = 10 before the clock
+  starts, as that workload's square-zero-3 op runs it;
 - cohomology_dims on (-6, 0) of the bar at 6 letters of R_2 of the 3-cycle
   (rn_presentation) over F_101, realized on (-8, 8) at L = 2, as the
   benchmark's duals-relations-cli workload runs it; the bar is built before
@@ -60,14 +65,18 @@ from pathlib import Path
 
 from quiverdg import (
     Arrow,
+    DgAlgebraPresentation,
     FiniteDimAlgebra,
     GroundField,
+    PathAlgebraElement,
     QuiverPresentation,
     Superpotential,
     bar,
     cohomology,
+    completeness_report,
     cy_completion,
     decompose_commutative,
+    dual_bar,
     h0_algebra,
     jacobi_basis,
     realize,
@@ -144,6 +153,20 @@ def cycle_bar(letters):
     return call
 
 
+def cycle_dual_bar():
+    t = realize(cy_completion(three_cycle(), 3, field=GroundField(101)), (-40, 8), 2)
+    return lambda: dual_bar(t, 5, (-40, 8))
+
+
+def square_zero_completeness():
+    quiver = QuiverPresentation(("v",), (Arrow("eps", "v", "v", -2),))
+    field = GroundField(101)
+    square = PathAlgebraElement.from_path(quiver.path(["eps", "eps"]), field.one())
+    p = DgAlgebraPresentation(("v",), quiver.arrows, relations=(square,), field=field)
+    t = realize(p, (0, 18), 10)
+    return lambda: completeness_report(t, 10, (0, 18))
+
+
 def r2_bar_cohomology_dims():
     t = realize(rn_presentation(three_cycle(), 2, field=GroundField(101)), (-8, 8), 2)
     b = bar(t, 6, (-8, 8))
@@ -209,6 +232,8 @@ RUNGS = {
     "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
     "bar/3-cycle-cy3-F101-L2/6-letters": lambda: cycle_bar(6),
     "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters": r2_bar_cohomology_dims,
+    "dual_bar/3-cycle-cy3-F101-L2/5-letters": cycle_dual_bar,
+    "completeness_report/square-zero-3/L10": square_zero_completeness,
     "verify_differential/3-cycle-cy3/L8": lambda: cycle_verify(GroundField(0)),
     "verify_differential/3-cycle-cy3-F101/L8": lambda: cycle_verify(GroundField(101)),
     "decompose_commutative/five-local-factors": local_factors,
