@@ -17,6 +17,7 @@ document twice gives byte-identical text and JSON.
 """
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -101,11 +102,26 @@ def _scalar(field, raw, location):
         raise InputError(location, str(err))
 
 
+def _name(raw, location):
+    """A name of the document: a string, never another value printed."""
+    if not isinstance(raw, str):
+        raise InputError(location, "a name must be a string, got %s" % type(raw).__name__)
+    return raw
+
+
 def _strings(raw, location):
-    """A JSON list as a tuple of strings."""
+    """A JSON list of names as a tuple of strings."""
     if not isinstance(raw, list):
         raise InputError(location, "expected a list")
-    return tuple(str(s) for s in raw)
+    return tuple(_name(s, "%s[%d]" % (location, pos)) for pos, s in enumerate(raw))
+
+
+def _index(key, location):
+    """An integer object key such as "3", the index of a basis element."""
+    try:
+        return int(key)
+    except ValueError:
+        raise InputError("%s.%s" % (location, key), "key %r is not an integer" % (key,))
 
 
 def _parse_arrows(raw, location):
@@ -114,15 +130,16 @@ def _parse_arrows(raw, location):
         where = "%s[%d]" % (location, pos)
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(where, "an arrow is [name, source, target, degree]")
-        name, source, target, degree = entry
+        name, source, target = (_name(x, where) for x in entry[:3])
+        degree = entry[3]
         if not _is_int(degree):
             raise InputError(where, "arrow degree must be an integer")
-        arrows.append(Arrow(str(name), str(source), str(target), degree))
+        arrows.append(Arrow(name, source, target, degree))
     return tuple(arrows)
 
 
 def _parse_quiver(raw, location):
-    vertices = tuple(str(v) for v in _need(raw, "vertices", location, list))
+    vertices = _strings(_need(raw, "vertices", location, list), location + ".vertices")
     arrows = _parse_arrows(_need(raw, "arrows", location, list),
                            location + ".arrows")
     try:
@@ -154,7 +171,7 @@ def _parse_element(quiver, field, raw, location):
 
 
 def _parse_dg_presentation(raw, field, location):
-    vertices = tuple(str(v) for v in _need(raw, "vertices", location, list))
+    vertices = _strings(_need(raw, "vertices", location, list), location + ".vertices")
     generators = _parse_arrows(_need(raw, "generators", location, list),
                                location + ".generators")
     scratch = QuiverPresentation(vertices, generators)
@@ -208,7 +225,7 @@ def _parse_surface(raw, location):
     components = []
     for pos, entry in enumerate(_need(raw, "components", location, list)):
         where = "%s.components[%d]" % (location, pos)
-        name = str(_need(entry, "name", where))
+        name = _name(_need(entry, "name", where), where + ".name")
         fully = _need(entry, "fully_marked", where, bool)
         intervals = tuple(_strings(group, "%s.intervals[%d]" % (where, k)) for k, group
                           in enumerate(_optional(entry, "intervals", where, list, [])))
@@ -216,7 +233,7 @@ def _parse_surface(raw, location):
             name, fully, winding=_optional(entry, "winding", where, int),
             slots=_strings(_optional(entry, "slots", where, list, []), where + ".slots"),
             intervals=intervals,
-            enclosed_after_slot=entry.get("enclosed_after_slot")))
+            enclosed_after_slot=_optional(entry, "enclosed_after_slot", where, str)))
     arcs = _need(raw, "arcs", location, dict)
     arcs = {str(k): _strings(v, "%s.arcs.%s" % (location, k)) for k, v in arcs.items()}
     degrees = _optional(raw, "flow_degrees", location, dict, {})
@@ -230,7 +247,7 @@ def _parse_surface(raw, location):
 def _parse_algebra(raw, field, location):
     from .algebras import FiniteDimAlgebra
 
-    basis = [str(b) for b in _need(raw, "basis", location, list)]
+    basis = list(_strings(_need(raw, "basis", location, list), location + ".basis"))
     structure = {}
     for pos, entry in enumerate(_need(raw, "structure", location, list)):
         where = "%s.structure[%d]" % (location, pos)
@@ -238,8 +255,9 @@ def _parse_algebra(raw, field, location):
                 and _is_int(entry[0]) and _is_int(entry[1]) and isinstance(entry[2], dict)):
             raise InputError(where, "a structure row is [i, j, {k: coeff}]")
         i, j, vec = entry
-        structure[(i, j)] = {int(k): _scalar(field, c, where) for k, c in vec.items()}
-    unit = {int(k): _scalar(field, c, location + ".unit")
+        structure[(i, j)] = {_index(k, where): _scalar(field, c, where)
+                             for k, c in vec.items()}
+    unit = {_index(k, location + ".unit"): _scalar(field, c, location + ".unit")
             for k, c in _need(raw, "unit", location, dict).items()}
     degrees = _optional(raw, "degrees", location, list)
     if degrees is not None and not (len(degrees) == len(basis) and all(map(_is_int, degrees))):
@@ -254,7 +272,7 @@ def _parse_family(raw, location):
     from .reflexivity import SymbolicFamily
 
     try:
-        return SymbolicFamily(str(_need(raw, "family", location)),
+        return SymbolicFamily(_need(raw, "family", location, str),
                               degree=_optional(raw, "degree", location, int, 0),
                               variables=_optional(raw, "variables", location, int, 1))
     except ValueError as err:
@@ -783,8 +801,19 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError at argv, so
+    that they exit 1 as any other input error; --help still exits 0."""
+
+    def error(self, message):
+        raise InputError("argv", message)
+
+
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    """The command line parser, built once per process: parse_args does not
+    change it."""
+    parser = _ArgumentParser(
         prog="quiverdg",
         description="exact computations with presented dg algebras")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -859,8 +888,8 @@ def run(command, document, args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         document = _load_document(getattr(args, "document", None))
         lines, report = run(args.command, document, args)
     except InputError as err:

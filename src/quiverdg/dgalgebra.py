@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from operator import itemgetter
 
 from .fields import GroundField
@@ -33,6 +34,9 @@ from .quiver import (
     Path,
     PathAlgebraElement,
     QuiverPresentation,
+    _LazyList,
+    _paths,
+    _word_name,
     _word_records,
     reduce_modulo_relations,
 )
@@ -224,11 +228,14 @@ class TruncatedDgAlgebra:
     within a degree), so the words of one degree have consecutive ids.  Ids,
     weights, degrees, columns and mul_overflow are read off the quotient
     basis's word records (labels, source, target, weight, degree), sorted
-    once by degree.  The differential columns and the product memo are
-    stored on ids as {id: coeff}, with each id's weight and degree in lists,
-    and verify_differential, cohomology and matrix_between work on them
-    without hashing a path.  d_of, d_element, word_product and product are
-    the path-level views; the path -> id map they use is built on first use.
+    once by degree and kept in id order as _records.  The differential
+    columns and the product memo are stored on ids as {id: coeff}, with each
+    id's weight and degree in lists, and verify_differential, cohomology and
+    matrix_between work on them without building or hashing a path.  Each
+    list of basis_by_degree is a read-only lazy list that builds its Paths
+    from the records on first read, and _words, the Paths in id order, joins
+    those lists.  d_of, d_element, word_product and product are the
+    path-level views; the path -> id map they use is built on first use.
 
     Columns and products hold native scalars of the field (see linalg's
     native_scalars): over Q an int, or a Fraction when the value is not
@@ -244,7 +251,9 @@ class TruncatedDgAlgebra:
     quotient basis, so qb.reduce would return those terms unchanged.  A
     word is ledgered, with no column, exactly when a surviving term escapes
     the weight bound (terms that cancel do not count).  Any other word has
-    an in-bound term off the basis, and its differential is reduced.
+    an in-bound term off the basis, and its differential is reduced.  When
+    the quotient basis has no rewriting rule, the same columns are summed
+    from each word's prefix's column instead (see _prefix_columns).
 
     Products of two words are memoised for the life of the truncation.  When
     the concatenation fits the bound and is itself a basis word, which is
@@ -266,55 +275,137 @@ class TruncatedDgAlgebra:
         self._check_relation_differentials()
         # the basis word records, (labels, source, target, weight, degree),
         # grouped by degree in the order each degree first occurs
-        records, basis = self.qb._records, self.qb.basis
+        records = self.qb._records
         by_degree = {}
         for k, record in enumerate(records):
             by_degree.setdefault(record[4], []).append(k)
-        self.basis_by_degree = {d: [basis[k] for k in ks] for d, ks in by_degree.items()}
         order = []
         self._start = {}
         for degree in sorted(by_degree):
             self._start[degree] = len(order)
             order.extend(by_degree[degree])
-        words = [records[k] for k in order]
-        self._words = [basis[k] for k in order]
+        self._records = words = [records[k] for k in order]
+        self.basis_by_degree = {
+            d: _LazyList(len(ks), partial(_paths, words, self._start[d], self._start[d] + len(ks)))
+            for d, ks in by_degree.items()}
+        # the paths of every id, the degree lists joined in id order, so a
+        # word read through both is one Path
+        self._words = _LazyList(len(words), partial(list, chain.from_iterable(
+            map(self.basis_by_degree.__getitem__, sorted(by_degree)))))
         self._degree = [record[4] for record in words]
         self._weight = [record[3] for record in words]
-        self._scalars = scalars = native_scalars(self.field)
+        self._scalars = native_scalars(self.field)
         self._products = [None] * len(words)
         self._units = {}
-        self._columns = []
-        self.differential_ledger = []
         # ids of the non-trivial words by labels
-        self._by_labels = ids = {record[0]: i for i, record in enumerate(words) if record[0]}
-        weights = presentation.weights
-        for i, (labels, source, target, _, degree) in enumerate(words):
-            free = presentation._leibniz_into({}, labels)
-            col = {}
-            for term, c in free.items():
-                k = ids.get(term)
-                if k is None:
-                    break
-                col[k] = c
-            else:
-                self._columns.append(col)
-                continue
-            if any(sum(weights[name] for name in term) > weight_bound
-                   for term in free if term not in ids):
-                self.differential_ledger.append(OverflowEntry(
-                    "differential", degree, str(self._words[i])))
-                self._columns.append(None)
-                continue
-            element = PathAlgebraElement(
-                {Path(term, source, target): scalars.public(c) for term, c in free.items()})
-            self._columns.append(self._ids_of(self.qb.reduce(element).terms))
+        self._by_labels = {record[0]: i for i, record in enumerate(words) if record[0]}
+        if self.qb._rewriting.rules:
+            self._columns = [self._word_column(record) for record in words]
+        else:
+            self._columns = self._prefix_columns(order)
+        self.differential_ledger = [
+            OverflowEntry("differential", self._degree[i], self._name(i))
+            for i, col in enumerate(self._columns) if col is None]
         self.mul_overflow = self._count_mul_overflow(words)
         self.certified_finite_dimensional = self._certify_finite_dimensional()
+
+    def _word_column(self, record):
+        """The column of one word, from its free differential; None when it
+        is ledgered."""
+        labels, source, target, _, _ = record
+        p, ids = self.presentation, self._by_labels
+        free = p._leibniz_into({}, labels)
+        col = {}
+        for term, c in free.items():
+            k = ids.get(term)
+            if k is None:
+                break
+            col[k] = c
+        else:
+            return col
+        weights = p.weights
+        if any(sum(weights[name] for name in term) > self.weight_bound
+               for term in free if term not in ids):
+            return None
+        public = self._scalars.public
+        element = PathAlgebraElement(
+            {Path(term, source, target): public(c) for term, c in free.items()})
+        return self._ids_of(self.qb.reduce(element).terms)
+
+    def _prefix_columns(self, order):
+        """The columns, by id, of a truncation whose quotient basis has no
+        rewriting rule, so that every word within the bound is a basis word.
+
+        order[i] is the position of word i among the quotient basis's
+        records.  In that (weight, labels) order each word's prefix labels[:-1] comes
+        before the word, and col(w a) = col(w) a + (-1)^|w| w d(a) is summed
+        from the prefix's column through a (prefix id, letter) -> id table
+        and the signed letter table, with the dict operations of
+        _leibniz_into, so values and key order match _word_column.  A word
+        whose prefix is ledgered, or one of whose terms leaves the bound,
+        takes _word_column, which decides the ledger.
+        """
+        words, degree = self._records, self._degree
+        n = len(words)
+        trivial = {record[1]: i for i, record in enumerate(words) if not record[0]}
+        ids = self._by_labels
+        prefix = [None] * n
+        step = [None] * n  # step[i]: {letter: id of word i followed by it}
+        for i, (labels, source, _, _, _) in enumerate(words):
+            if labels:
+                p = prefix[i] = trivial[source] if len(labels) == 1 else ids[labels[:-1]]
+                row = step[p]
+                if row is None:
+                    row = step[p] = {}
+                row[labels[-1]] = i
+        walk = [0] * n  # the ids in the quotient basis's order
+        for i, k in enumerate(order):
+            walk[k] = i
+        signed, add = self.presentation._signed, self._scalars.add_term
+        columns = [None] * n
+        for i in walk:
+            labels = words[i][0]
+            if not labels:
+                columns[i] = {}
+                continue
+            p = prefix[i]
+            col = columns[p]
+            if col is not None:
+                letter, before, col = labels[-1], col, {}
+                for term, c in before.items():
+                    row = step[term]
+                    k = None if row is None else row.get(letter)
+                    if k is None:
+                        col = None
+                        break
+                    col[k] = c
+                terms = signed.get(letter)
+                if col is not None and terms is not None:
+                    for middle, c in terms[degree[p] % 2]:
+                        k = p
+                        for name in middle:
+                            row = step[k]
+                            k = None if row is None else row.get(name)
+                            if k is None:
+                                break
+                        if k is None:
+                            col = None
+                            break
+                        if k in col:
+                            add(col, k, c)
+                        else:
+                            col[k] = c  # a table coefficient is nonzero and reduced
+            columns[i] = self._word_column(words[i]) if col is None else col
+        return columns
 
     @cached_property
     def _id(self):
         """The id of each basis word, by path; built on first use."""
         return {w: i for i, w in enumerate(self._words)}
+
+    def _name(self, i):
+        """str of word i, read off its record."""
+        return _word_name(*self._records[i][:2])
 
     def _check_relation_differentials(self):
         p = self.presentation
@@ -478,18 +569,18 @@ class TruncatedDgAlgebra:
         return pq
 
     def _multiply(self, i, j):
-        p, q = self._words[i], self._words[j]
-        if p.target != q.source:
+        (labels, source, target, weight, _), q = self._records[i], self._records[j]
+        if target != q[1]:
             return {}
-        if self._weight[i] + self._weight[j] <= self.weight_bound:
-            if not q.labels:
+        if weight + q[3] <= self.weight_bound:
+            if not q[0]:
                 k = i
-            elif not p.labels:
+            elif not labels:
                 k = j
             else:
-                k = self._by_labels.get(p.labels + q.labels)
+                k = self._by_labels.get(labels + q[0])
             if k is None:
-                word = Path(p.labels + q.labels, p.source, q.target)
+                word = Path(labels + q[0], source, q[2])
                 return self._ids_of(self.qb.reduce(
                     PathAlgebraElement.from_path(word, self.field.one())).terms)
             unit = self._units.get(k)
@@ -499,8 +590,8 @@ class TruncatedDgAlgebra:
         if not self.certified_finite_dimensional:
             return None
         quiver = self.presentation.quiver
-        acc = self.qb.reduce(PathAlgebraElement.from_path(p, self.field.one()))
-        for label in q.labels:
+        acc = self.qb.reduce(PathAlgebraElement.from_path(self._words[i], self.field.one()))
+        for label in q[0]:
             acc = self.qb.reduce(acc * PathAlgebraElement.from_path(quiver.path([label])))
         return self._ids_of(acc.terms)
 
@@ -557,16 +648,18 @@ def verify_differential(t):
     The Leibniz pass visits only the composable pairs (p, q) whose total
     weight fits the bound, in basis order.  Words and pairs whose
     differentials or products escape the weight bound are skipped (counted),
-    never trusted.  Both passes run on the truncation's word ids, its
-    id-keyed columns and its id-keyed product memo, in native scalars, where
-    a product whose concatenation is a basis word is read off without
-    reduction (see TruncatedDgAlgebra); a word becomes a path again only to
-    name a failure.
+    never trusted.  Both passes run on the truncation's word records, its
+    id-keyed columns and its id-keyed product memo, read inline, in native
+    scalars, where a product whose concatenation is a basis word is read off
+    without reduction (see TruncatedDgAlgebra); a word is named only in a
+    failure.  Over Q a product that is one word with coefficient one has
+    that word's column as its differential, and a one-term piece of the
+    right side is added as a term.
     Returns a DifferentialReport whose failures list carries witnesses; it
     never raises.
     """
     report = DifferentialReport(0, 0, 0, 0)
-    words, columns, weight, degree = t._words, t._columns, t._weight, t._degree
+    records, columns, weight, degree = t._records, t._columns, t._weight, t._degree
     for i, col in enumerate(columns):
         dd = None if col is None else t._d(col)
         if dd is None:
@@ -575,20 +668,28 @@ def verify_differential(t):
         report.checked_words += 1
         if dd:
             report.failures.append(
-                ("d_squared", str(words[i]), repr(PathAlgebraElement(t._paths_of(dd)))))
+                ("d_squared", t._name(i), repr(PathAlgebraElement(t._paths_of(dd)))))
     # runs_at[vertex] lists, per degree, the ids of the words starting there
     # in id order, so weights ascend within a run and a scan stops at the
     # first too heavy word
     by_source = {}
-    for i, w in enumerate(words):
-        by_source.setdefault(w.source, {}).setdefault(degree[i], []).append(i)
+    for i, record in enumerate(records):
+        by_source.setdefault(record[1], {}).setdefault(record[4], []).append(i)
     runs_at = {v: list(runs.values()) for v, runs in by_source.items()}
-    product, axpy = t._product, t._scalars.axpy
-    for i, p in enumerate(words):
+    products, multiply = t._products, t._multiply
+    add_term, axpy = t._scalars.add_term, t._scalars.axpy
+    # over Q every native form of a value compares equal to it, so d of a
+    # one-word product with coefficient one is that word's column; over F_p
+    # only a reduced residue does, and _d reduces
+    rational = not t.field.characteristic
+    for i, record in enumerate(records):
         dp = columns[i]
         room = t.weight_bound - weight[i]
         odd = degree[i] % 2
-        for run in runs_at.get(p.target, ()):
+        memo = products[i]
+        if memo is None:
+            memo = products[i] = {}
+        for run in runs_at.get(record[2], ()):
             for j in run:
                 if weight[j] > room:
                     break
@@ -596,32 +697,56 @@ def verify_differential(t):
                 if dp is None or dq is None:
                     report.skipped_pairs += 1
                     continue
-                lhs = t._d(product(i, j))
-                rhs = None if lhs is None else _leibniz_rhs(product, axpy, i, j, dp, dq, odd)
+                pq = memo.get(j, _UNSET)
+                if pq is _UNSET:
+                    pq = memo[j] = multiply(i, j)
+                if rational and len(pq) == 1:
+                    [(k, c)] = pq.items()
+                    lhs = columns[k] if c == 1 else t._d(pq)
+                else:
+                    lhs = t._d(pq)
+                if lhs is None:
+                    report.skipped_pairs += 1
+                    continue
+                # rhs = (dp)q + (-1)^odd p(dq), None when a product escapes
+                rhs = {}
+                for u, cu in dp.items():
+                    row = products[u]
+                    if row is None:
+                        row = products[u] = {}
+                    piece = row.get(j, _UNSET)
+                    if piece is _UNSET:
+                        piece = row[j] = multiply(u, j)
+                    if piece is None:
+                        rhs = None
+                        break
+                    if len(piece) == 1:
+                        [(k, c)] = piece.items()
+                        add_term(rhs, k, cu * c)
+                    else:
+                        axpy(rhs, cu, piece)
+                if rhs is not None:
+                    for v, cv in dq.items():
+                        piece = memo.get(v, _UNSET)
+                        if piece is _UNSET:
+                            piece = memo[v] = multiply(i, v)
+                        if piece is None:
+                            rhs = None
+                            break
+                        if odd:
+                            cv = -cv
+                        if len(piece) == 1:
+                            [(k, c)] = piece.items()
+                            add_term(rhs, k, cv * c)
+                        else:
+                            axpy(rhs, cv, piece)
                 if rhs is None:
                     report.skipped_pairs += 1
                     continue
                 report.checked_pairs += 1
                 if lhs != rhs:
-                    report.failures.append(("leibniz", str(p), str(words[j])))
+                    report.failures.append(("leibniz", t._name(i), t._name(j)))
     return report
-
-
-def _leibniz_rhs(product, axpy, i, j, dp, dq, odd):
-    """(dp)q + (-1)^odd p(dq) on ids, in native scalars; None when a product
-    escapes."""
-    rhs = {}
-    for u, cu in dp.items():
-        piece = product(u, j)
-        if piece is None:
-            return None
-        axpy(rhs, cu, piece)
-    for v, cv in dq.items():
-        piece = product(i, v)
-        if piece is None:
-            return None
-        axpy(rhs, -cv if odd else cv, piece)
-    return rhs
 
 
 class CohomologyResult:
@@ -788,14 +913,13 @@ def cohomology(t, safe_window, strict=False):
     try:
         dims, images = _cohomology_ranks(t.dims(), t._position_columns, safe_window, t.field)
     except DSquaredNonzero as err:
-        raise DSquaredNonzero(
-            err.degree, str(t.basis_by_degree[err.degree][err.witness])) from None
+        raise DSquaredNonzero(err.degree, t._name(t._start[err.degree] + err.witness)) from None
     lo, hi = safe_window
     for i in t._ids_in(hi):
         col = t._columns[i]
         square = None if col is None else t._d(col)
         if square:
-            raise DSquaredNonzero(hi, str(t._words[i]))
+            raise DSquaredNonzero(hi, t._name(i))
     return CohomologyResult(t, (lo, hi), dims, images)
 
 
@@ -909,7 +1033,7 @@ def _h0_of_weight_slice(t):
             for record in words[degree]]
 
     def name(degree, k):
-        return str(Path(*words[degree][k][:3]))
+        return _word_name(*words[degree][k][:2])
 
     try:
         # the ranks step reduces the columns it is given, and columns[0] is

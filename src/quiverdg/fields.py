@@ -20,6 +20,7 @@ vectors of the eliminations.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 
 def _is_probable_prime(n):
@@ -146,9 +147,16 @@ class GroundField:
         return self.of(1)
 
     def of(self, value):
-        """Coerce an int, Fraction, scalar string like "-3/4", or field element."""
-        if isinstance(value, str):
-            value = parse_scalar(value)
+        """Coerce an int, Fraction or other exact rational (numbers.Rational,
+        such as sympy's Rational), a scalar string like "-3/4", or a field
+        element.  TypeError names any other type: a float is not exact."""
+        if value.__class__ is not int and value.__class__ is not Fraction:
+            if isinstance(value, str):
+                value = parse_scalar(value)
+            elif isinstance(value, Rational):
+                value = Fraction(value)
+            elif not isinstance(value, FpElement):
+                raise TypeError("cannot take a %s as an exact scalar" % type(value).__name__)
         if self.characteristic == 0:
             if isinstance(value, FpElement):
                 raise ValueError("cannot coerce an F_p residue into Q")

@@ -18,7 +18,6 @@ test suite keep both honest.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import partial
@@ -41,7 +40,7 @@ from .linalg import (
     native_scalars,
     vec_add_term,
 )
-from .quiver import Arrow, PathAlgebraElement, QuiverPresentation
+from .quiver import Arrow, PathAlgebraElement, QuiverPresentation, _LazyList
 
 
 class NotConilpotent(Exception):
@@ -129,45 +128,6 @@ def _letter_names(letters):
         used.add(name)
         names.append(name)
     return names
-
-
-class _LazyList(Sequence):
-    """A read-only list of known length whose items fill() builds on first use.
-
-    len and truth are exact from the start, and so is equality with an empty
-    list.  Iterating, indexing, any other comparison with a list, and repr
-    build the items, once.
-    """
-
-    def __init__(self, size, fill):
-        self._size = size
-        self._fill = fill
-        self._items = None
-
-    def _filled(self):
-        if self._items is None:
-            self._items = self._fill()
-            self._fill = None
-        return self._items
-
-    def __len__(self):
-        return self._size
-
-    def __getitem__(self, index):
-        return self._filled()[index]
-
-    def __iter__(self):
-        return iter(self._filled())
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _LazyList)):
-            return NotImplemented
-        return len(self) == len(other) and (not self._size or self._filled() == list(other))
-
-    __hash__ = None
-
-    def __repr__(self):
-        return repr(self._filled())
 
 
 class _WordTrie:

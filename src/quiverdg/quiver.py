@@ -9,7 +9,9 @@ element of the ideal, so normal forms are supported on light paths.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from .fields import GroundField
@@ -48,9 +50,57 @@ class Path:
         return not self.labels
 
     def __str__(self):
-        if not self.labels:
-            return "e_%s" % self.source
-        return "*".join(self.labels)
+        return _word_name(self.labels, self.source)
+
+
+def _word_name(labels, source):
+    """How a path with these labels, starting at source, prints."""
+    return "*".join(labels) if labels else "e_%s" % source
+
+
+def _paths(records, start=0, stop=None):
+    """The Paths of the word records records[start:stop]."""
+    return [Path(labels, source, target)
+            for labels, source, target, _, _ in records[start:stop]]
+
+
+class _LazyList(Sequence):
+    """A read-only list of known length whose items fill() builds on first use.
+
+    len and truth are exact from the start, and so is equality with an empty
+    list.  Iterating, indexing, any other comparison with a list, and repr
+    build the items, once.
+    """
+
+    def __init__(self, size, fill):
+        self._size = size
+        self._fill = fill
+        self._items = None
+
+    def _filled(self):
+        if self._items is None:
+            self._items = self._fill()
+            self._fill = None
+        return self._items
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, index):
+        return self._filled()[index]
+
+    def __iter__(self):
+        return iter(self._filled())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _LazyList)):
+            return NotImplemented
+        return len(self) == len(other) and (not self._size or self._filled() == list(other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(self._filled())
 
 
 def concat(p, q):
@@ -332,18 +382,20 @@ class QuotientBasis:
     `basis` lists the surviving paths in (weight, labels) order; `reduce`
     rewrites any element supported in weights <= bound to its normal form on
     that basis.  _records holds the word record of each basis path, in the
-    same order.  A word off the basis is rewritten by the truncated Groebner
-    basis of reduce_modulo_relations (empty without relations).  reduce
-    keeps the row of each path it meets for the life of the basis, so a
-    caller that never reduces never hashes a path.
+    same order, and basis is a read-only lazy list that builds its Paths
+    from them on first read, so len(basis) builds none.  A word off the
+    basis is rewritten by the truncated Groebner basis of
+    reduce_modulo_relations (empty without relations).  reduce keeps the row
+    of each path it meets for the life of the basis, so a caller that never
+    reduces never hashes a path.
     """
 
-    def __init__(self, quiver, length_bound, field, weights, records, basis, rewriting):
+    def __init__(self, quiver, length_bound, field, weights, records, rewriting):
         self.quiver = quiver
         self.length_bound = length_bound
         self.field = field
         self.weights = weights
-        self.basis = basis
+        self.basis = _LazyList(len(records), partial(_paths, records))
         self._records = records
         self._rewriting = rewriting
         self._scalars = rewriting.scalars
@@ -581,8 +633,7 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     else:
         records = _normal_words(quiver, length_bound, weights, rewriting)
     records = sorted(records, key=_ascending)
-    basis = [Path(labels, source, target) for labels, source, target, _, _ in records]
-    return QuotientBasis(quiver, length_bound, field, weights, records, basis, rewriting)
+    return QuotientBasis(quiver, length_bound, field, weights, records, rewriting)
 
 
 def _normal_words(quiver, bound, weights, rewriting):

@@ -290,6 +290,21 @@ SHAPE_FAULTS = {
     "degrees-of-strings": (
         "reflexive", mutated(ALGEBRA, ("object", "degrees"), ["a", 0]),
         "document.object.degrees"),
+    "component-name-an-object": (
+        "gentle", mutated(ANNULUS, ("object", "components", 0, "name"), {"a": 1}),
+        "document.object.components[0].name"),
+    "arrow-name-a-list": (
+        "ginzburg", mutated(LOOP, ("object", "quiver", "arrows", 0, 0), ["x"]),
+        "document.object.quiver.arrows[0]"),
+    "vertex-name-a-list": (
+        "cy", mutated(document_of("a2_preprojective"), ("object", "vertices", 0), ["1"]),
+        "document.object.vertices[0]"),
+    "structure-key-not-an-integer": (
+        "reflexive", mutated(ALGEBRA, ("object", "structure", 0, 2), {"x": "1"}),
+        "document.object.structure[0].x"),
+    "unit-key-not-an-integer": (
+        "reflexive", mutated(ALGEBRA, ("object", "unit"), {"x": "1"}),
+        "document.object.unit.x"),
 }
 
 
@@ -308,3 +323,33 @@ def test_the_algebra_document_of_the_shape_faults_runs(capsys, tmp_path):
     path.write_text(json.dumps(ALGEBRA))
     code, _, err = run_cli(["reflexive", str(path)], capsys)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cy", "--bogus", str(DATA / "a2_preprojective.json")],
+    ["cy", str(DATA / "a2_preprojective.json"), "--words", "notanint"],
+], ids=["unknown-flag", "words-not-an-int"])
+def test_usage_errors_exit_one(capsys, argv):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("input error at argv: ")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["cy", "--help"])
+    assert exit_info.value.code == 0
+    assert "usage: quiverdg cy" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once_and_parses_each_call_alone(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    document = str(DATA / "one_loop_ginzburg.json")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, out, _ = run_cli(["ginzburg", document, "--quiet", "--words", "3",
+                            "--json", str(first)], capsys)
+    assert code == 0 and out == ""
+    code, out, _ = run_cli(["ginzburg", document, "--json", str(second)], capsys)
+    assert code == 0 and out.startswith("ginzburg algebra on 1 vertices")
+    assert json.loads(first.read_text())["bounds"]["words"] == 3
+    assert second.read_bytes() == (GOLDEN / "one_loop_ginzburg.report.json").read_bytes()

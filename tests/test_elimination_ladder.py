@@ -1,8 +1,8 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
-rung, the A5 realize rung, the F_101 verify_differential rung, the
-local-factors rung, the Koszul pair rung and the L = 16 Jacobi rung of C^3
+rung, the A5 realize rung, both verify_differential rungs, the local-factors
+rung, the Koszul pair rung, the L = 16 Jacobi rung of C^3 and two CLI rungs
 run here, to keep the suite fast."""
 
 import importlib.util
@@ -19,6 +19,9 @@ DUAL_BAR_RUNG = "dual_bar/3-cycle-cy3-F101-L2/5-letters"
 COMPLETENESS_RUNG = "completeness_report/square-zero-3/L10"
 REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
+VERIFY_Q_RUNG = "verify_differential/3-cycle-cy3-Q/L8"
+CLI_GOLDEN_RUNG = "cli/circle_pair/koszul-dual"
+CLI_RUNG = "cli/annulus_pair/reflexive"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
 KOSZUL_RUNG = "verify_koszul_pair/3-cycle/n2-L7"
 JACOBI_RUNG = "jacobi_basis/C3-xyz-xzy/L16"
@@ -88,6 +91,43 @@ def test_the_verify_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(VERIFY_RUNG, tmp_path, monkeypatch)
     report = load_tool().RUNGS[VERIFY_RUNG]()()
     assert report.ok and (report.checked_words, report.checked_pairs) == (5043, 36969)
+
+
+def test_the_q_verify_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(VERIFY_Q_RUNG, tmp_path, monkeypatch)
+    report = load_tool().RUNGS[VERIFY_Q_RUNG]()()
+    assert report.ok and (report.checked_words, report.checked_pairs) == (5043, 36969)
+
+
+def test_every_document_command_has_a_cli_rung():
+    ladder = load_tool()
+    expected = {"cli/%s/%s" % (path.stem, command)
+                for path in (TOOL.parent.parent / "tests" / "data").glob("*.json")
+                for command in json.loads(path.read_text())["commands"]}
+    assert len(expected) == 12
+    assert {name for name in ladder.RUNGS if name.startswith("cli/")} == expected
+
+
+def test_the_cli_rungs_write_their_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(CLI_GOLDEN_RUNG, tmp_path, monkeypatch)
+    assert_the_rung_writes_its_json(CLI_RUNG, tmp_path, monkeypatch)
+
+
+def test_a_cli_rung_fails_on_a_nonzero_exit_or_other_bytes(monkeypatch, tmp_path):
+    import pytest
+
+    ladder = load_tool()
+    call = ladder.RUNGS[CLI_GOLDEN_RUNG]()
+    monkeypatch.setattr(ladder.cli, "main", lambda argv: 1)
+    with pytest.raises(RuntimeError, match="exited 1"):
+        call()
+
+    def other_bytes(argv):
+        Path(argv[-1]).write_text("{}\n")
+        return 0
+    monkeypatch.setattr(ladder.cli, "main", other_bytes)
+    with pytest.raises(RuntimeError, match="golden"):
+        call()
 
 
 def test_the_local_factors_rung_writes_its_json(tmp_path, monkeypatch):

@@ -85,6 +85,8 @@ NO_CALLER_IN_SRC = {
 # Public methods that no code in src calls but that stay, each with its
 # reason.
 NO_METHOD_CALLER_IN_SRC = {
+    "cli._ArgumentParser.error": "argparse calls it on a usage error; it raises InputError "
+                                 "at argv, so the error exits 1",
     "linalg.SparseMatrix.apply": "matrix times vector; tests check the truncation's and the "
                                  "bar's matrices against their columns with it",
     "dgalgebra.TruncatedDgAlgebra.reported_dims": "dims over the whole window, zeros included; "

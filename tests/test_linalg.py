@@ -47,6 +47,27 @@ def test_fp_arithmetic():
         GroundField(6)
 
 
+def test_field_of_rejects_inexact_numbers():
+    for field, value in ((F5, 1.5), (QQ, 0.1), (QQ, None), (F5, [1])):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            field.of(value)
+
+
+def test_field_of_keeps_exact_scalars():
+    import sympy
+
+    assert [(type(v), v) for v in (QQ.of(3), QQ.of(Fraction(3, 4)), QQ.of("-2/3"))] == [
+        (Fraction, Fraction(3)), (Fraction, Fraction(3, 4)), (Fraction, Fraction(-2, 3))]
+    assert (F5.of(7), F5.of(Fraction(3, 4)), F5.of("2/3"), F5.of(F5.of(3))) == (
+        FpElement(2, 5), FpElement(2, 5), FpElement(4, 5), FpElement(3, 5))
+    rational = QQ.of(sympy.Rational(-3, 4))
+    assert type(rational) is Fraction and rational == Fraction(-3, 4)
+    assert type(rational.numerator) is int
+    assert F5.of(sympy.Rational(3, 4)) == FpElement(2, 5)
+    with pytest.raises(ValueError):
+        QQ.of(F5.of(3))
+
+
 def test_kernel_of_row_vector():
     # kernel of the 1x2 matrix [1 1] is spanned by (1, -1)
     m = _matrix(QQ, [[1, 1]])

@@ -32,9 +32,16 @@ rungs, over Q unless stated:
   benchmark's duals-relations-cli workload runs it; the bar is built before
   the clock starts;
 - verify_differential of the rank-3 completion of the 3-cycle realized on
-  (-8, 0) at L = 8, over Q and over F_101 (5,043 words, 36,969 pairs);
+  (-8, 0) at L = 8, over Q (built and realized as the benchmark's
+  completion-verify workload does, at a larger bound) and over F_101 (5,043
+  words, 36,969 pairs);
 - decompose_commutative of k[x]/(m), m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2,
   on 1, x, ..., x^7: five local factors, as the benchmark builds it.
+
+- each command of the commands list of the six documents under tests/data,
+  run in this process as `quiverdg COMMAND DOCUMENT --quiet --json PATH`
+  through cli.main; the rung checks exit 0, and the report bytes against the
+  document's golden report where that report is of this command.
 
 The cold-start rungs are different: each is the median wall time, not
 process_time, of five fresh Python processes, run under the caller's
@@ -56,10 +63,12 @@ same Python, and reading the rungs side by side.
 """
 
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -83,10 +92,13 @@ from quiverdg import (
     verify_differential,
     verify_koszul_pair,
 )
+from quiverdg import cli
 from quiverdg.ginzburg import rn_presentation
 
 REPEATS = 5
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+DOCUMENTS = ("a2_preprojective", "annulus_pair", "circle_pair", "disk_gentle",
+             "one_loop_ginzburg", "r3_pair")
 
 
 def three_cycle():
@@ -178,6 +190,42 @@ def cycle_verify(field):
     return lambda: verify_differential(t)
 
 
+def cli_job(name, command):
+    """One CLI command on one document, in this process; RuntimeError when it
+    does not exit 0, or when its report differs from the document's golden
+    report of that command."""
+    document = DATA / ("%s.json" % name)
+    golden = (DATA / "golden" / ("%s.report.json" % name)).read_bytes()
+    if json.loads(golden)["command"] != command:
+        golden = None
+
+    def call():
+        handle, report = tempfile.mkstemp(suffix=".json")
+        os.close(handle)
+        try:
+            code = cli.main([command, str(document), "--quiet", "--json", report])
+            produced = Path(report).read_bytes()
+        finally:
+            os.remove(report)
+        if code != 0:
+            raise RuntimeError("%s %s exited %d" % (command, name, code))
+        if golden is not None and produced != golden:
+            raise RuntimeError("%s %s differs from its golden report" % (command, name))
+        return code
+    return call
+
+
+def cli_rungs():
+    """cli/<document>/<command> for each command each document lists."""
+    rungs = {}
+    for name in DOCUMENTS:
+        commands = json.loads((DATA / ("%s.json" % name)).read_text())["commands"]
+        for command in commands:
+            rungs["cli/%s/%s" % (name, command)] = (
+                lambda name=name, command=command: cli_job(name, command))
+    return rungs
+
+
 def local_factors():
     # m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2, one (x + c)^e per entry, with None
     # standing for x^2 + 1; x^k for k >= 8 is reduced modulo the monic m
@@ -234,9 +282,10 @@ RUNGS = {
     "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters": r2_bar_cohomology_dims,
     "dual_bar/3-cycle-cy3-F101-L2/5-letters": cycle_dual_bar,
     "completeness_report/square-zero-3/L10": square_zero_completeness,
-    "verify_differential/3-cycle-cy3/L8": lambda: cycle_verify(GroundField(0)),
+    "verify_differential/3-cycle-cy3-Q/L8": lambda: cycle_verify(GroundField(0)),
     "verify_differential/3-cycle-cy3-F101/L8": lambda: cycle_verify(GroundField(101)),
     "decompose_commutative/five-local-factors": local_factors,
+    **cli_rungs(),
     "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
     "cold-import/quiverdg.cli": lambda: fresh_process("-c", "import quiverdg.cli"),
     "cold-cli/disk_gentle-gentle": lambda: fresh_process(
