@@ -31,7 +31,6 @@ from .linalg import (
     native_scalars,
 )
 from .quiver import (
-    Path,
     PathAlgebraElement,
     QuiverPresentation,
     _LazyList,
@@ -248,18 +247,22 @@ class TruncatedDgAlgebra:
     dict operations as d_of_element, so values and key order match it).
     When every surviving term is a basis word, the column is read off
     through a labels -> id map: no basis word is a pivot column of the
-    quotient basis, so qb.reduce would return those terms unchanged.  A
+    quotient basis, so reduction would return those terms unchanged.  A
     word is ledgered, with no column, exactly when a surviving term escapes
     the weight bound (terms that cancel do not count).  Any other word has
-    an in-bound term off the basis, and its differential is reduced.  When
-    the quotient basis has no rewriting rule, the same columns are summed
-    from each word's prefix's column instead (see _prefix_columns).
+    an in-bound term off the basis, and its differential is reduced.  Most
+    columns are summed from their prefix's column rather than word by word
+    (see _prefix_columns), with or without relations.
 
     Products of two words are memoised for the life of the truncation.  When
     the concatenation fits the bound and is itself a basis word, which is
     exactly when its column of the quotient basis is not a pivot, reduction
     would return it unchanged, so its product is taken to be that word with
-    coefficient one; every other product is reduced.
+    coefficient one; every other product is reduced.  Every reduction, of a
+    column, of a product or of a relation's differential, runs on label
+    tuples in native scalars through the quotient basis's _reduced, and its
+    terms are mapped to ids through the labels -> id map, so no path is
+    built.
     """
 
     def __init__(self, presentation, window, weight_bound):
@@ -299,10 +302,7 @@ class TruncatedDgAlgebra:
         self._units = {}
         # ids of the non-trivial words by labels
         self._by_labels = {record[0]: i for i, record in enumerate(words) if record[0]}
-        if self.qb._rewriting.rules:
-            self._columns = [self._word_column(record) for record in words]
-        else:
-            self._columns = self._prefix_columns(order)
+        self._columns = self._prefix_columns(order)
         self.differential_ledger = [
             OverflowEntry("differential", self._degree[i], self._name(i))
             for i, col in enumerate(self._columns) if col is None]
@@ -312,9 +312,8 @@ class TruncatedDgAlgebra:
     def _word_column(self, record):
         """The column of one word, from its free differential; None when it
         is ledgered."""
-        labels, source, target, _, _ = record
         p, ids = self.presentation, self._by_labels
-        free = p._leibniz_into({}, labels)
+        free = p._leibniz_into({}, record[0])
         col = {}
         for term, c in free.items():
             k = ids.get(term)
@@ -323,27 +322,27 @@ class TruncatedDgAlgebra:
             col[k] = c
         else:
             return col
-        weights = p.weights
-        if any(sum(weights[name] for name in term) > self.weight_bound
-               for term in free if term not in ids):
+        weight = self.qb._rewriting.weight
+        if any(weight(term) > self.weight_bound for term in free if term not in ids):
             return None
-        public = self._scalars.public
-        element = PathAlgebraElement(
-            {Path(term, source, target): public(c) for term, c in free.items()})
-        return self._ids_of(self.qb.reduce(element).terms)
+        return self._ids_on_labels(self.qb._reduced(free))
 
     def _prefix_columns(self, order):
-        """The columns, by id, of a truncation whose quotient basis has no
-        rewriting rule, so that every word within the bound is a basis word.
+        """The columns, by id.
 
         order[i] is the position of word i among the quotient basis's
-        records.  In that (weight, labels) order each word's prefix labels[:-1] comes
-        before the word, and col(w a) = col(w) a + (-1)^|w| w d(a) is summed
-        from the prefix's column through a (prefix id, letter) -> id table
-        and the signed letter table, with the dict operations of
-        _leibniz_into, so values and key order match _word_column.  A word
-        whose prefix is ledgered, or one of whose terms leaves the bound,
-        takes _word_column, which decides the ledger.
+        records.  In that (weight, labels) order each word's prefix
+        labels[:-1] comes before the word, and col(w a) = col(w) a +
+        (-1)^|w| w d(a) is summed from the prefix's column through a (prefix
+        id, letter) -> id table and the signed letter table, with the dict
+        operations of _leibniz_into, so values and key order match
+        _word_column.  Only a column summed so is a seed for its word's
+        extensions: it is that word's free differential, while a reduced
+        column lists its normal form in another key order.  A word takes
+        _word_column, which decides the ledger and reduces, when its prefix
+        is not a basis word (a rule of slack > 0 can put w a on the basis
+        and w off it), when its prefix's column is no seed, or when a term
+        of the recurrence is not a basis word.
         """
         words, degree = self._records, self._degree
         n = len(words)
@@ -353,23 +352,25 @@ class TruncatedDgAlgebra:
         step = [None] * n  # step[i]: {letter: id of word i followed by it}
         for i, (labels, source, _, _, _) in enumerate(words):
             if labels:
-                p = prefix[i] = trivial[source] if len(labels) == 1 else ids[labels[:-1]]
-                row = step[p]
-                if row is None:
-                    row = step[p] = {}
-                row[labels[-1]] = i
+                p = prefix[i] = trivial[source] if len(labels) == 1 else ids.get(labels[:-1])
+                if p is not None:
+                    row = step[p]
+                    if row is None:
+                        row = step[p] = {}
+                    row[labels[-1]] = i
         walk = [0] * n  # the ids in the quotient basis's order
         for i, k in enumerate(order):
             walk[k] = i
         signed, add = self.presentation._signed, self._scalars.add_term
         columns = [None] * n
+        seeds = [None] * n
         for i in walk:
             labels = words[i][0]
             if not labels:
-                columns[i] = {}
+                columns[i] = seeds[i] = {}
                 continue
             p = prefix[i]
-            col = columns[p]
+            col = None if p is None else seeds[p]
             if col is not None:
                 letter, before, col = labels[-1], col, {}
                 for term, c in before.items():
@@ -395,7 +396,10 @@ class TruncatedDgAlgebra:
                             add(col, k, c)
                         else:
                             col[k] = c  # a table coefficient is nonzero and reduced
-            columns[i] = self._word_column(words[i]) if col is None else col
+            if col is None:
+                columns[i] = self._word_column(words[i])
+            else:
+                columns[i] = seeds[i] = col
         return columns
 
     @cached_property
@@ -408,18 +412,19 @@ class TruncatedDgAlgebra:
         return _word_name(*self._records[i][:2])
 
     def _check_relation_differentials(self):
-        p = self.presentation
+        p, weight = self.presentation, self.qb._rewriting.weight
+        native, public, path = p._scalars.native, p._scalars.public, p.quiver.path
         for r in p.relations:
-            dr = p.d_of_element(r)
-            if dr.is_zero():
-                continue
-            if any(p.weight_of(t) > self.weight_bound for t in dr.terms):
-                continue  # not checkable at this bound
-            residue = self.qb.reduce(dr)
-            if not residue.is_zero():
+            dr = {}
+            for word, c in r.terms.items():
+                p._leibniz_into(dr, word.labels, native(c))
+            if not dr or any(weight(t) > self.weight_bound for t in dr):
+                continue  # zero, or not checkable at this bound
+            residue = self.qb._reduced(dr)
+            if residue:
                 raise InconsistentPresentation(
                     "d of relation %r leaves the relation ideal: residue %r"
-                    % (r, residue))
+                    % (r, PathAlgebraElement({path(t): public(c) for t, c in residue.items()})))
 
     def _count_mul_overflow(self, words):
         """{landing degree: composable word pairs whose weights sum past the
@@ -466,10 +471,10 @@ class TruncatedDgAlgebra:
         lo, hi = self.window
         return {d: len(self.basis_by_degree.get(d, ())) for d in range(lo, hi + 1)}
 
-    def _ids_of(self, terms):
-        """{id: native coeff} of {path: coeff}."""
-        native = self._scalars.native
-        return {self._id[path]: native(c) for path, c in terms.items()}
+    def _ids_on_labels(self, vec):
+        """{id: coeff} of a vector on the labels of non-trivial basis words."""
+        ids = self._by_labels
+        return {ids[labels]: c for labels, c in vec.items()}
 
     def _paths_of(self, vec):
         """{path: coeff} of {id: native coeff}, with field scalars."""
@@ -569,7 +574,7 @@ class TruncatedDgAlgebra:
         return pq
 
     def _multiply(self, i, j):
-        (labels, source, target, weight, _), q = self._records[i], self._records[j]
+        (labels, _, target, weight, _), q = self._records[i], self._records[j]
         if target != q[1]:
             return {}
         if weight + q[3] <= self.weight_bound:
@@ -580,20 +585,17 @@ class TruncatedDgAlgebra:
             else:
                 k = self._by_labels.get(labels + q[0])
             if k is None:
-                word = Path(labels + q[0], source, q[2])
-                return self._ids_of(self.qb.reduce(
-                    PathAlgebraElement.from_path(word, self.field.one())).terms)
+                return self._ids_on_labels(self.qb._reduced({labels + q[0]: 1}))
             unit = self._units.get(k)
             if unit is None:
                 unit = self._units[k] = {k: 1}
             return unit
         if not self.certified_finite_dimensional:
             return None
-        quiver = self.presentation.quiver
-        acc = self.qb.reduce(PathAlgebraElement.from_path(self._words[i], self.field.one()))
+        acc = {labels: 1}
         for label in q[0]:
-            acc = self.qb.reduce(acc * PathAlgebraElement.from_path(quiver.path([label])))
-        return self._ids_of(acc.terms)
+            acc = self.qb._reduced({word + (label,): c for word, c in acc.items()})
+        return self._ids_on_labels(acc)
 
     def unit_element(self):
         one = self.field.one()
@@ -620,7 +622,8 @@ def realize(presentation, window, weight_bound):
     The window scopes reporting; an inverted window (lo > hi) is allowed and
     reports nothing.  InconsistentPresentation is raised when a relation
     differential leaves the relation ideal within the bound.  The words are
-    walked once, as label-tuple records, and sorted once (see
+    walked once, as label-tuple records, and sorted once, and columns and
+    products are reduced on label tuples, with relations as without (see
     TruncatedDgAlgebra).  h0_algebra does not call realize again at L + 1
     for a presentation with no relations whose differential preserves
     weight: there the truncation at L + 1 is this one plus the words of
@@ -652,9 +655,9 @@ def verify_differential(t):
     id-keyed columns and its id-keyed product memo, read inline, in native
     scalars, where a product whose concatenation is a basis word is read off
     without reduction (see TruncatedDgAlgebra); a word is named only in a
-    failure.  Over Q a product that is one word with coefficient one has
-    that word's column as its differential, and a one-term piece of the
-    right side is added as a term.
+    failure.  A product that is one word with coefficient one has that
+    word's column as its differential, and a one-term piece of the right
+    side is added as a term.
     Returns a DifferentialReport whose failures list carries witnesses; it
     never raises.
     """
@@ -678,10 +681,6 @@ def verify_differential(t):
     runs_at = {v: list(runs.values()) for v, runs in by_source.items()}
     products, multiply = t._products, t._multiply
     add_term, axpy = t._scalars.add_term, t._scalars.axpy
-    # over Q every native form of a value compares equal to it, so d of a
-    # one-word product with coefficient one is that word's column; over F_p
-    # only a reduced residue does, and _d reduces
-    rational = not t.field.characteristic
     for i, record in enumerate(records):
         dp = columns[i]
         room = t.weight_bound - weight[i]
@@ -700,7 +699,7 @@ def verify_differential(t):
                 pq = memo.get(j, _UNSET)
                 if pq is _UNSET:
                     pq = memo[j] = multiply(i, j)
-                if rational and len(pq) == 1:
+                if len(pq) == 1:
                     [(k, c)] = pq.items()
                     lhs = columns[k] if c == 1 else t._d(pq)
                 else:
@@ -1099,7 +1098,9 @@ def h0_algebra(t):
             coords = in_span(coh._class_of(0, product))
             if coords:
                 structure[(i, j)] = coords
-    unit = in_span(coh.class_coordinates(0, t.qb.reduce(t.unit_element())))
+    # the unit is the sum of the trivial words, all of degree 0
+    zero = t._ids_in(0)
+    unit = in_span(coh._class_of(0, {i - zero.start: 1 for i in zero if not t._records[i][0]}))
     labels = [str(r) for r in reps]
     algebra = FiniteDimAlgebra(t.field, labels, structure, unit)
     return H0Result(algebra, reps, t.weight_bound, (coh.dims[0], next_dim))

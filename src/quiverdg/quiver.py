@@ -337,26 +337,46 @@ def _out_arrows(quiver, weights):
     return out
 
 
-def _word_records(quiver, bound, weights=None):
-    """Yield a record (labels, source, target, weight, degree) for every path
-    of weight <= bound, depth first.
+def _word_records(quiver, bound, weights=None, rules=None):
+    """Yield a record (labels, source, target, weight, degree) for every word
+    of weight <= bound that contains no leading word LM(g) of rules with
+    slack_g <= bound - weight, depth first.
 
-    The weights are checked before the walk starts.  The walk starts from
-    the trivial paths in reverse-sorted vertex order and extends a path by
-    its out-arrows in name order; sorting the records stably by (weight,
+    rules maps each leading word to (slack, element), as in _Rewriting;
+    without rules every path is a word, since a noncommutative Groebner
+    basis with no element leaves every word normal.  The weights are checked
+    before the walk starts.  The walk starts from the trivial paths in
+    reverse-sorted vertex order and extends a word by its out-arrows in name
+    order, carrying the least slack of a leading word in it, and does not
+    extend a word holding a leading word of slack 0, since every extension
+    within the bound holds it too; sorting the records stably by (weight,
     labels) gives enumerate_paths's order, the trivial paths keeping the
     walk's vertex order among themselves.
     """
     weights = _checked_weights(quiver, weights)
     out = _out_arrows(quiver, weights)
-    stack = [((), v, v, 0, 0) for v in sorted(quiver.vertices)]
+    rules = rules or {}
+    lengths = sorted({len(lead) for lead in rules})
+    unseen = bound + 1  # above every slack that can matter
+    stack = [(((), v, v, 0, 0), unseen) for v in sorted(quiver.vertices)]
     while stack:
-        record = stack.pop()
-        yield record
+        record, slack = stack.pop()
         labels, source, target, weight, degree = record
+        if slack > bound - weight:
+            yield record
+        if not slack:
+            continue
         for name, head, w, d in out[target]:
             if weight + w <= bound:
-                stack.append((labels + (name,), source, head, weight + w, degree + d))
+                word = labels + (name,)
+                least = slack
+                for k in lengths:
+                    if k > len(word):
+                        break
+                    rule = rules.get(word[-k:])
+                    if rule is not None and rule[0] < least:
+                        least = rule[0]
+                stack.append(((word, source, head, weight + w, degree + d), least))
 
 
 _ascending = itemgetter(3, 0)  # (weight, labels) of a word record
@@ -385,9 +405,14 @@ class QuotientBasis:
     same order, and basis is a read-only lazy list that builds its Paths
     from them on first read, so len(basis) builds none.  A word off the
     basis is rewritten by the truncated Groebner basis of
-    reduce_modulo_relations (empty without relations).  reduce keeps the row
-    of each path it meets for the life of the basis, so a caller that never
-    reduces never hashes a path.
+    reduce_modulo_relations (empty without relations).
+
+    The reduction itself, _reduced, works on native vectors keyed by label
+    tuples, which name a non-trivial word whole; truncations call it
+    directly and never build a path.  It keeps the row of each word it meets
+    for the life of the basis, keyed by labels.  reduce is its adapter on
+    PathAlgebraElements: it checks the terms, keys them by labels, and
+    builds the paths and field scalars of the result.
     """
 
     def __init__(self, quiver, length_bound, field, weights, records, rewriting):
@@ -399,7 +424,9 @@ class QuotientBasis:
         self._records = records
         self._rewriting = rewriting
         self._scalars = rewriting.scalars
-        self._rows = {}  # path -> (weight, row), row None on a basis path
+        # labels, or a trivial path (see reduce), -> (weight, row), row None
+        # on a basis word
+        self._rows = {}
 
     def __len__(self):
         return len(self.basis)
@@ -407,52 +434,59 @@ class QuotientBasis:
     def weight_of(self, path):
         return sum(self.weights[name] for name in path.labels)
 
-    def _row(self, path):
-        """(weight, row) of a word of weight <= bound, or None when path is
-        not such a word.  row is None for a basis word; for any other word it
-        is the word minus its normal form, keyed by paths, the word first
-        with coefficient one and the normal form heaviest first."""
-        found = self._rows.get(path)
-        if found is not None:
-            return found
-        try:
-            if self.quiver.path(path.labels, base=path.source) != path:
-                return None
-        except (UnknownArrow, ValueError):
-            return None
-        weight = self.weight_of(path)
-        if weight > self.length_bound:
-            return None
-        rewriting, row = self._rewriting, None
-        if rewriting.find(path.labels, self.length_bound - weight) is not None:
-            neg = self._scalars.neg
-            row = {path: 1}
-            for term, c in rewriting.rewrite({path.labels: 1}, self.length_bound).items():
-                row[Path(term, path.source, path.target)] = neg(c)
-        found = self._rows[path] = (weight, row)
+    def _row(self, key):
+        """(weight, row) of the word with labels key, of weight <= bound.
+        row is None for a basis word; for any other word it is the word
+        minus its normal form, keyed by labels, the word first with
+        coefficient one and the normal form heaviest first."""
+        found = self._rows.get(key)
+        if found is None:
+            rewriting, row = self._rewriting, None
+            weight = rewriting.weight(key)
+            if rewriting.find(key, self.length_bound - weight) is not None:
+                neg = self._scalars.neg
+                row = {key: 1}
+                for term, c in rewriting.rewrite({key: 1}, self.length_bound).items():
+                    row[term] = neg(c)
+            found = self._rows[key] = (weight, row)
         return found
 
-    def reduce(self, element):
-        """The normal form of element.  It subtracts, heaviest off-basis path
-        first, the coefficient times that path minus its normal form, so the
-        terms keep the element's order and new ones follow in the order they
-        arise."""
-        scalars = self._scalars
-        out = {}
+    def _reduced(self, vec):
+        """Reduce the native vector vec, keyed by the labels of words of
+        weight <= bound, to its normal form in place, and return it.  It
+        subtracts, heaviest off-basis word first, the coefficient times that
+        word's row, so the terms keep vec's order and new ones follow in the
+        order they arise."""
         pivots = []
+        for key in vec:
+            weight, row = self._row(key)
+            if row is not None:
+                pivots.append((weight, key, row))
+        if pivots:
+            axpy = self._scalars.axpy
+            for _, key, row in sorted(pivots, key=itemgetter(0, 1), reverse=True):
+                axpy(vec, -vec[key], row)
+        return vec
+
+    def reduce(self, element):
+        """The normal form of element, with the term order of _reduced.  A
+        trivial path is a basis word, keyed by itself, since its labels ()
+        name no vertex."""
+        scalars, quiver, vec = self._scalars, self.quiver, {}
         for path, coeff in element.terms.items():
-            found = self._row(path)
-            if found is None:
+            try:
+                valid = quiver.path(path.labels, base=path.source) == path
+            except (UnknownArrow, ValueError):
+                valid = False
+            if not valid or self.weight_of(path) > self.length_bound:
                 raise ValueError(
                     "path %s exceeds the length bound %d" % (path, self.length_bound))
-            out[path] = scalars.native(coeff)
-            if found[1] is not None:
-                pivots.append((found[0], path.labels, path, found[1]))
-        if pivots:
-            axpy = scalars.axpy
-            for _, _, path, row in sorted(pivots, key=itemgetter(0, 1), reverse=True):
-                axpy(out, -out[path], row)
-        return PathAlgebraElement(scalars.public_vec(out))
+            if not path.labels:
+                self._rows[path] = (0, None)
+            vec[path.labels or path] = scalars.native(coeff)
+        return PathAlgebraElement({
+            key if isinstance(key, Path) else quiver.path(key): scalars.public(c)
+            for key, c in self._reduced(vec).items()})
 
 
 class _Rewriting:
@@ -593,10 +627,11 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     in order of sugar, keeping only steps whose sugar fits L.  Each element
     g carries slack_g = sugar(g) - weight(LM(g)), and a word w of weight <=
     L is a leading word of V_L, so off the basis, exactly when it contains
-    some LM(g) with slack_g <= L - weight(w).  The basis words come from one
-    walk of the quiver that does not extend a word containing a leading
-    word of slack 0, since every extension within the bound contains it
-    too.  With no relations every word is a basis word.
+    some LM(g) with slack_g <= L - weight(w).  The basis words come from
+    _word_records, the one walk of the quiver, given the leading words: it
+    does not extend a word containing a leading word of slack 0, since
+    every extension within the bound contains it too.  With no relations
+    there is no leading word, and every word is a basis word.
 
     Coefficients are reduced into the field before a relation's heaviest
     weight is taken.  For integer relations the basis over F_p is at least
@@ -628,37 +663,6 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
         cleaned.append({p.labels: scalars.native(c) for p, c in terms.items()})
 
     rewriting = _Rewriting(cleaned, length_bound, weights, scalars)
-    if not rewriting.rules:
-        records = _word_records(quiver, length_bound, weights)
-    else:
-        records = _normal_words(quiver, length_bound, weights, rewriting)
-    records = sorted(records, key=_ascending)
+    records = sorted(_word_records(quiver, length_bound, weights, rewriting.rules),
+                     key=_ascending)
     return QuotientBasis(quiver, length_bound, field, weights, records, rewriting)
-
-
-def _normal_words(quiver, bound, weights, rewriting):
-    """The records, in _word_records's form, of the words of weight <= bound
-    that contain no leading word LM(g) with slack_g <= bound - weight.  The
-    walk carries the least slack of a leading word in each word and extends
-    a word only while that slack is above 0."""
-    out = _out_arrows(quiver, weights)
-    rules, lengths = rewriting.rules, rewriting.lengths
-    unseen = bound + 1  # above every slack that can matter
-    stack = [((), v, v, 0, 0, unseen) for v in sorted(quiver.vertices)]
-    while stack:
-        labels, source, target, weight, degree, slack = stack.pop()
-        if slack > bound - weight:
-            yield labels, source, target, weight, degree
-        if not slack:
-            continue
-        for name, head, w, d in out[target]:
-            if weight + w <= bound:
-                word = labels + (name,)
-                least = slack
-                for k in lengths:
-                    if k > len(word):
-                        break
-                    rule = rules.get(word[-k:])
-                    if rule is not None and rule[0] < least:
-                        least = rule[0]
-                stack.append((word, source, head, weight + w, degree + d, least))

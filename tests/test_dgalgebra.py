@@ -241,14 +241,16 @@ def test_cancelling_escapes_do_not_ledger_a_word(a_degree, ledgered):
 
 
 def count_reductions(monkeypatch):
+    """Records each vector handed to the quotient basis's label-keyed
+    reduction, which every reduction inside a truncation goes through."""
     calls = []
-    reduce = QuotientBasis.reduce
+    reduce = QuotientBasis._reduced
 
-    def counted(self, element):
-        calls.append(element)
-        return reduce(self, element)
+    def counted(self, vec):
+        calls.append(dict(vec))
+        return reduce(self, vec)
 
-    monkeypatch.setattr(QuotientBasis, "reduce", counted)
+    monkeypatch.setattr(QuotientBasis, "_reduced", counted)
     return calls
 
 

@@ -1,7 +1,7 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
-rung, the A5 realize rung, both verify_differential rungs, the local-factors
+rung, the A5 realize rung, the three verify_differential rungs, the local-factors
 rung, the Koszul pair rung, the L = 16 Jacobi rung of C^3 and two CLI rungs
 run here, to keep the suite fast."""
 
@@ -20,6 +20,7 @@ COMPLETENESS_RUNG = "completeness_report/square-zero-3/L10"
 REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 VERIFY_Q_RUNG = "verify_differential/3-cycle-cy3-Q/L8"
+VERIFY_C3_RUNG = "verify_differential/C3-commutative-Q/L10"
 CLI_GOLDEN_RUNG = "cli/circle_pair/koszul-dual"
 CLI_RUNG = "cli/annulus_pair/reflexive"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
@@ -97,6 +98,13 @@ def test_the_q_verify_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(VERIFY_Q_RUNG, tmp_path, monkeypatch)
     report = load_tool().RUNGS[VERIFY_Q_RUNG]()()
     assert report.ok and (report.checked_words, report.checked_pairs) == (5043, 36969)
+
+
+def test_the_c3_verify_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(VERIFY_C3_RUNG, tmp_path, monkeypatch)
+    report = load_tool().RUNGS[VERIFY_C3_RUNG]()()
+    # C(13, 3) monomials of degree at most 10
+    assert report.ok and (report.checked_words, report.checked_pairs) == (286, 8008)
 
 
 def test_every_document_command_has_a_cli_rung():

@@ -91,12 +91,17 @@ NO_METHOD_CALLER_IN_SRC = {
                                  "bar's matrices against their columns with it",
     "dgalgebra.TruncatedDgAlgebra.reported_dims": "dims over the whole window, zeros included; "
                                                   "the koszul and dgalgebra tests read it",
+    "dgalgebra.DgAlgebraPresentation.d_of_element": "public API: the free Leibniz extension of "
+                                                    "the differential; the oracle tests check "
+                                                    "it against their own",
     "dgalgebra.DgAlgebraPresentation.degree_of": "the degree of a path; the oracle tests group "
                                                  "their reference bases by it",
     "reflexivity.CompletenessTriple.note_for": "the provenance note of one flag, for a caller "
                                                "that reads one flag; tests/test_reflexivity.py",
     "dgalgebra.TruncatedDgAlgebra.d_of": "public view of a column with field scalars; the "
                                          "oracle tests compare columns through it",
+    "dgalgebra.TruncatedDgAlgebra.unit_element": "public view: the unit as a sum of trivial "
+                                                 "paths; the oracle tests reduce it",
     "dgalgebra.TruncatedDgAlgebra.d_element": "public view: d of an element on basis words",
     "dgalgebra.TruncatedDgAlgebra.word_product": "public view: the reduced product of two "
                                                  "basis words",

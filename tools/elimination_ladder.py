@@ -35,6 +35,11 @@ rungs, over Q unless stated:
   (-8, 0) at L = 8, over Q (built and realized as the benchmark's
   completion-verify workload does, at a larger bound) and over F_101 (5,043
   words, 36,969 pairs);
+- verify_differential of the commutative k[x, y, z] (three loops, the
+  commutators as relations, zero differential) on (0, 0) at L = 10 over Q:
+  286 words and 8,008 pairs, most of whose products are reduced by the
+  relations.  The truncation is realized inside the timed call, so each
+  run fills a fresh product memo; realize is about 1 % of the call;
 - decompose_commutative of k[x]/(m), m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2,
   on 1, x, ..., x^7: five local factors, as the benchmark builds it.
 
@@ -190,6 +195,15 @@ def cycle_verify(field):
     return lambda: verify_differential(t)
 
 
+def c3_verify():
+    quiver = QuiverPresentation(("v",), tuple(Arrow(name, "v", "v") for name in "xyz"))
+    relations = [PathAlgebraElement({quiver.path([a, b]): 1, quiver.path([b, a]): -1})
+                 for a, b in ("xy", "xz", "yz")]
+    p = DgAlgebraPresentation(("v",), quiver.arrows, relations=relations)
+    # a fresh truncation per run, so that every run reduces its products
+    return lambda: verify_differential(realize(p, (0, 0), 10))
+
+
 def cli_job(name, command):
     """One CLI command on one document, in this process; RuntimeError when it
     does not exit 0, or when its report differs from the document's golden
@@ -284,6 +298,7 @@ RUNGS = {
     "completeness_report/square-zero-3/L10": square_zero_completeness,
     "verify_differential/3-cycle-cy3-Q/L8": lambda: cycle_verify(GroundField(0)),
     "verify_differential/3-cycle-cy3-F101/L8": lambda: cycle_verify(GroundField(101)),
+    "verify_differential/C3-commutative-Q/L10": c3_verify,
     "decompose_commutative/five-local-factors": local_factors,
     **cli_rungs(),
     "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
