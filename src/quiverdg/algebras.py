@@ -11,7 +11,7 @@ factors used by the reflexivity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .linalg import (
     RowSpace,
@@ -434,7 +434,6 @@ class LocalFactor:
     radical_dimension: int
     residue_dimension: int
     residue_field_certified: bool
-    embed: object = dataclass_field(repr=False, default=None)
 
 
 def _algebra_on_span(parent, vectors, unit_vec):
@@ -470,50 +469,55 @@ def _algebra_on_span(parent, vectors, unit_vec):
     return algebra, embed
 
 
-def _find_splitting_idempotent(algebra):
-    """A nontrivial idempotent found through a basis element whose minimal
-    polynomial has at least two distinct irreducible factors; None if the
-    candidate scan is exhausted."""
-    field = algebra.field
-    one = field.one()
-    candidates = [{i: one} for i in range(algebra.dim)]
+def _candidates(algebra):
+    """The elements tried for a split and for a primitive element, in order:
+    the basis elements, then the sums of two of them."""
+    one = algebra.field.one()
+    for i in range(algebra.dim):
+        yield {i: one}
     for i in range(algebra.dim):
         for j in range(i + 1, algebra.dim):
-            candidates.append({i: one, j: one})
-    for vec in candidates:
+            yield {i: one, j: one}
+
+
+def _splitting_idempotents(algebra):
+    """Every idempotent that one minimal polynomial splits off, or None.
+
+    At the first candidate x whose minimal polynomial m = f_1 ... f_k has
+    k >= 2 coprime prime-power factors f_i (Chinese remainder theorem), let
+    h_i = m / f_i and v_i * h_i = 1 modulo f_i (extended Euclid).  Then
+    e_i = (v_i * h_i mod m)(x) is 1 modulo f_i and 0 modulo every other
+    factor, so e_1, ..., e_k are orthogonal idempotents summing to one.  An
+    e_i need not be primitive: x separates only the factors on which its
+    values differ.  None when no candidate's minimal polynomial splits.
+    """
+    field = algebra.field
+    for vec in _candidates(algebra):
         m = minimal_polynomial(algebra, vec)
         factors = factor_polynomial(m, field)
         if len(factors) < 2:
             continue
-        q, e = factors[0]
-        f = [field.one()]
-        for _ in range(e):
-            f = _poly_mul(f, q, field)
-        h, _ = _poly_divmod(m, f, field)
-        g, u, _ = _poly_gcdex(f, h, field)
-        if g != [field.one()]:
-            continue
-        idem_poly = _poly_mod(_poly_mul(u, f, field), m, field)
-        e_vec = poly_eval_in_algebra(idem_poly, algebra, vec)
-        if not e_vec or e_vec == algebra.unit:
-            continue
-        if algebra.mul(e_vec, e_vec) != e_vec:
-            raise RadicalComputationError("constructed idempotent fails e*e == e")
-        return e_vec
+        idempotents = []
+        for q, exponent in factors:
+            f = [field.one()]
+            for _ in range(exponent):
+                f = _poly_mul(f, q, field)
+            h, _ = _poly_divmod(m, f, field)
+            _, _, v = _poly_gcdex(f, h, field)
+            e = poly_eval_in_algebra(_poly_mod(_poly_mul(v, h, field), m, field),
+                                     algebra, vec)
+            if algebra.mul(e, e) != e:
+                raise RadicalComputationError("constructed idempotent fails e*e == e")
+            idempotents.append(e)
+        return idempotents
     return None
 
 
 def _residue_certificate(quotient):
     """True when a primitive element exhibits the quotient as a single field."""
-    field = quotient.field
-    one = field.one()
-    candidates = [{i: one} for i in range(quotient.dim)]
-    for i in range(quotient.dim):
-        for j in range(i + 1, quotient.dim):
-            candidates.append({i: one, j: one})
-    for vec in candidates:
+    for vec in _candidates(quotient):
         m = minimal_polynomial(quotient, vec)
-        factors = factor_polynomial(m, field)
+        factors = factor_polynomial(m, quotient.field)
         if len(factors) == 1 and factors[0][1] == 1 and len(m) - 1 == quotient.dim:
             return True
     return False
@@ -524,30 +528,32 @@ def decompose_commutative(algebra):
 
     Returns a list of LocalFactor entries whose idempotents are orthogonal,
     sum to one, and are exact.  Raises NotCommutative otherwise.
+
+    Each round takes one corner e * A and splits it with
+    _splitting_idempotents: every factor of one minimal polynomial gives an
+    idempotent at once.  The loop remains because one element need not
+    separate every local factor: on the diagonal basis of k x k x k the
+    first candidate e_1 splits off e_1 and leaves e_2 + e_3 whole.  Each
+    idempotent is mapped into the input's coordinates, and its corner is cut
+    from the input itself, spanned by e * b over the input's basis b.
     """
     if not algebra.is_commutative():
         raise NotCommutative("decomposition requires a commutative algebra")
+    one = algebra.field.one()
     pending = [(algebra.unit, algebra, lambda v: v)]
     finished = []
     while pending:
         idem, current, embed = pending.pop()
-        splitter = _find_splitting_idempotent(current)
-        if splitter is None:
-            finished.append((idem, current, embed))
+        idempotents = _splitting_idempotents(current)
+        if idempotents is None:
+            finished.append((idem, current))
             continue
-        complement = dict(current.unit)
-        vec_axpy(complement, -current.field.one(), splitter)
-        for corner_idem in (splitter, complement):
-            one = current.field.one()
-            span = [current.mul(corner_idem, {i: one}) for i in range(current.dim)]
-            corner, corner_embed = _algebra_on_span(current, span, corner_idem)
-
-            def compose_embed(vec, inner=corner_embed, outer=embed):
-                return outer(inner(vec))
-
-            pending.append((embed(corner_idem), corner, compose_embed))
+        for e in map(embed, idempotents):
+            span = [algebra.mul(e, {i: one}) for i in range(algebra.dim)]
+            corner, corner_embed = _algebra_on_span(algebra, span, e)
+            pending.append((e, corner, corner_embed))
     factors = []
-    for idem, current, embed in finished:
+    for idem, current in finished:
         info = current.radical()
         factors.append(LocalFactor(
             idempotent=idem,
@@ -555,7 +561,6 @@ def decompose_commutative(algebra):
             radical_dimension=info.dimension,
             residue_dimension=current.dim - info.dimension,
             residue_field_certified=_residue_certificate(info.quotient),
-            embed=embed,
         ))
     factors.sort(key=lambda f: sorted((i, str(c)) for i, c in f.idempotent.items()))
     return factors

@@ -124,7 +124,8 @@ def _index(key, location):
         raise InputError("%s.%s" % (location, key), "key %r is not an integer" % (key,))
 
 
-def _parse_arrows(raw, location):
+def _parse_arrows(raw, vertices, location):
+    """Arrows [name, source, target, degree] between the declared vertices."""
     arrows = []
     for pos, entry in enumerate(raw):
         where = "%s[%d]" % (location, pos)
@@ -134,13 +135,16 @@ def _parse_arrows(raw, location):
         degree = entry[3]
         if not _is_int(degree):
             raise InputError(where, "arrow degree must be an integer")
+        for end in (source, target):
+            if end not in vertices:
+                raise InputError(where, "arrow %s has undeclared endpoint %r" % (name, end))
         arrows.append(Arrow(name, source, target, degree))
     return tuple(arrows)
 
 
 def _parse_quiver(raw, location):
     vertices = _strings(_need(raw, "vertices", location, list), location + ".vertices")
-    arrows = _parse_arrows(_need(raw, "arrows", location, list),
+    arrows = _parse_arrows(_need(raw, "arrows", location, list), vertices,
                            location + ".arrows")
     try:
         return QuiverPresentation(vertices, arrows)
@@ -172,7 +176,7 @@ def _parse_element(quiver, field, raw, location):
 
 def _parse_dg_presentation(raw, field, location):
     vertices = _strings(_need(raw, "vertices", location, list), location + ".vertices")
-    generators = _parse_arrows(_need(raw, "generators", location, list),
+    generators = _parse_arrows(_need(raw, "generators", location, list), vertices,
                                location + ".generators")
     scratch = QuiverPresentation(vertices, generators)
     differential = None

@@ -305,6 +305,12 @@ SHAPE_FAULTS = {
     "unit-key-not-an-integer": (
         "reflexive", mutated(ALGEBRA, ("object", "unit"), {"x": "1"}),
         "document.object.unit.x"),
+    "generator-endpoint-undeclared": (
+        "koszul-dual", mutated(CIRCLE, ("object", "generators", 0, 2), "w"),
+        "document.object.generators[0]"),
+    "arrow-endpoint-undeclared": (
+        "ginzburg", mutated(LOOP, ("object", "quiver", "arrows", 0, 1), "w"),
+        "document.object.quiver.arrows[0]"),
 }
 
 

@@ -1,7 +1,7 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
-rung, the A5 realize rung, the three verify_differential rungs, the local-factors
+rung, the A5 realize rung, the five verify_differential rungs, the local-factors
 rung, the Koszul pair rung, the L = 16 Jacobi rung of C^3 and two CLI rungs
 run here, to keep the suite fast."""
 
@@ -10,6 +10,8 @@ import json
 import os
 import statistics
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "elimination_ladder.py"
 RUNG = "cohomology/3-cycle-cy3/L6"
@@ -21,6 +23,8 @@ REALIZE_RUNG = "realize/A5-cy2/L9"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 VERIFY_Q_RUNG = "verify_differential/3-cycle-cy3-Q/L8"
 VERIFY_C3_RUNG = "verify_differential/C3-commutative-Q/L10"
+VERIFY_COLD_RUNG = "verify_differential/3-cycle-cy3-F101/L8-cold"
+VERIFY_Q_COLD_RUNG = "verify_differential/3-cycle-cy3-Q/L8-cold"
 CLI_GOLDEN_RUNG = "cli/circle_pair/koszul-dual"
 CLI_RUNG = "cli/annulus_pair/reflexive"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
@@ -100,6 +104,13 @@ def test_the_q_verify_rung_writes_its_json(tmp_path, monkeypatch):
     assert report.ok and (report.checked_words, report.checked_pairs) == (5043, 36969)
 
 
+@pytest.mark.parametrize("name", [VERIFY_COLD_RUNG, VERIFY_Q_COLD_RUNG])
+def test_the_cold_verify_rungs_write_their_json(name, tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(name, tmp_path, monkeypatch)
+    report = load_tool().RUNGS[name]()()
+    assert report.ok and (report.checked_words, report.checked_pairs) == (5043, 36969)
+
+
 def test_the_c3_verify_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(VERIFY_C3_RUNG, tmp_path, monkeypatch)
     report = load_tool().RUNGS[VERIFY_C3_RUNG]()()
@@ -142,6 +153,24 @@ def test_the_local_factors_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(FACTORS_RUNG, tmp_path, monkeypatch)
     factors = load_tool().RUNGS[FACTORS_RUNG]()()
     assert len(factors) == 5 and all(f.residue_field_certified for f in factors)
+
+
+def test_the_local_factors_rung_cuts_one_corner_per_factor(monkeypatch):
+    # one split of x's minimal polynomial gives all five idempotents, and each
+    # corner is cut once from the input; peeling one idempotent per round
+    # cut eight
+    from quiverdg import algebras
+
+    call = load_tool().RUNGS[FACTORS_RUNG]()
+    cut = algebras._algebra_on_span
+    corners = []
+
+    def counted(*args):
+        corners.append(args)
+        return cut(*args)
+    monkeypatch.setattr(algebras, "_algebra_on_span", counted)
+    assert len(call()) == 5
+    assert len(corners) == 5
 
 
 def test_the_koszul_pair_rung_writes_its_json(tmp_path, monkeypatch):
