@@ -116,6 +116,15 @@ def _strings(raw, location):
     return tuple(_name(s, "%s[%d]" % (location, pos)) for pos, s in enumerate(raw))
 
 
+def _vertices(raw, location):
+    """The declared vertices: a list of names, none of them repeated."""
+    vertices = _strings(raw, location)
+    for pos, name in enumerate(vertices):
+        if name in vertices[:pos]:
+            raise InputError("%s[%d]" % (location, pos), "vertex %r is declared twice" % name)
+    return vertices
+
+
 def _index(key, location):
     """An integer object key such as "3", the index of a basis element."""
     try:
@@ -125,13 +134,16 @@ def _index(key, location):
 
 
 def _parse_arrows(raw, vertices, location):
-    """Arrows [name, source, target, degree] between the declared vertices."""
+    """Arrows [name, source, target, degree] between the declared vertices,
+    no name repeated."""
     arrows = []
     for pos, entry in enumerate(raw):
         where = "%s[%d]" % (location, pos)
         if not (isinstance(entry, list) and len(entry) == 4):
             raise InputError(where, "an arrow is [name, source, target, degree]")
         name, source, target = (_name(x, where) for x in entry[:3])
+        if any(a.name == name for a in arrows):
+            raise InputError(where, "arrow %r is declared twice" % name)
         degree = entry[3]
         if not _is_int(degree):
             raise InputError(where, "arrow degree must be an integer")
@@ -143,7 +155,7 @@ def _parse_arrows(raw, vertices, location):
 
 
 def _parse_quiver(raw, location):
-    vertices = _strings(_need(raw, "vertices", location, list), location + ".vertices")
+    vertices = _vertices(_need(raw, "vertices", location, list), location + ".vertices")
     arrows = _parse_arrows(_need(raw, "arrows", location, list), vertices,
                            location + ".arrows")
     try:
@@ -175,7 +187,7 @@ def _parse_element(quiver, field, raw, location):
 
 
 def _parse_dg_presentation(raw, field, location):
-    vertices = _strings(_need(raw, "vertices", location, list), location + ".vertices")
+    vertices = _vertices(_need(raw, "vertices", location, list), location + ".vertices")
     generators = _parse_arrows(_need(raw, "generators", location, list), vertices,
                                location + ".generators")
     scratch = QuiverPresentation(vertices, generators)

@@ -16,6 +16,7 @@ in-bounds word and pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
@@ -34,9 +35,9 @@ from .quiver import (
     PathAlgebraElement,
     QuiverPresentation,
     _LazyList,
+    _Level,
     _paths,
     _word_name,
-    _word_records,
     reduce_modulo_relations,
 )
 
@@ -226,15 +227,17 @@ class TruncatedDgAlgebra:
     position in degree-major basis order (degrees ascending, basis order
     within a degree), so the words of one degree have consecutive ids.  Ids,
     weights, degrees, columns and mul_overflow are read off the quotient
-    basis's word records (labels, source, target, weight, degree), sorted
-    once by degree and kept in id order as _records.  The differential
-    columns and the product memo are stored on ids as {id: coeff}, with each
-    id's weight and degree in lists, and verify_differential, cohomology and
-    matrix_between work on them without building or hashing a path.  Each
-    list of basis_by_degree is a read-only lazy list that builds its Paths
-    from the records on first read, and _words, the Paths in id order, joins
-    those lists.  d_of, d_element, word_product and product are the
-    path-level views; the path -> id map they use is built on first use.
+    basis's word records (labels, source, target, weight, degree), which its
+    word walk lists in (weight, labels) order with each word's prefix;
+    sorted stably by degree they are kept in id order as _records.  The
+    differential columns and the product memo are stored on ids as {id:
+    coeff}, with each id's weight and degree in lists, and
+    verify_differential, cohomology and matrix_between work on them without
+    building or hashing a path.  Each list of basis_by_degree is a read-only
+    lazy list that builds its Paths from the records on first read, and
+    _words, the Paths in id order, joins those lists.  d_of, d_element,
+    word_product and product are the path-level views; the path -> id map
+    they use is built on first use.
 
     Columns and products hold native scalars of the field (see linalg's
     native_scalars): over Q an int, or a Fraction when the value is not
@@ -242,17 +245,18 @@ class TruncatedDgAlgebra:
     FpElement coefficients: d_of, d_element, product, word_product and
     matrix_between.
 
-    Each word's column is its free differential, summed on label tuples by
-    the presentation's _leibniz_into on its native letter table (the same
-    dict operations as d_of_element, so values and key order match it).
-    When every surviving term is a basis word, the column is read off
-    through a labels -> id map: no basis word is a pivot column of the
-    quotient basis, so reduction would return those terms unchanged.  A
-    word is ledgered, with no column, exactly when a surviving term escapes
-    the weight bound (terms that cancel do not count).  Any other word has
-    an in-bound term off the basis, and its differential is reduced.  Most
-    columns are summed from their prefix's column rather than word by word
-    (see _prefix_columns), with or without relations.
+    Each word's column is its free differential, with the values and key
+    order of the presentation's _leibniz_into on its native letter table
+    (the same dict operations as d_of_element).  Most columns are summed
+    from their prefix's column through a (prefix id, letter) -> id table,
+    the prefix ids coming from the walk, so no prefix is sliced off or
+    looked up by its labels (see _prefix_columns), with or without
+    relations.  When every surviving term is a basis word the column is
+    kept on ids as it is: no basis word is a pivot column of the quotient
+    basis, so reduction would return those terms unchanged.  A word is
+    ledgered, with no column, exactly when a surviving term escapes the
+    weight bound (terms that cancel do not count).  Any other word has an
+    in-bound term off the basis, and its differential is reduced.
 
     Products of two words are memoised for the life of the truncation.  When
     the concatenation fits the bound and is itself a basis word, which is
@@ -277,26 +281,26 @@ class TruncatedDgAlgebra:
             field=presentation.field, weights=presentation.weights)
         self._check_relation_differentials()
         # the basis word records, (labels, source, target, weight, degree),
-        # grouped by degree in the order each degree first occurs
+        # in the walk's (weight, labels) order; sorted stably by degree they
+        # are in id order, order[i] being the position of word i
         records = self.qb._records
-        by_degree = {}
-        for k, record in enumerate(records):
-            by_degree.setdefault(record[4], []).append(k)
-        order = []
-        self._start = {}
-        for degree in sorted(by_degree):
-            self._start[degree] = len(order)
-            order.extend(by_degree[degree])
-        self._records = words = [records[k] for k in order]
+        degrees = list(map(itemgetter(4), records))
+        order = sorted(range(len(records)), key=degrees.__getitem__)
+        self._records = words = list(map(records.__getitem__, order))
+        self._degree = list(map(degrees.__getitem__, order))
+        self._weight = list(map(itemgetter(3), words))
+        ids = {d: range(bisect_left(self._degree, d), bisect_right(self._degree, d))
+               for d in sorted(set(degrees))}
+        self._start = {d: r.start for d, r in ids.items()}
+        # keyed in the order each degree first occurs among the records: the
+        # stable sort keeps each degree's positions ascending
         self.basis_by_degree = {
-            d: _LazyList(len(ks), partial(_paths, words, self._start[d], self._start[d] + len(ks)))
-            for d, ks in by_degree.items()}
+            d: _LazyList(len(ids[d]), partial(_paths, words, ids[d].start, ids[d].stop))
+            for d in sorted(ids, key=lambda d: order[ids[d].start])}
         # the paths of every id, the degree lists joined in id order, so a
         # word read through both is one Path
         self._words = _LazyList(len(words), partial(list, chain.from_iterable(
-            map(self.basis_by_degree.__getitem__, sorted(by_degree)))))
-        self._degree = [record[4] for record in words]
-        self._weight = [record[3] for record in words]
+            map(self.basis_by_degree.__getitem__, self._start))))
         self._scalars = native_scalars(self.field)
         self._products = [None] * len(words)
         self._units = {}
@@ -331,76 +335,87 @@ class TruncatedDgAlgebra:
         """The columns, by id.
 
         order[i] is the position of word i among the quotient basis's
-        records.  In that (weight, labels) order each word's prefix
-        labels[:-1] comes before the word, and col(w a) = col(w) a +
-        (-1)^|w| w d(a) is summed from the prefix's column through a (prefix
-        id, letter) -> id table and the signed letter table, with the dict
-        operations of _leibniz_into, so values and key order match
-        _word_column.  Only a column summed so is a seed for its word's
-        extensions: it is that word's free differential, while a reduced
-        column lists its normal form in another key order.  A word takes
-        _word_column, which decides the ledger and reduces, when its prefix
-        is not a basis word (a rule of slack > 0 can put w a on the basis
-        and w off it), when its prefix's column is no seed, or when a term
-        of the recurrence is not a basis word.
+        records, whose walk gives each word's prefix labels[:-1] as a
+        position there (see quiver._WordWalk).  In that (weight, labels)
+        order each word's prefix comes before the word, and its column is
+        summed from the prefix's column by _extended_column through the
+        (prefix id, letter) -> id table _step.  Only a column summed so is a
+        seed for its word's extensions: it is that word's free differential,
+        while a reduced column lists its normal form in another key order.
+        A word takes _word_column, which decides the ledger and reduces, when
+        its prefix is not a basis word (a rule of slack > 0 can put w a on
+        the basis and w off it), when its prefix's column is no seed, or when
+        a term of the recurrence is not a basis word.  _at, the id of each
+        position, and _step are kept for _h0_of_weight_slice.
         """
-        words, degree = self._records, self._degree
-        n = len(words)
-        trivial = {record[1]: i for i, record in enumerate(words) if not record[0]}
-        ids = self._by_labels
-        prefix = [None] * n
-        step = [None] * n  # step[i]: {letter: id of word i followed by it}
-        for i, (labels, source, _, _, _) in enumerate(words):
-            if labels:
-                p = prefix[i] = trivial[source] if len(labels) == 1 else ids.get(labels[:-1])
-                if p is not None:
-                    row = step[p]
-                    if row is None:
-                        row = step[p] = {}
-                    row[labels[-1]] = i
-        walk = [0] * n  # the ids in the quotient basis's order
-        for i, k in enumerate(order):
-            walk[k] = i
-        signed, add = self.presentation._signed, self._scalars.add_term
+        words, n = self._records, len(self._records)
+        at = self._at = sorted(range(n), key=order.__getitem__)
+        positions = self.qb._walk.prefix
+        prefix = [None if k is None else at[k] for k in map(positions.__getitem__, order)]
+        step = self._step = [None] * n  # step[i]: {letter: id of word i followed by it}
+        for i, p in enumerate(prefix):
+            if p is not None:
+                row = step[p]
+                if row is None:
+                    row = step[p] = {}
+                row[words[i][0][-1]] = i
         columns = [None] * n
         seeds = [None] * n
-        for i in walk:
+        for i in at:
             labels = words[i][0]
             if not labels:
                 columns[i] = seeds[i] = {}
                 continue
             p = prefix[i]
-            col = None if p is None else seeds[p]
-            if col is not None:
-                letter, before, col = labels[-1], col, {}
-                for term, c in before.items():
-                    row = step[term]
-                    k = None if row is None else row.get(letter)
-                    if k is None:
-                        col = None
-                        break
-                    col[k] = c
-                terms = signed.get(letter)
-                if col is not None and terms is not None:
-                    for middle, c in terms[degree[p] % 2]:
-                        k = p
-                        for name in middle:
-                            row = step[k]
-                            k = None if row is None else row.get(name)
-                            if k is None:
-                                break
-                        if k is None:
-                            col = None
-                            break
-                        if k in col:
-                            add(col, k, c)
-                        else:
-                            col[k] = c  # a table coefficient is nonzero and reduced
+            seed = None if p is None else seeds[p]
+            col = None if seed is None else self._extended_column(seed, p, labels[-1], step)
             if col is None:
                 columns[i] = self._word_column(words[i])
             else:
                 columns[i] = seeds[i] = col
         return columns
+
+    def _extended_column(self, seed, p, letter, into):
+        """The free differential of word p followed by letter, as {id:
+        coeff}, summed from seed, the free differential of word p, or None
+        when a term is missing from the tables.
+
+        col(w a) = col(w) a + (-1)^|w| w d(a), summed with the dict
+        operations of _leibniz_into on the presentation's signed letter
+        table, so values and key order match it.  A word w of the truncation
+        is extended by a letter through _step, except that the last letter
+        of each term steps through into[id] ({letter: key}): _step itself
+        inside the truncation, or the table of a heavier slice of words.
+        Every term of a differential has a letter, since the presentation
+        rejects a vertex term.
+        """
+        col = {}
+        for term, c in seed.items():
+            row = into[term]
+            k = None if row is None else row.get(letter)
+            if k is None:
+                return None
+            col[k] = c
+        terms = self.presentation._signed.get(letter)
+        if terms is None:
+            return col
+        step, add = self._step, self._scalars.add_term
+        for middle, c in terms[self._degree[p] % 2]:
+            k = p
+            for name in middle[:-1]:
+                row = step[k]
+                k = None if row is None else row.get(name)
+                if k is None:
+                    return None
+            row = into[k]
+            k = None if row is None else row.get(middle[-1])
+            if k is None:
+                return None
+            if k in col:
+                add(col, k, c)
+            else:
+                col[k] = c  # a table coefficient is nonzero and reduced
+        return col
 
     @cached_property
     def _id(self):
@@ -432,7 +447,7 @@ class TruncatedDgAlgebra:
         against, per start vertex and degree, how many right words are at
         least each weight."""
         bound = self.weight_bound
-        histogram = Counter(record[1:] for record in words)
+        histogram = Counter(map(itemgetter(1, 2, 3, 4), words))
         ending = {}
         heavier = {}  # source -> degree -> [words of weight >= w for w in 0..bound+1]
         for (source, target, weight, degree), n in histogram.items():
@@ -622,12 +637,14 @@ def realize(presentation, window, weight_bound):
     The window scopes reporting; an inverted window (lo > hi) is allowed and
     reports nothing.  InconsistentPresentation is raised when a relation
     differential leaves the relation ideal within the bound.  The words are
-    walked once, as label-tuple records, and sorted once, and columns and
-    products are reduced on label tuples, with relations as without (see
-    TruncatedDgAlgebra).  h0_algebra does not call realize again at L + 1
-    for a presentation with no relations whose differential preserves
-    weight: there the truncation at L + 1 is this one plus the words of
-    weight exactly L + 1, a direct summand, so it builds only that slice.
+    listed by one in-order walk, as label-tuple records in (weight, labels)
+    order with no sort, each with its prefix; columns are summed from their
+    prefixes' columns, and columns and products are reduced on label
+    tuples, with relations as without (see TruncatedDgAlgebra).  h0_algebra
+    does not call realize again at L + 1 for a presentation with no
+    relations whose differential preserves weight: there the truncation at
+    L + 1 is this one plus the words of weight exactly L + 1, a direct
+    summand, which is the walk's next level, so it builds only that slice.
     """
     return TruncatedDgAlgebra(presentation, window, weight_bound)
 
@@ -1006,30 +1023,37 @@ def _h0_of_weight_slice(t):
     weight: there every path is a basis word and d maps the words of one
     weight to words of that weight, so this slice is a direct summand of
     the truncation at L + 1 and the rest of it is the truncation at L.  Its
-    words of degrees -1 to 2 are walked as label-tuple records and fed to
-    the ranks step of cohomology_of_complex as cohomology feeds a
-    truncation: the same rank check of d o d into degree 0, then the square
-    of each degree-0 word.
+    words of degrees -1 to 2 are the next level of the truncation's word
+    walk, in labels order within each degree, and each one's prefix is a
+    word of the truncation.  Their columns are summed by the truncation's
+    own prefix recurrence (_extended_column), seeded by its columns, which
+    are every word's free differential here; the last letter of each term
+    steps into the slice.  They are fed to the ranks step of
+    cohomology_of_complex as cohomology feeds a truncation: the same rank
+    check of d o d into degree 0, then the square of each degree-0 word.
     The slice's words come after the lighter ones in each degree of the
     truncation at L + 1, whose lighter words passed these checks at L, so
     DSquaredNonzero names the word the truncation at L + 1 would name.
     """
-    p = t.presentation
-    bound = t.weight_bound + 1
-    words = {-1: [], 0: [], 1: [], 2: []}
-    for record in _word_records(p.quiver, bound, p.weights):
-        if record[3] == bound and record[4] in words:
-            words[record[4]].append(record)
-    position = {}
-    for degree, records in words.items():
-        records.sort(key=itemgetter(0))
-        position.update((record[0], k) for k, record in enumerate(records))
-    columns = {}
-    for degree in (-1, 0, 1):
-        columns[degree] = [
-            {position[term]: c
-             for term, c in p._leibniz_into({}, record[0]).items()}
-            for record in words[degree]]
+    at = t._at
+    words = {-1: [], 0: [], 1: [], 2: []}  # the slice's records, by degree
+    prefixes = {-1: [], 0: [], 1: []}  # (prefix id, last letter) of each
+    into = [None] * len(at)  # id -> {letter: position of the slice word}
+    walk = t.qb._walk
+    level = _Level(walk)
+    walk.level(t.weight_bound + 1, level, range(-1, 3))
+    for record, k in zip(level.records, level.prefix):
+        degree, letter, p = record[4], record[0][-1], at[k]
+        row = into[p]
+        if row is None:
+            row = into[p] = {}
+        row[letter] = len(words[degree])
+        words[degree].append(record)
+        if degree < 2:
+            prefixes[degree].append((p, letter))
+    columns = {degree: [t._extended_column(t._columns[p], p, letter, into)
+                        for p, letter in pairs]
+               for degree, pairs in prefixes.items()}
 
     def name(degree, k):
         return _word_name(*words[degree][k][:2])
@@ -1062,7 +1086,10 @@ def h0_algebra(t):
     truncation at L + 1 is the one at L plus the subcomplex of the words of
     weight exactly L + 1, so dim H^0 at L + 1 is read as the dimension at L
     plus that slice's (see _h0_of_weight_slice); this is exact, not an
-    estimate.  Any other presentation is realized again at L + 1.
+    estimate.  The slice is the next level of the truncation's own word
+    walk, its columns summed from the truncation's, so no word of weight
+    <= L is walked or summed again.  Any other presentation is realized
+    again at L + 1.
     """
     from .algebras import FiniteDimAlgebra
 

@@ -328,63 +328,137 @@ def _checked_weights(quiver, weights):
     return weights
 
 
-def _out_arrows(quiver, weights):
-    """{vertex: [(name, target, weight, degree)]} of the arrows out of each
-    vertex, in name order: the order in which the walks extend a word."""
-    out = {v: [] for v in quiver.vertices}
-    for a in sorted(quiver.arrows, key=lambda a: a.name):
-        out[a.source].append((a.name, a.target, weights[a.name], a.degree))
-    return out
-
-
-def _word_records(quiver, bound, weights=None, rules=None):
-    """Yield a record (labels, source, target, weight, degree) for every word
-    of weight <= bound that contains no leading word LM(g) of rules with
-    slack_g <= bound - weight, depth first.
+class _WordWalk:
+    """The words of weight <= bound that contain no leading word LM(g) of
+    rules with slack_g <= bound - weight, listed level by level in
+    (weight, labels) order by one walk of the quiver, with no sort.
 
     rules maps each leading word to (slack, element), as in _Rewriting;
     without rules every path is a word, since a noncommutative Groebner
     basis with no element leaves every word normal.  The weights are checked
-    before the walk starts.  The walk starts from the trivial paths in
-    reverse-sorted vertex order and extends a word by its out-arrows in name
-    order, carrying the least slack of a leading word in it, and does not
-    extend a word holding a leading word of slack 0, since every extension
-    within the bound holds it too; sorting the records stably by (weight,
-    labels) gives enumerate_paths's order, the trivial paths keeping the
-    walk's vertex order among themselves.
+    before the walk starts.
+
+    Level 0 is the trivial paths, in reverse-sorted vertex order.  Level W
+    is, for each arrow a in name order, a*s for each live word s of level
+    W - w(a) that starts at target(a), in that level's order.  By induction
+    each level is in labels order: the words a*s of one arrow share their
+    first letter and keep their suffixes' order, and the arrows follow the
+    first letters' order.  (Ufnarovski's graph of normal words, listed in
+    Green's monomial order.)  The least slack of a leading word in a*s is
+    the least of its suffix s's and of the rules whose leading words are
+    prefixes of a*s.  A word is live when that slack is not 0: every
+    extension of a word holding a leading word of slack 0, within the bound,
+    holds it too, so only live words are extended.  A live word is a basis
+    word when its least slack exceeds bound - weight; a live word off the
+    basis is kept for extension, since a rule of slack > 0 can put a*s on
+    the basis and s off it.
+
+    Each live word is a node, numbered in walk order, and held in lists of
+    plain values, so that nodes add nothing for the garbage collector to
+    trace: its record (labels, source, target, weight, degree) in _record,
+    its least slack, its prefix's node and its position in records (None
+    off the basis).  records lists the record of each basis word, and
+    prefix the position in records of its prefix labels[:-1], or None for a
+    trivial path or a prefix off the basis.  The prefix of a*s is
+    a*prefix(s), read off a one-letter prepend table, so no labels are
+    sliced or hashed for it.  level lists the words of one weight from the
+    lighter levels; given a _Level to hold them, it lists them there and
+    leaves the walk as it is, so the walk can be taken one weight step past
+    the bound (see dgalgebra._h0_of_weight_slice).
     """
-    weights = _checked_weights(quiver, weights)
-    out = _out_arrows(quiver, weights)
-    rules = rules or {}
-    lengths = sorted({len(lead) for lead in rules})
-    unseen = bound + 1  # above every slack that can matter
-    stack = [(((), v, v, 0, 0), unseen) for v in sorted(quiver.vertices)]
-    while stack:
-        record, slack = stack.pop()
-        labels, source, target, weight, degree = record
-        if slack > bound - weight:
-            yield record
-        if not slack:
-            continue
-        for name, head, w, d in out[target]:
-            if weight + w <= bound:
-                word = labels + (name,)
-                least = slack
+
+    def __init__(self, quiver, bound, weights=None, rules=None):
+        self.bound = bound
+        weights = _checked_weights(quiver, weights)
+        self._rules = rules or {}
+        self._lengths = sorted({len(lead) for lead in self._rules})
+        self._arrows = sorted((a.name, a.source, a.target, weights[a.name], a.degree)
+                              for a in quiver.arrows)
+        self._prepend = {arrow[0]: {} for arrow in self._arrows}  # a -> {s: a*s}
+        vertices = sorted(quiver.vertices, reverse=True)
+        self.records = [((), v, v, 0, 0) for v in vertices]
+        self.prefix = [None] * len(vertices)
+        # a trivial path holds no leading word, so its slack is above every
+        # one that can matter
+        self._record = list(self.records)
+        self._slack = [bound + 1] * len(vertices)
+        self._pre = [None] * len(vertices)
+        self._position = list(range(len(vertices)))
+        self._trivial = {v: node for node, v in enumerate(vertices)}
+        # _levels[W][v]: the live nodes of weight W starting at v
+        self._levels = [{v: [node] for v, node in self._trivial.items()}]
+        for weight in range(1, bound + 1):
+            self._levels.append(self.level(weight, self))
+
+    def level(self, weight, into, degrees=None):
+        """Append the node of each live word of this weight, of a degree in
+        degrees when that is given, to the lists of into (the walk itself,
+        or a _Level), in labels order, and return them as {v: [nodes of the
+        words starting at v]}.  Only the lighter levels of the walk are
+        read, so a _Level takes a level past the bound and the walk is left
+        as it is; there a node or position counts from the _Level's start,
+        while a prefix is a node and a position of the walk."""
+        record_of, slack_of, pre_of, position_of = (
+            self._record, self._slack, self._pre, self._position)
+        add_record, add_slack, add_pre, add_position = (
+            into._record.append, into._slack.append, into._pre.append, into._position.append)
+        add_basis, add_prefix = into.records.append, into.prefix.append
+        rules, lengths, levels = self._rules, self._lengths, self._levels
+        room = self.bound - weight
+        node, position = len(into._record), len(into.records)
+        out = {v: [] for v in self._trivial}
+        for name, source, target, w, d in self._arrows:
+            below = levels[weight - w][target] if w <= weight else None
+            if not below:
+                continue
+            prepend, added, first = self._prepend[name], into._prepend[name], self._trivial[source]
+            live = out[source]
+            for s in below:
+                labels, _, end, _, degree = record_of[s]
+                degree += d
+                if degrees is not None and degree not in degrees:
+                    continue
+                word = (name,) + labels
+                least = slack_of[s]
                 for k in lengths:
                     if k > len(word):
                         break
-                    rule = rules.get(word[-k:])
+                    rule = rules.get(word[:k])
                     if rule is not None and rule[0] < least:
                         least = rule[0]
-                stack.append(((word, source, head, weight + w, degree + d), least))
+                if not least:
+                    continue
+                pre = pre_of[s]
+                pre = first if pre is None else prepend[pre]
+                record = (word, source, end, weight, degree)
+                added[s] = node
+                live.append(node)
+                add_record(record)
+                add_slack(least)
+                add_pre(pre)
+                if least > room:
+                    add_position(position)
+                    add_basis(record)
+                    add_prefix(position_of[pre])
+                    position += 1
+                else:
+                    add_position(None)
+                node += 1
+        return out
 
 
-_ascending = itemgetter(3, 0)  # (weight, labels) of a word record
+class _Level:
+    """The lists _WordWalk.level fills for words past the walk's bound."""
+
+    def __init__(self, walk):
+        self._record, self._slack, self._pre, self._position = [], [], [], []
+        self.records, self.prefix = [], []
+        self._prepend = {name: {} for name in walk._prepend}
 
 
 def enumerate_paths(quiver, bound, weights=None):
     """All paths of weight <= bound, as a dict path -> weight in
-    (weight, labels) order.
+    (weight, labels) order, the order in which _WordWalk lists them.
 
     The weight of a path is the sum of its arrow weights; by default every
     arrow weighs 1, so the bound is a length bound.  Weights must be
@@ -392,8 +466,7 @@ def enumerate_paths(quiver, bound, weights=None):
     arrows of the quiver.
     """
     return {Path(labels, source, target): weight
-            for labels, source, target, weight, _ in sorted(
-                _word_records(quiver, bound, weights), key=_ascending)}
+            for labels, source, target, weight, _ in _WordWalk(quiver, bound, weights).records}
 
 
 class QuotientBasis:
@@ -402,10 +475,10 @@ class QuotientBasis:
     `basis` lists the surviving paths in (weight, labels) order; `reduce`
     rewrites any element supported in weights <= bound to its normal form on
     that basis.  _records holds the word record of each basis path, in the
-    same order, and basis is a read-only lazy list that builds its Paths
-    from them on first read, so len(basis) builds none.  A word off the
-    basis is rewritten by the truncated Groebner basis of
-    reduce_modulo_relations (empty without relations).
+    same order, as the word walk _walk listed them, and basis is a read-only
+    lazy list that builds its Paths from them on first read, so len(basis)
+    builds none.  A word off the basis is rewritten by the truncated
+    Groebner basis of reduce_modulo_relations (empty without relations).
 
     The reduction itself, _reduced, works on native vectors keyed by label
     tuples, which name a non-trivial word whole; truncations call it
@@ -415,13 +488,14 @@ class QuotientBasis:
     builds the paths and field scalars of the result.
     """
 
-    def __init__(self, quiver, length_bound, field, weights, records, rewriting):
+    def __init__(self, quiver, length_bound, field, weights, walk, rewriting):
         self.quiver = quiver
         self.length_bound = length_bound
         self.field = field
         self.weights = weights
+        self._walk = walk
+        self._records = records = walk.records
         self.basis = _LazyList(len(records), partial(_paths, records))
-        self._records = records
         self._rewriting = rewriting
         self._scalars = rewriting.scalars
         # labels, or a trivial path (see reduce), -> (weight, row), row None
@@ -628,10 +702,12 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
     g carries slack_g = sugar(g) - weight(LM(g)), and a word w of weight <=
     L is a leading word of V_L, so off the basis, exactly when it contains
     some LM(g) with slack_g <= L - weight(w).  The basis words come from
-    _word_records, the one walk of the quiver, given the leading words: it
-    does not extend a word containing a leading word of slack 0, since
-    every extension within the bound contains it too.  With no relations
-    there is no leading word, and every word is a basis word.
+    _WordWalk, the one walk of the quiver, given the leading words.  It
+    lists them in (weight, labels) order as it goes, each word a one-letter
+    prefix a*s of a lighter word s, finding leading words as prefixes of
+    a*s, and does not extend a word containing a leading word of slack 0,
+    since every extension within the bound contains it too.  With no
+    relations there is no leading word, and every word is a basis word.
 
     Coefficients are reduced into the field before a relation's heaviest
     weight is taken.  For integer relations the basis over F_p is at least
@@ -663,6 +739,5 @@ def reduce_modulo_relations(quiver, relations, length_bound, field=None, weights
         cleaned.append({p.labels: scalars.native(c) for p, c in terms.items()})
 
     rewriting = _Rewriting(cleaned, length_bound, weights, scalars)
-    records = sorted(_word_records(quiver, length_bound, weights, rewriting.rules),
-                     key=_ascending)
-    return QuotientBasis(quiver, length_bound, field, weights, records, rewriting)
+    walk = _WordWalk(quiver, length_bound, weights, rewriting.rules)
+    return QuotientBasis(quiver, length_bound, field, weights, walk, rewriting)

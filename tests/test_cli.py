@@ -311,6 +311,15 @@ SHAPE_FAULTS = {
     "arrow-endpoint-undeclared": (
         "ginzburg", mutated(LOOP, ("object", "quiver", "arrows", 0, 1), "w"),
         "document.object.quiver.arrows[0]"),
+    "vertex-declared-twice": (
+        "koszul-dual", mutated(CIRCLE, ("object", "vertices"), ["v", "v"]),
+        "document.object.vertices[1]"),
+    "generator-declared-twice": (
+        "koszul-dual", mutated(CIRCLE, ("object", "generators"), [["eps", "v", "v", 1]] * 2),
+        "document.object.generators[1]"),
+    "arrow-declared-twice": (
+        "ginzburg", mutated(LOOP, ("object", "quiver", "arrows"), [["x", "v", "v", 0]] * 2),
+        "document.object.quiver.arrows[1]"),
 }
 
 

@@ -1,9 +1,10 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
-rung, the A5 realize rung, the five verify_differential rungs, the local-factors
-rung, the Koszul pair rung, the L = 16 Jacobi rung of C^3 and two CLI rungs
-run here, to keep the suite fast."""
+rung, the A5 realize rung, the square-zero double dual realize rung, the A5
+H^0 slice rung, the five verify_differential rungs, the local-factors rung,
+the Koszul pair rung, the L = 16 Jacobi rung of C^3 and two CLI rungs run
+here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -20,6 +21,8 @@ BAR_DIMS_RUNG = "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters"
 DUAL_BAR_RUNG = "dual_bar/3-cycle-cy3-F101-L2/5-letters"
 COMPLETENESS_RUNG = "completeness_report/square-zero-3/L10"
 REALIZE_RUNG = "realize/A5-cy2/L9"
+DOUBLE_DUAL_RUNG = "realize/square-zero-double-dual/L10"
+SLICE_RUNG = "h0_slice/A5-cy2/L8"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
 VERIFY_Q_RUNG = "verify_differential/3-cycle-cy3-Q/L8"
 VERIFY_C3_RUNG = "verify_differential/C3-commutative-Q/L10"
@@ -90,6 +93,22 @@ def test_the_realize_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(REALIZE_RUNG, tmp_path, monkeypatch)
     t = load_tool().RUNGS[REALIZE_RUNG]()()
     assert sum(t.dims().values()) == 8141
+
+
+def test_the_double_dual_realize_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(DOUBLE_DUAL_RUNG, tmp_path, monkeypatch)
+    t = load_tool().RUNGS[DOUBLE_DUAL_RUNG]()()
+    # ten letters of weights 1 to 10 on one vertex: 2^(L - 1) words of each
+    # weight L >= 1 and the trivial path
+    assert sorted(t.presentation.weights.values()) == list(range(1, 11))
+    assert sum(t.dims().values()) == 1024
+
+
+def test_the_h0_slice_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(SLICE_RUNG, tmp_path, monkeypatch)
+    # H^0 of the preprojective algebra of A5 has stabilized by L = 8, so the
+    # words of weight 9 add nothing to it
+    assert load_tool().RUNGS[SLICE_RUNG]()() == 0
 
 
 def test_the_verify_rung_writes_its_json(tmp_path, monkeypatch):

@@ -16,9 +16,15 @@ rungs, over Q unless stated:
 - jacobi_basis of xxyy - xyxy + xxx on two loops at L = 9, and of xyz - xzy
   on three loops (the commutative C^3, C(L + 3, 3) words) at L = 7, 8, 9,
   12 and 16;
-- h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8;
+- h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8,
+  and the dim H^0 of its weight-9 slice alone (_h0_of_weight_slice: 2,376
+  words of degrees -1 to 2, the next level of the truncation's word walk);
 - realize of that completion on (-4, 0) at L = 9 (8,141 words), and of the
   rank-3 completion of the 3-cycle on (-8, 0) at L = 8 (5,043 words);
+- realize on (0, 18) at L = 10 of the double dual that completeness_report
+  builds for k[eps]/eps^2 with eps in degree -2 over F_101: ten letters of
+  weights 1 to 10 and 1,024 words, where the walk joins the most levels
+  into one; the two dual bars are built before the clock starts;
 - bar at 5 and 6 letters of the same 3-cycle completion over F_101,
   realized on (-40, 8) at L = 2, then its all_dims() and the length of its
   differential ledger (58,824 and 411,771 words);
@@ -101,6 +107,7 @@ from quiverdg import (
     verify_koszul_pair,
 )
 from quiverdg import cli
+from quiverdg.dgalgebra import _h0_of_weight_slice
 from quiverdg.ginzburg import rn_presentation
 
 REPEATS = 5
@@ -154,6 +161,11 @@ def a5_h0():
     return lambda: h0_algebra(t)
 
 
+def a5_h0_slice():
+    t = realize(cy_completion(a5(), 2), (-4, 0), 8)
+    return lambda: _h0_of_weight_slice(t)
+
+
 def a5_realize():
     p = cy_completion(a5(), 2)
     return lambda: realize(p, (-4, 0), 9)
@@ -178,13 +190,24 @@ def cycle_dual_bar():
     return lambda: dual_bar(t, 5, (-40, 8))
 
 
-def square_zero_completeness():
+def square_zero():
+    """k[eps]/eps^2 with eps in degree -2 over F_101, realized on (0, 18) at
+    L = 10."""
     quiver = QuiverPresentation(("v",), (Arrow("eps", "v", "v", -2),))
     field = GroundField(101)
     square = PathAlgebraElement.from_path(quiver.path(["eps", "eps"]), field.one())
     p = DgAlgebraPresentation(("v",), quiver.arrows, relations=(square,), field=field)
-    t = realize(p, (0, 18), 10)
+    return realize(p, (0, 18), 10)
+
+
+def square_zero_completeness():
+    t = square_zero()
     return lambda: completeness_report(t, 10, (0, 18))
+
+
+def square_zero_double_dual_realize():
+    double = dual_bar(dual_bar(square_zero(), 10, (0, 18)), 10, (0, 18)).presentation
+    return lambda: realize(double, (0, 18), 10)
 
 
 def r2_bar_cohomology_dims():
@@ -298,8 +321,10 @@ RUNGS = {
     "jacobi_basis/C3-xyz-xzy/L12": lambda: c3_jacobi(12),
     "jacobi_basis/C3-xyz-xzy/L16": lambda: c3_jacobi(16),
     "h0_algebra/A5-cy2/L8": a5_h0,
+    "h0_slice/A5-cy2/L8": a5_h0_slice,
     "realize/A5-cy2/L9": a5_realize,
     "realize/3-cycle-cy3/L8": cycle_realize,
+    "realize/square-zero-double-dual/L10": square_zero_double_dual_realize,
     "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
     "bar/3-cycle-cy3-F101-L2/6-letters": lambda: cycle_bar(6),
     "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters": r2_bar_cohomology_dims,
