@@ -1,12 +1,15 @@
 """Finite-dimensional algebras given by structure constants over an exact field.
 
-Radicals are certified, not trusted.  The trace-form kernel is accepted only
-after verifying that it is a nilpotent two-sided ideal whose quotient has a
-nondegenerate trace form; that certificate is valid in any characteristic.
-When it fails (which happens over small prime fields) commutative algebras
-fall back to an independent route through minimal polynomials and
-Jordan-Chevalley decomposition, which also powers the splitting into local
-factors used by the reflexivity checks.
+Radicals are certified, not trusted.  radical() takes the kernel of a linear
+map and accepts it only after verifying that it is a nilpotent two-sided
+ideal and that the same map has zero kernel on the quotient; that
+certificate is valid in any characteristic.  The first map is the Gram
+matrix of the trace form, which never fails in characteristic 0.  Over a
+small prime field it can (F_3[x]/(x^3) has a zero trace form), and a
+commutative algebra over F_p is then certified by the kernel of x -> x^q,
+its nilradical.  Minimal polynomials and their factorization serve only
+decompose_commutative, the splitting into local factors used by the
+reflexivity checks.
 """
 
 from __future__ import annotations
@@ -148,48 +151,57 @@ class FiniteDimAlgebra:
         quotient = FiniteDimAlgebra(self.field, labels, structure, project(self.unit))
         return quotient, project
 
+    def frobenius_matrix(self):
+        """Matrix of x -> x^q on a commutative algebra over F_p, with q the
+        least power of p that is at least dim; column i is b_i^q, taken by
+        repeated squaring."""
+        p = self.field.characteristic
+        q = 1
+        while q < self.dim:
+            q *= p
+        m = SparseMatrix(self.dim, self.dim)
+        for i in range(self.dim):
+            square, power, exponent = {i: self.field.one()}, None, q
+            while True:
+                if exponent & 1:
+                    power = square if power is None else self.mul(power, square)
+                exponent >>= 1
+                if not exponent:
+                    break
+                square = self.mul(square, square)
+            for k, c in power.items():
+                m.set(k, i, c)
+        return m
+
+    def _radical_maps(self):
+        yield "trace-form", FiniteDimAlgebra.gram_matrix
+        if self.field.characteristic and self.is_commutative():
+            yield "frobenius", FiniteDimAlgebra.frobenius_matrix
+
     def radical(self):
         """Certified radical: basis vectors, the semisimple quotient, and
-        the route that proved it.  RadicalComputationError when neither the
-        trace-form certificate nor the commutative fallback applies."""
-        info = self._radical_by_trace_form()
-        if info is not None:
-            return info
-        if self.is_commutative():
-            return self._radical_commutative()
-        raise RadicalComputationError(
-            "trace-form certificate failed and the algebra is not commutative")
+        the name of the linear map that proved it.
 
-    def _radical_by_trace_form(self):
-        kernel, _ = kernel_image(self.gram_matrix(), self.field)
-        if not self._is_nilpotent_ideal(kernel):
-            return None
-        quotient, project = self.quotient_by_span(kernel)
-        quotient_kernel, _ = kernel_image(quotient.gram_matrix(), self.field)
-        if quotient_kernel:
-            return None
-        return RadicalInfo(self._span_basis(kernel), quotient, project, "trace-form")
-
-    def _radical_commutative(self):
-        nilpotent_parts = []
-        one = self.field.one()
-        for i in range(self.dim):
-            vec = {i: one}
-            s = semisimple_part(self, vec)
-            n = dict(vec)
-            vec_axpy(n, -one, s)
-            if n:
-                if not self._vector_is_nilpotent(n):
-                    raise RadicalComputationError(
-                        "Jordan-Chevalley split produced a non-nilpotent part")
-                nilpotent_parts.append(n)
-        radical_basis = self._span_basis(nilpotent_parts)
-        quotient, project = self.quotient_by_span(radical_basis)
-        for i in range(quotient.dim):
-            m = minimal_polynomial(quotient, {i: one})
-            if any(exp > 1 for _, exp in factor_polynomial(m, self.field)):
-                raise RadicalComputationError("quotient still has nilpotents")
-        return RadicalInfo(radical_basis, quotient, project, "jordan-chevalley")
+        The kernel K of a map is accepted when K is a nilpotent two-sided
+        ideal and the same map has zero kernel on A / K.  The maps, in
+        order: the Gram matrix of the trace form, which never fails in
+        characteristic 0 (Dieudonne); then, for a commutative algebra over
+        F_p only, x -> x^q (frobenius_matrix).  There x^q = 0 exactly when
+        x is nilpotent, since a nilpotent x has x^dim = 0, and x -> x^q is
+        linear, since x -> x^p is a ring map; so that kernel is the
+        nilradical.  RadicalComputationError when no map passes."""
+        for method, linear_map in self._radical_maps():
+            kernel, _ = kernel_image(linear_map(self), self.field)
+            if not self._is_nilpotent_ideal(kernel):
+                continue
+            quotient, project = self.quotient_by_span(kernel)
+            if kernel_image(linear_map(quotient), self.field)[0]:
+                continue
+            return RadicalInfo(self._span_basis(kernel), quotient, project, method)
+        if not self.is_commutative():
+            raise RadicalComputationError(
+                "trace-form certificate failed and the algebra is not commutative")
+        raise RadicalComputationError("no linear map certified the radical")
 
     def _span_basis(self, vectors):
         rows = RowSpace(self.field)
@@ -226,14 +238,6 @@ class FiniteDimAlgebra:
                 return False
             current = nxt
         return True
-
-    def _vector_is_nilpotent(self, vec):
-        power = dict(vec)
-        for _ in range(self.dim + 1):
-            if not power:
-                return True
-            power = self.mul(power, vec)
-        return False
 
 
 @dataclass
@@ -323,20 +327,6 @@ def _poly_gcdex(p, q, field):
     return _poly_scale(r0, inv), _poly_scale(s0, inv), _poly_scale(t0, inv)
 
 
-def _poly_derivative(p, field):
-    return _poly_trim([field.of(i) * c for i, c in enumerate(p)][1:])
-
-
-def _poly_compose_mod(p, r, m, field):
-    """p(r) reduced modulo m."""
-    acc = []
-    for c in reversed(p):
-        acc = _poly_mul(acc, r, field)
-        acc = _poly_add(acc, [c], field)
-        acc = _poly_mod(acc, m, field)
-    return acc
-
-
 def poly_eval_in_algebra(p, algebra, vec):
     """Evaluate a polynomial at an algebra element (Horner)."""
     acc = {}
@@ -390,38 +380,6 @@ def minimal_polynomial(algebra, vec):
         degree += 1
         if degree > algebra.dim + 1:
             raise RuntimeError("minimal polynomial search exceeded the dimension")
-
-
-def semisimple_part(algebra, vec):
-    """The semisimple summand of the Jordan-Chevalley decomposition.
-
-    Works over the rationals and over prime fields (both perfect); returns a
-    vector s in k[vec] with vec - s nilpotent and s annihilated by the
-    squarefree part of the minimal polynomial.
-    """
-    field = algebra.field
-    m = minimal_polynomial(algebra, vec)
-    factors = factor_polynomial(m, field)
-    if all(exp == 1 for _, exp in factors):
-        return dict(vec)
-    squarefree = [field.one()]
-    for q, _ in factors:
-        squarefree = _poly_mul(squarefree, q, field)
-    r = [field.zero(), field.one()]  # the identity polynomial x
-    max_exp = max(exp for _, exp in factors)
-    for _ in range(max_exp.bit_length() + 2):
-        value = _poly_compose_mod(squarefree, r, m, field)
-        if not value:
-            break
-        deriv = _poly_compose_mod(_poly_derivative(squarefree, field), r, m, field)
-        g, u, _ = _poly_gcdex(deriv, m, field)
-        if g != [field.one()]:
-            raise RadicalComputationError("derivative not invertible in Newton step")
-        step = _poly_mod(_poly_mul(value, u, field), m, field)
-        r = _poly_mod(_poly_add(r, _poly_scale(step, -field.one()), field), m, field)
-    if _poly_compose_mod(squarefree, r, m, field):
-        raise RadicalComputationError("Newton iteration failed to converge")
-    return poly_eval_in_algebra(r, algebra, vec)
 
 
 # ---------------------------------------------------------------------------

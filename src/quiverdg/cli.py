@@ -886,7 +886,7 @@ def _document_faults():
 
     return (InconsistentPresentation, DSquaredNonzero, UnsafeWindow,
             NotStabilized, MalformedRibbon, NotFormal, NotGentle,
-            NoMarkedInterval, ValueError, KeyError)
+            NoMarkedInterval, ValueError)
 
 
 def run(command, document, args):

@@ -11,7 +11,6 @@ from quiverdg.algebras import (
     decompose_commutative,
     factor_polynomial,
     minimal_polynomial,
-    semisimple_part,
 )
 from quiverdg.linalg import vec_axpy
 
@@ -107,7 +106,7 @@ def test_char_p_fallback_routes():
     a = poly_quotient_algebra(F3, [F3.of(0), F3.of(0), F3.of(0), F3.of(1)])
     info = a.radical()
     assert info.dimension == 2
-    assert info.method == "jordan-chevalley"
+    assert info.method == "frobenius"
     assert info.quotient.dim == 1
     # group algebra of C_2 over F_2: x^2 - 1 = (x-1)^2
     b = poly_quotient_algebra(F2, [F2.of(1), F2.of(0), F2.of(1)])
@@ -121,11 +120,6 @@ def test_minimal_polynomial_and_semisimple_part():
     x = {1: Fraction(1)}
     m = minimal_polynomial(a, x)
     assert m == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]  # x^3
-    s = semisimple_part(a, x)
-    assert s == {}  # nilpotent element: semisimple part vanishes
-    shifted = {0: Fraction(2), 1: Fraction(1)}  # 2 + x
-    s = semisimple_part(a, shifted)
-    assert s == {0: Fraction(2)}
     unit_poly = minimal_polynomial(a, dict(a.unit))
     assert unit_poly == [Fraction(-1), Fraction(1)]  # x - 1
 

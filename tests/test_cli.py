@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quiverdg import cli
+from quiverdg import FiniteDimAlgebra, GroundField, check, cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -166,6 +166,46 @@ def test_broken_certificate_is_an_internal_failure(capsys, monkeypatch):
         ["reflexive", str(DATA / "disk_gentle.json")], capsys)
     assert code == 2
     assert "does not replay" in err
+
+
+def test_an_engine_key_error_is_an_internal_failure(capsys, monkeypatch):
+    # the document is well formed, so a KeyError is the engine's fault
+    def broken(*args):
+        raise KeyError("a missing word")
+    monkeypatch.setattr(cli, "realize", broken)
+    code, _, err = run_cli(["koszul-dual", str(DATA / "circle_pair.json")], capsys)
+    assert code == 2
+    assert err.startswith("internal invariant failure")
+
+
+def test_a_zero_trace_form_algebra_is_reflexive_over_f3(capsys, tmp_path):
+    # F_3[x]/(x^3): the trace of 1 is 3 = 0 and x is nilpotent, so the trace
+    # form is zero and its radical is the kernel of x -> x^3
+    one = {"0": "1"}
+    document = tmp_path / "f3_x_cubed.json"
+    document.write_text(json.dumps({
+        "characteristic": 3,
+        "object": {"kind": "algebra", "basis": ["1", "x", "x^2"],
+                   "structure": [[0, 0, one], [0, 1, {"1": "1"}], [0, 2, {"2": "1"}],
+                                 [1, 0, {"1": "1"}], [2, 0, {"2": "1"}],
+                                 [1, 1, {"2": "1"}]],
+                   "unit": one}}))
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(["reflexive", str(document), "--json", str(target)], capsys)
+    assert code == 0, err
+    assert "verdict: Reflexive" in out
+    report = json.loads(target.read_text())
+    assert (report["verdict"], report["criterion"], report["characteristic"]) == (
+        "Reflexive", "finite-product-of-complete-local", "3")
+
+    algebra = FiniteDimAlgebra(GroundField(3), ["1", "x", "x^2"],
+                               {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                                (1, 0): {1: 1}, (2, 0): {2: 1}, (1, 1): {2: 1}}, {0: 1})
+    assert algebra.gram_matrix().entries == {}
+    assert algebra.radical().method == "frobenius"
+    verdict = check(algebra)
+    assert (verdict.verdict, verdict.certificate.criterion, verdict.characteristic) == (
+        "Reflexive", "finite-product-of-complete-local", "3")
 
 
 def test_surface_validation_errors_exit_one(capsys, tmp_path):

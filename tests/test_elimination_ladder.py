@@ -3,8 +3,8 @@ rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
 rung, the A5 realize rung, the square-zero double dual realize rung, the A5
 H^0 slice rung, the five verify_differential rungs, the local-factors rung,
-the Koszul pair rung, the L = 16 Jacobi rung of C^3 and two CLI rungs run
-here, to keep the suite fast."""
+the three radical rungs, the Koszul pair rung, the L = 16 Jacobi rung of
+C^3 and two CLI rungs run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -190,6 +190,15 @@ def test_the_local_factors_rung_cuts_one_corner_per_factor(monkeypatch):
     monkeypatch.setattr(algebras, "_algebra_on_span", counted)
     assert len(call()) == 5
     assert len(corners) == 5
+
+
+@pytest.mark.parametrize("name,dim", [("radical/F2-x2y2", 4), ("radical/F3-x3y3", 9),
+                                      ("radical/F5-x+1^5", 5)])
+def test_the_radical_rungs_write_their_json(name, dim, tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(name, tmp_path, monkeypatch)
+    # each algebra is local with residue field F_p, and its trace form is zero
+    info = load_tool().RUNGS[name]()()
+    assert (info.method, info.dimension, info.quotient.dim) == ("frobenius", dim - 1, 1)
 
 
 def test_the_koszul_pair_rung_writes_its_json(tmp_path, monkeypatch):

@@ -50,7 +50,10 @@ rungs, over Q unless stated:
   relations.  The truncation is realized inside the timed call, so each
   run fills a fresh product memo; realize is about 1 % of the call;
 - decompose_commutative of k[x]/(m), m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2,
-  on 1, x, ..., x^7: five local factors, as the benchmark builds it.
+  on 1, x, ..., x^7: five local factors, as the benchmark builds it;
+- radical of F_2[x, y]/(x^2, y^2), F_3[x, y]/(x^3, y^3) and
+  F_5[x]/((x + 1)^5) on their monomials: local algebras whose trace forms
+  are zero, so that the kernel of x -> x^q certifies each radical.
 
 - each command of the commands list of the six documents under tests/data,
   run in this process as `quiverdg COMMAND DOCUMENT --quiet --json PATH`
@@ -284,6 +287,14 @@ def local_factors():
                 for j, b in enumerate(factor):
                     product[i + j] += a * b
             m = product
+    algebra = polynomial_quotient(GroundField(0), m)
+    decompose_commutative(algebra)  # imports sympy before the clock starts
+    return lambda: decompose_commutative(algebra)
+
+
+def polynomial_quotient(field, m):
+    """k[x]/(m) on 1, x, ..., for m monic with integer coefficients, low to
+    high; x^k for k >= deg m is reduced modulo m."""
     d = len(m) - 1
     powers = [[0] * i + [1] for i in range(2 * d - 1)]
     for k in range(d, 2 * d - 1):
@@ -296,10 +307,17 @@ def local_factors():
         powers[k] = vec[:d]
     structure = {(i, j): {k: c for k, c in enumerate(powers[i + j]) if c}
                  for i in range(d) for j in range(d)}
-    algebra = FiniteDimAlgebra(GroundField(0), ["x^%d" % i for i in range(d)],
-                               structure, {0: 1})
-    decompose_commutative(algebra)  # imports sympy before the clock starts
-    return lambda: decompose_commutative(algebra)
+    return FiniteDimAlgebra(field, ["x^%d" % i for i in range(d)], structure, {0: 1})
+
+
+def truncated_monomials(p, a, b):
+    """F_p[x, y]/(x^a, y^b) on the x^i y^j with i < a and j < b."""
+    index = {(i, j): i * b + j for i in range(a) for j in range(b)}
+    structure = {(s, t): {index[(i + k, j + l)]: 1}
+                 for (i, j), s in index.items() for (k, l), t in index.items()
+                 if (i + k, j + l) in index}
+    return FiniteDimAlgebra(GroundField(p), ["x^%d y^%d" % ij for ij in index],
+                            structure, {0: 1})
 
 
 def fresh_process(*args):
@@ -337,6 +355,11 @@ RUNGS = {
         lambda: cycle_verify_cold(GroundField(101)),
     "verify_differential/C3-commutative-Q/L10": c3_verify,
     "decompose_commutative/five-local-factors": local_factors,
+    "radical/F2-x2y2": lambda: truncated_monomials(2, 2, 2).radical,
+    "radical/F3-x3y3": lambda: truncated_monomials(3, 3, 3).radical,
+    # (x + 1)^5 = 1 + 5x + 10x^2 + 10x^3 + 5x^4 + x^5
+    "radical/F5-x+1^5":
+        lambda: polynomial_quotient(GroundField(5), [1, 5, 10, 10, 5, 1]).radical,
     **cli_rungs(),
     "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
     "cold-import/quiverdg.cli": lambda: fresh_process("-c", "import quiverdg.cli"),
