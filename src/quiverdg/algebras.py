@@ -218,6 +218,8 @@ class FiniteDimAlgebra:
         span = RowSpace(self.field)
         for v in vectors:
             span.add(v)
+        if self.unit and span.contains(self.unit):
+            return False  # an ideal holding 1 is the whole algebra, 1^n = 1
         for v in vectors:
             for i in range(self.dim):
                 if not span.contains(self.mul({i: one}, v)):

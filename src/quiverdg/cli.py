@@ -203,7 +203,7 @@ def _parse_dg_presentation(raw, field, location):
             scratch, field, terms, "%s.relations[%d]" % (location, pos)))
     weights = _optional(raw, "weights", location, dict)
     if weights is not None:
-        weights = {str(k): _need(weights, k, location + ".weights", int) for k in weights}
+        weights = {k: _weight(scratch, weights, k, location + ".weights") for k in weights}
     try:
         return DgAlgebraPresentation(
             vertices, generators, differential=differential, relations=relations,
@@ -211,6 +211,18 @@ def _parse_dg_presentation(raw, field, location):
             weights=weights, field=field)
     except (ValueError, InconsistentPresentation) as err:
         raise InputError(location, str(err))
+
+
+def _weight(quiver, weights, name, location):
+    """The weight of generator name: an int of at least 1, faulted at its key
+    for an unknown generator."""
+    weight = _need(weights, name, location, int)
+    where = "%s.%s" % (location, name)
+    if not quiver.has_arrow(name):
+        raise InputError(where, "weight for unknown generator %r" % name)
+    if weight < 1:
+        raise InputError(where, "weight of %s must be a positive integer" % name)
+    return weight
 
 
 def _parse_superpotential(raw, field, location):

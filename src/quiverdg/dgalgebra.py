@@ -232,8 +232,8 @@ class TruncatedDgAlgebra:
     sorted stably by degree they are kept in id order as _records.  The
     differential columns and the product memo are stored on ids as {id:
     coeff}, with each id's weight and degree in lists, and
-    verify_differential, cohomology and matrix_between work on them without
-    building or hashing a path.  Each list of basis_by_degree is a read-only
+    verify_differential, cohomology and matrix_between work on the columns
+    without building or hashing a path.  Each list of basis_by_degree is a read-only
     lazy list that builds its Paths from the records on first read, and
     _words, the Paths in id order, joins those lists.  d_of, d_element,
     word_product and product are the path-level views; the path -> id map
@@ -258,15 +258,18 @@ class TruncatedDgAlgebra:
     weight bound (terms that cancel do not count).  Any other word has an
     in-bound term off the basis, and its differential is reduced.
 
-    Products of two words are memoised for the life of the truncation.  When
-    the concatenation fits the bound and is itself a basis word, which is
-    exactly when its column of the quotient basis is not a pivot, reduction
-    would return it unchanged, so its product is taken to be that word with
-    coefficient one; every other product is reduced.  Every reduction, of a
-    column, of a product or of a relation's differential, runs on label
-    tuples in native scalars through the quotient basis's _reduced, and its
-    terms are mapped to ids through the labels -> id map, so no path is
-    built.
+    Products of two words, read through product and word_product, are
+    memoised for the life of the truncation.  When the concatenation fits
+    the bound and is itself a basis word, which is exactly when its column
+    of the quotient basis is not a pivot, reduction would return it
+    unchanged, so its product is taken to be that word with coefficient
+    one; every other product is reduced (_multiply, the one product
+    reducer).  verify_differential fills no memo: it reads products off
+    rows that live for its call, summed along each word's prefix through
+    _step (see _product_rows).  Every reduction, of a column, of a product
+    or of a relation's differential, runs on label tuples in native scalars
+    through the quotient basis's _reduced, and its terms are mapped to ids
+    through the labels -> id map, so no path is built.
     """
 
     def __init__(self, presentation, window, weight_bound):
@@ -346,12 +349,15 @@ class TruncatedDgAlgebra:
         its prefix is not a basis word (a rule of slack > 0 can put w a on
         the basis and w off it), when its prefix's column is no seed, or when
         a term of the recurrence is not a basis word.  _at, the id of each
-        position, and _step are kept for _h0_of_weight_slice.
+        position, _prefix, the id of each word's prefix (None for a trivial
+        word or a prefix off the basis), and _step are kept for
+        _h0_of_weight_slice and for verify_differential's product rows.
         """
         words, n = self._records, len(self._records)
         at = self._at = sorted(range(n), key=order.__getitem__)
         positions = self.qb._walk.prefix
-        prefix = [None if k is None else at[k] for k in map(positions.__getitem__, order)]
+        prefix = self._prefix = [
+            None if k is None else at[k] for k in map(positions.__getitem__, order)]
         step = self._step = [None] * n  # step[i]: {letter: id of word i followed by it}
         for i, p in enumerate(prefix):
             if p is not None:
@@ -662,19 +668,95 @@ class DifferentialReport:
         return not self.failures
 
 
+def _product_rows(t):
+    """A builder of the product rows of the truncation t, for one
+    verify_differential call.
+
+    row(i) is {j: i*j} for every word j that starts at the target of i and
+    fits the room L - weight(i), an entry being an id when the product is
+    one basis word with coefficient one and the _multiply dict otherwise.
+    The words are read in walk order, so each word's prefix (the
+    truncation's prefix ids) comes before it, and the row follows
+    i*(p a) = (i*p) a: a trivial j gives i itself, and when the entry of
+    the prefix p is an id k whose word followed by a, the last letter of j,
+    is a basis word (_step[k][a]), that word is the entry.  Every other
+    entry is reduced by _multiply.
+
+    An entry carried so equals _multiply's.  When k is the concatenation of
+    i and p, k a is the concatenation of i and j and a basis word.  When k
+    is a reduced product, i p - k is a sum of c u g v over Groebner elements
+    g with u LM(g) v no heavier than i p; if every g has slack 0, its terms
+    weigh at most its leading word, so each c u g v a lies in the span V_L
+    that reduction works modulo, and i p a reduces to k a (Bergman's
+    diamond lemma).  A rule of slack s > 0 rewrites u LM(g) v only when it
+    weighs at most L - s, which u LM(g) v a need not, so under such a rule
+    a reduced product is kept as its dict and never carried; only the
+    concatenations and the trivial words are.
+    """
+    records, weight, prefix, step, multiply = (
+        t._records, t._weight, t._prefix, t._step, t._multiply)
+    starting = {}  # vertex -> the ids of the words starting there, in walk order
+    for j in t._at:
+        starting.setdefault(records[j][1], []).append(j)
+    last = [record[0][-1] if record[0] else None for record in records]
+    carry = not any(slack for slack, _ in t.qb._rewriting.rules.values())
+
+    def row(i):
+        room = t.weight_bound - weight[i]
+        out = {}
+        for j in starting.get(records[i][2], ()):
+            if weight[j] > room:
+                break
+            p = prefix[j]
+            if p is not None:
+                k = out[p]
+                if k.__class__ is int:
+                    k = step[k]
+                    if k is not None:
+                        k = k.get(last[j])
+                        if k is not None:
+                            out[j] = k
+                            continue
+            elif last[j] is None:
+                out[j] = i
+                continue
+            pq = multiply(i, j)
+            if carry and len(pq) == 1:
+                [(k, c)] = pq.items()
+                if c == 1:
+                    out[j] = k
+                    continue
+            out[j] = pq
+        return out
+    return row
+
+
 def verify_differential(t):
     """Recompute d*d = 0 and the Leibniz rule on all in-bounds data.
 
     The Leibniz pass visits only the composable pairs (p, q) whose total
     weight fits the bound, in basis order.  Words and pairs whose
     differentials or products escape the weight bound are skipped (counted),
-    never trusted.  Both passes run on the truncation's word records, its
-    id-keyed columns and its id-keyed product memo, read inline, in native
-    scalars, where a product whose concatenation is a basis word is read off
-    without reduction (see TruncatedDgAlgebra); a word is named only in a
-    failure.  A product that is one word with coefficient one has that
-    word's column as its differential, and a one-term piece of the right
-    side is added as a term.
+    never trusted.  Both passes run on the truncation's word records and
+    its id-keyed columns, in native scalars; a word is named only in a
+    failure.
+
+    Products come from product rows (see _product_rows), built on first
+    read and dropped once their word is done, so they live only for the
+    call and the truncation's product memo is neither read nor filled.  The
+    row of p holds p*q for every q that fits its room, filled in walk order
+    from the row entry of q's prefix: p*(q' a) = (p*q') a, by associativity
+    in the truncated quotient, is read off the (id, letter) -> id table
+    _step when p*q' is one basis word k with coefficient one and k a is a
+    basis word too (under a rule of slack > 0, only when k is the
+    concatenation of p and q'); only the other products are reduced,
+    through _multiply.  A
+    product that is an id has that word's column as its differential.  The
+    right side (dp)q + (-1)^|p| p(dq) reads the rows of the terms of dp
+    and of p, and a product past a row's room (a differential that raises
+    weight) is taken from _multiply and kept in that row.  A one-word piece
+    whose key is not yet on the right side is stored as it is, its
+    coefficient already reduced (negated with the field's neg).
     Returns a DifferentialReport whose failures list carries witnesses; it
     never raises.
     """
@@ -696,15 +778,22 @@ def verify_differential(t):
     for i, record in enumerate(records):
         by_source.setdefault(record[1], {}).setdefault(record[4], []).append(i)
     runs_at = {v: list(runs.values()) for v, runs in by_source.items()}
-    products, multiply = t._products, t._multiply
-    add_term, axpy = t._scalars.add_term, t._scalars.axpy
+    # rows[i] is the product row of word i, built on first read; it also
+    # keeps the products past the room of i that a differential raising
+    # weight asks for, as _multiply returns them (None when one escapes).
+    # Row i is read for the pairs (i, j) and, since d raises degree by one
+    # and ids ascend with degree, for pairs of words of lower id only, so it
+    # is dropped once i is done
+    rows, row_of = [None] * len(records), _product_rows(t)
+    multiply, d = t._multiply, t._d
+    add_term, axpy, neg = t._scalars.add_term, t._scalars.axpy, t._scalars.neg
     for i, record in enumerate(records):
         dp = columns[i]
         room = t.weight_bound - weight[i]
         odd = degree[i] % 2
-        memo = products[i]
-        if memo is None:
-            memo = products[i] = {}
+        row = rows[i]
+        if row is None and dp is not None:
+            row = rows[i] = row_of(i)
         for run in runs_at.get(record[2], ()):
             for j in run:
                 if weight[j] > room:
@@ -713,47 +802,45 @@ def verify_differential(t):
                 if dp is None or dq is None:
                     report.skipped_pairs += 1
                     continue
-                pq = memo.get(j, _UNSET)
-                if pq is _UNSET:
-                    pq = memo[j] = multiply(i, j)
-                if len(pq) == 1:
-                    [(k, c)] = pq.items()
-                    lhs = columns[k] if c == 1 else t._d(pq)
-                else:
-                    lhs = t._d(pq)
+                pq = row[j]
+                lhs = columns[pq] if pq.__class__ is int else d(pq)
                 if lhs is None:
                     report.skipped_pairs += 1
                     continue
                 # rhs = (dp)q + (-1)^odd p(dq), None when a product escapes
                 rhs = {}
                 for u, cu in dp.items():
-                    row = products[u]
-                    if row is None:
-                        row = products[u] = {}
-                    piece = row.get(j, _UNSET)
+                    pieces = rows[u]
+                    if pieces is None:
+                        pieces = rows[u] = row_of(u)
+                    piece = pieces.get(j, _UNSET)
                     if piece is _UNSET:
-                        piece = row[j] = multiply(u, j)
-                    if piece is None:
+                        piece = pieces[j] = multiply(u, j)
+                    if piece.__class__ is int:
+                        if piece in rhs:
+                            add_term(rhs, piece, cu)
+                        else:
+                            rhs[piece] = cu
+                    elif piece is None:
                         rhs = None
                         break
-                    if len(piece) == 1:
-                        [(k, c)] = piece.items()
-                        add_term(rhs, k, cu * c)
                     else:
                         axpy(rhs, cu, piece)
                 if rhs is not None:
                     for v, cv in dq.items():
-                        piece = memo.get(v, _UNSET)
+                        piece = row.get(v, _UNSET)
                         if piece is _UNSET:
-                            piece = memo[v] = multiply(i, v)
-                        if piece is None:
+                            piece = row[v] = multiply(i, v)
+                        if odd:
+                            cv = neg(cv)
+                        if piece.__class__ is int:
+                            if piece in rhs:
+                                add_term(rhs, piece, cv)
+                            else:
+                                rhs[piece] = cv
+                        elif piece is None:
                             rhs = None
                             break
-                        if odd:
-                            cv = -cv
-                        if len(piece) == 1:
-                            [(k, c)] = piece.items()
-                            add_term(rhs, k, cv * c)
                         else:
                             axpy(rhs, cv, piece)
                 if rhs is None:
@@ -762,6 +849,7 @@ def verify_differential(t):
                 report.checked_pairs += 1
                 if lhs != rhs:
                     report.failures.append(("leibniz", t._name(i), t._name(j)))
+        rows[i] = None
     return report
 
 

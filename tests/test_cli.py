@@ -290,6 +290,12 @@ SHAPE_FAULTS = {
     "weight-a-bool": (
         "koszul-dual", mutated(CIRCLE, ("object", "weights"), {"eps": True}),
         "document.object.weights.eps"),
+    "weight-zero": (
+        "koszul-dual", mutated(CIRCLE, ("object", "weights"), {"eps": 0}),
+        "document.object.weights.eps"),
+    "weight-of-an-unknown-generator": (
+        "koszul-dual", mutated(CIRCLE, ("object", "weights"), {"nope": 1}),
+        "document.object.weights.nope"),
     "differential-value-not-a-list": (
         "koszul-dual", mutated(CIRCLE, ("object", "differential"), {"eps": 3}),
         "document.object.differential.eps"),

@@ -4,7 +4,8 @@ cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
 rung, the A5 realize rung, the square-zero double dual realize rung, the A5
 H^0 slice rung, the five verify_differential rungs, the local-factors rung,
 the three radical rungs, the Koszul pair rung, the L = 16 Jacobi rung of
-C^3 and two CLI rungs run here, to keep the suite fast."""
+C^3, the selftest and verdict-table rungs and two CLI rungs run here, to
+keep the suite fast."""
 
 import importlib.util
 import json
@@ -33,6 +34,8 @@ CLI_RUNG = "cli/annulus_pair/reflexive"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
 KOSZUL_RUNG = "verify_koszul_pair/3-cycle/n2-L7"
 JACOBI_RUNG = "jacobi_basis/C3-xyz-xzy/L16"
+SELFTEST_RUNG = "selftest"
+VERDICT_RUNG = "check/verdict-table"
 COLD_RUNG = "cold-import/quiverdg"
 
 
@@ -210,6 +213,38 @@ def test_the_c3_jacobi_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(JACOBI_RUNG, tmp_path, monkeypatch)
     # k[x, y, z] has C(L + 3, 3) monomials of degree at most L
     assert len(load_tool().RUNGS[JACOBI_RUNG]()()) == 969
+
+
+def test_the_selftest_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(SELFTEST_RUNG, tmp_path, monkeypatch)
+    report = load_tool().RUNGS[SELFTEST_RUNG]()()
+    assert report["ok"] and len(report["checks"]) == 6
+    assert all(check["ok"] for check in report["checks"])
+
+
+def test_the_selftest_rung_fails_on_a_nonzero_exit(monkeypatch):
+    ladder = load_tool()
+    call = ladder.RUNGS[SELFTEST_RUNG]()
+    monkeypatch.setattr(ladder.cli, "main", lambda argv: 2)
+    with pytest.raises(RuntimeError, match="exited 2"):
+        call()
+
+
+def test_the_verdict_table_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(VERDICT_RUNG, tmp_path, monkeypatch)
+    # the rows of test_acceptance.py's verdict table, in its order
+    assert load_tool().RUNGS[VERDICT_RUNG]()() == [
+        ("NotReflexive", "polynomial-ring-in-degree-zero"),
+        ("NotReflexive", "graded-laurent-polynomials"),
+        ("Reflexive", "finite-product-of-complete-local"),
+        ("Reflexive", "connective-local-finite-dimensional"),
+        ("Reflexive", "coconnective-with-vanishing-degree-one"),
+        ("Reflexive", "ginzburg-algebra-of-a-long-cycle-potential"),
+        ("Reflexive", "calabi-yau-completion-of-rank-at-least-two"),
+        ("Reflexive", "calabi-yau-completion-of-rank-at-least-two"),
+        ("Reflexive", "proper-graded-gentle"),
+        ("NotReflexive", "fully-marked-component-of-winding-zero"),
+    ]
 
 
 # A cold-start rung times fresh processes under the caller's environment,

@@ -40,21 +40,32 @@ rungs, over Q unless stated:
 - verify_differential of the rank-3 completion of the 3-cycle realized on
   (-8, 0) at L = 8, over Q (built and realized as the benchmark's
   completion-verify workload does, at a larger bound) and over F_101 (5,043
-  words, 36,969 pairs).  These two time five calls on one truncation, so
-  all but the first read a filled product memo; their -cold twins realize
-  inside the timed call, as the benchmark does before every
-  verify_differential, so each run starts from an empty memo;
+  words, 36,969 pairs).  These two time five calls on one truncation;
+  their -cold twins realize inside the timed call, as the benchmark does
+  before every verify_differential.  verify_differential builds its
+  product rows afresh on every call and fills no memo, so the two differ
+  by the realize;
 - verify_differential of the commutative k[x, y, z] (three loops, the
   commutators as relations, zero differential) on (0, 0) at L = 10 over Q:
-  286 words and 8,008 pairs, most of whose products are reduced by the
-  relations.  The truncation is realized inside the timed call, so each
-  run fills a fresh product memo; realize is about 1 % of the call;
+  286 words and 8,008 pairs.  Every rule has slack 0, so a product whose
+  prefix product is one word with coefficient one is read off the word
+  table, and 1,947 products are reduced by the relations.  The truncation is realized
+  inside the timed call; realize is about 1 % of the call;
 - decompose_commutative of k[x]/(m), m = x (x-1)^2 (x-2) (x^2+1) (x+3)^2,
   on 1, x, ..., x^7: five local factors, as the benchmark builds it;
 - radical of F_2[x, y]/(x^2, y^2), F_3[x, y]/(x^3, y^3) and
   F_5[x]/((x + 1)^5) on their monomials: local algebras whose trace forms
   are zero, so that the kernel of x -> x^q certifies each radical.
 
+- selftest, run in this process as `quiverdg selftest --quiet --json PATH`
+  through cli.main; the rung checks exit 0 and returns the report;
+- check/verdict-table: check and replay_certificate on the ten fixtures of
+  the acceptance suite's reflexivity verdict table (two symbolic families,
+  k[u]/u^2, a local noncommutative algebra, k[x]/x^2 with |x| = 2 realized
+  on (-4, 4) at L = 4, the cubic one-loop Ginzburg algebra, the rank-2
+  completion of A2 and the rank-3 completion of the 3-cycle, and two
+  annuli), built before the clock starts; the rung checks that every
+  certificate replays and returns the (verdict, criterion) rows;
 - each command of the commands list of the six documents under tests/data,
   run in this process as `quiverdg COMMAND DOCUMENT --quiet --json PATH`
   through cli.main; the rung checks exit 0, and the report bytes against the
@@ -91,21 +102,28 @@ from pathlib import Path
 
 from quiverdg import (
     Arrow,
+    BoundaryComponent,
     DgAlgebraPresentation,
     FiniteDimAlgebra,
     GroundField,
+    MarkedSurfaceArcSystem,
     PathAlgebraElement,
     QuiverPresentation,
     Superpotential,
+    SymbolicFamily,
     bar,
+    check,
     cohomology,
     completeness_report,
     cy_completion,
     decompose_commutative,
     dual_bar,
+    gentle_presentation,
+    ginzburg,
     h0_algebra,
     jacobi_basis,
     realize,
+    replay_certificate,
     verify_differential,
     verify_koszul_pair,
 )
@@ -226,7 +244,7 @@ def cycle_verify(field):
 
 def cycle_verify_cold(field):
     p = cy_completion(three_cycle(), 3, field=field)
-    # a fresh truncation per run, so that every run fills the product memo
+    # a fresh truncation per run, as the benchmark realizes before each verify
     return lambda: verify_differential(realize(p, (-8, 0), 8))
 
 
@@ -261,6 +279,71 @@ def cli_job(name, command):
         if golden is not None and produced != golden:
             raise RuntimeError("%s %s differs from its golden report" % (command, name))
         return code
+    return call
+
+
+def selftest():
+    """cli selftest in this process; RuntimeError when it does not exit 0.
+    Returns its JSON report."""
+    def call():
+        handle, report = tempfile.mkstemp(suffix=".json")
+        os.close(handle)
+        try:
+            code = cli.main(["selftest", "--quiet", "--json", report])
+            if code != 0:
+                raise RuntimeError("selftest exited %d" % code)
+            return json.loads(Path(report).read_text())
+        finally:
+            os.remove(report)
+    return call
+
+
+def verdict_table():
+    """The fixtures of the acceptance suite's reflexivity verdict table."""
+    one = GroundField(0).one()
+    loop = QuiverPresentation(("v",), (Arrow("x", "v", "v"),))
+    square_zero_k = FiniteDimAlgebra(
+        GroundField(0), ["e", "u"], {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+        {0: one})
+    # e, x, y, xy with xy nonzero and yx = x^2 = y^2 = 0
+    local = FiniteDimAlgebra(
+        GroundField(0), ["e", "x", "y", "xy"],
+        {(0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
+         (1, 0): {1: one}, (2, 0): {2: one}, (3, 0): {3: one}, (1, 2): {3: one}},
+        {0: one})
+    x2 = QuiverPresentation(("v",), (Arrow("x", "v", "v", 2),))
+    truncated = realize(DgAlgebraPresentation(
+        ("v",), x2.arrows, relations=[PathAlgebraElement.from_path(x2.path(["x", "x"]))]),
+        (-4, 4), 4)
+    annulus_kx = MarkedSurfaceArcSystem(
+        [BoundaryComponent("C", False, intervals=[["p1", "p2"]]),
+         BoundaryComponent("B", True, winding=2, enclosed_after_slot="p1")],
+        {"g": ("p1", "p2")}, {"p1": -1})
+    annulus_kt = MarkedSurfaceArcSystem(
+        [BoundaryComponent("C", False, intervals=[["p"]]),
+         BoundaryComponent("B", True, winding=0, slots=["q"])],
+        {"g": ("p", "q")})
+    fixtures = (
+        SymbolicFamily("polynomial", degree=0),
+        SymbolicFamily("laurent"),
+        square_zero_k,
+        local,
+        truncated,
+        ginzburg(loop, Superpotential(loop, {("x", "x", "x"): 1})),
+        cy_completion(QuiverPresentation(("1", "2"), (Arrow("a", "1", "2"),)), 2),
+        cy_completion(three_cycle(), 3),
+        gentle_presentation(annulus_kx),
+        annulus_kt,
+    )
+
+    def call():
+        rows = []
+        for fixture in fixtures:
+            verdict = check(fixture)
+            if replay_certificate(verdict.certificate):
+                raise RuntimeError("the certificate of %r does not replay" % (fixture,))
+            rows.append((verdict.verdict, verdict.certificate.criterion))
+        return rows
     return call
 
 
@@ -360,6 +443,8 @@ RUNGS = {
     # (x + 1)^5 = 1 + 5x + 10x^2 + 10x^3 + 5x^4 + x^5
     "radical/F5-x+1^5":
         lambda: polynomial_quotient(GroundField(5), [1, 5, 10, 10, 5, 1]).radical,
+    "selftest": selftest,
+    "check/verdict-table": verdict_table,
     **cli_rungs(),
     "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
     "cold-import/quiverdg.cli": lambda: fresh_process("-c", "import quiverdg.cli"),
