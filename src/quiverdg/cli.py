@@ -164,6 +164,18 @@ def _parse_quiver(raw, location):
         raise InputError(location, str(err))
 
 
+def _completion_quiver(job):
+    """The document's quiver, whose arrows a Calabi-Yau completion needs in
+    degree 0, faulted at the first arrow that is not."""
+    quiver = _parse_quiver(job.raw_object, "document.object")
+    for pos, arrow in enumerate(quiver.arrows):
+        if arrow.degree != 0:
+            raise InputError("document.object.arrows[%d]" % pos,
+                             "arrow %s has degree %d; a Calabi-Yau completion "
+                             "needs degree 0" % (arrow.name, arrow.degree))
+    return quiver
+
+
 def _parse_element(quiver, field, raw, location):
     """A sum of terms [coeff-string, [labels...], base-vertex-or-null]."""
     if not isinstance(raw, list):
@@ -483,7 +495,7 @@ def _cmd_cy(job):
     if not _is_int(job.rank) or job.rank < 1:
         raise InputError("document.n",
                          "command 'cy' needs a positive completion rank n")
-    quiver = _parse_quiver(job.raw_object, "document.object")
+    quiver = _completion_quiver(job)
     presentation = cy_completion(quiver, job.rank, field=job.field)
     t = realize(presentation, job.window, job.words)
     report = verify_differential(t)
@@ -520,14 +532,23 @@ def _cmd_cy(job):
     return lines, payload
 
 
+def _augmented_presentation(job):
+    """The document's dg-presentation, which the Koszul duals need
+    augmented."""
+    presentation = _parse_dg_presentation(job.raw_object, job.field,
+                                          "document.object")
+    if not presentation.augmented:
+        raise InputError("document.object.augmented",
+                         "the Koszul duals need an augmented input")
+    return presentation
+
+
 def _cmd_koszul_dual(job):
     from .koszul import dual_bar
 
     job.object_of_kind("dg-presentation")
     job.need_bounds("window", "words")
-    presentation = _parse_dg_presentation(job.raw_object, job.field,
-                                          "document.object")
-    t = realize(presentation, job.window, job.words)
+    t = realize(_augmented_presentation(job), job.window, job.words)
     dual = dual_bar(t, job.words, job.window)
     dual_dims = cohomology(dual, job.window).dims
     input_dims = t.dims()
@@ -549,9 +570,10 @@ def _cmd_complete(job):
 
     job.object_of_kind("dg-presentation")
     job.need_bounds("window", "words")
-    presentation = _parse_dg_presentation(job.raw_object, job.field,
-                                          "document.object")
-    t = realize(presentation, job.window, job.words)
+    if job.words < 2:
+        raise InputError("document.bounds.words",
+                         "word bound must be >= 2 so stability can be checked")
+    t = realize(_augmented_presentation(job), job.window, job.words)
     report = completeness_report(t, job.words, job.window)
     lines = ["completeness within %d..%d at %d words: %s"
              % (job.window[0], job.window[1], job.words, report.kind)]
@@ -658,8 +680,7 @@ def _reflexive_input(job):
             raise InputError("document.n",
                              "a bare quiver is checked through its completion; "
                              "give the rank n")
-        quiver = _parse_quiver(job.raw_object, "document.object")
-        return cy_completion(quiver, job.rank, field=job.field)
+        return cy_completion(_completion_quiver(job), job.rank, field=job.field)
     job.need_bounds("window", "words")
     presentation = _parse_dg_presentation(job.raw_object, job.field,
                                           "document.object")

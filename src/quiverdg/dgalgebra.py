@@ -211,9 +211,6 @@ class OverflowEntry:
     word: str
 
 
-_UNSET = object()
-
-
 class TruncatedDgAlgebra:
     """Words of weight <= bound with reduced multiplication and differential.
 
@@ -230,12 +227,12 @@ class TruncatedDgAlgebra:
     basis's word records (labels, source, target, weight, degree), which its
     word walk lists in (weight, labels) order with each word's prefix;
     sorted stably by degree they are kept in id order as _records.  The
-    differential columns and the product memo are stored on ids as {id:
-    coeff}, with each id's weight and degree in lists, and
-    verify_differential, cohomology and matrix_between work on the columns
-    without building or hashing a path.  Each list of basis_by_degree is a read-only
-    lazy list that builds its Paths from the records on first read, and
-    _words, the Paths in id order, joins those lists.  d_of, d_element,
+    differential columns are stored on ids as {id: coeff}, with each id's
+    weight and degree in lists, and verify_differential, cohomology and
+    matrix_between work on the columns without building or hashing a path.
+    Each list of basis_by_degree is a read-only lazy list that builds its
+    Paths from the records on first read, and _words, the Paths in id
+    order, joins those lists.  d_of, d_element,
     word_product and product are the path-level views; the path -> id map
     they use is built on first use.
 
@@ -258,18 +255,19 @@ class TruncatedDgAlgebra:
     weight bound (terms that cancel do not count).  Any other word has an
     in-bound term off the basis, and its differential is reduced.
 
-    Products of two words, read through product and word_product, are
-    memoised for the life of the truncation.  When the concatenation fits
-    the bound and is itself a basis word, which is exactly when its column
-    of the quotient basis is not a pivot, reduction would return it
-    unchanged, so its product is taken to be that word with coefficient
-    one; every other product is reduced (_multiply, the one product
-    reducer).  verify_differential fills no memo: it reads products off
-    rows that live for its call, summed along each word's prefix through
-    _step (see _product_rows).  Every reduction, of a column, of a product
-    or of a relation's differential, runs on label tuples in native scalars
-    through the quotient basis's _reduced, and its terms are mapped to ids
-    through the labels -> id map, so no path is built.
+    The product of two words is computed where it is read, by _multiply,
+    the one product reducer, and nothing of it is kept on the truncation: a
+    normal form is a function of the word, so computing it again gives the
+    same answer.  When the concatenation fits the bound and is itself a
+    basis word, which is exactly when its column of the quotient basis is
+    not a pivot, reduction would return it unchanged, so its product is
+    that word with coefficient one; every other product is reduced.
+    verify_differential reads its products off rows that live for its call,
+    summed along each word's prefix through _step (see _product_rows).
+    Every reduction, of a column, of a product or of a relation's
+    differential, runs on label tuples in native scalars through the
+    quotient basis's _reduced, and its terms are mapped to ids through the
+    labels -> id map, so no path is built.
     """
 
     def __init__(self, presentation, window, weight_bound):
@@ -305,8 +303,6 @@ class TruncatedDgAlgebra:
         self._words = _LazyList(len(words), partial(list, chain.from_iterable(
             map(self.basis_by_degree.__getitem__, self._start))))
         self._scalars = native_scalars(self.field)
-        self._products = [None] * len(words)
-        self._units = {}
         # ids of the non-trivial words by labels
         self._by_labels = {record[0]: i for i, record in enumerate(words) if record[0]}
         self._columns = self._prefix_columns(order)
@@ -559,12 +555,13 @@ class TruncatedDgAlgebra:
 
     def _product_on_ids(self, left, right):
         """product on native (id, coeff) pairs, left an iterable and right a
-        list, as {id: coeff}; None when a word product escapes."""
-        product, axpy = self._product, self._scalars.axpy
+        list, as {id: coeff}; None when a word product escapes.  Each word
+        product is taken by _multiply where it is read."""
+        multiply, axpy = self._multiply, self._scalars.axpy
         total = {}
         for i, cp in left:
             for j, cq in right:
-                pq = product(i, j)
+                pq = multiply(i, j)
                 if pq is None:
                     return None
                 axpy(total, cp * cq, pq)
@@ -572,29 +569,21 @@ class TruncatedDgAlgebra:
 
     def word_product(self, p, q):
         """Reduced product of two basis words as {path: coeff}; None when it
-        escapes the weight bound.  Products are memoised on ids (see the
-        class docstring).
+        escapes the weight bound.  It is reduced on ids by _multiply on every
+        call, and the dict it returns is the caller's.
 
         When the truncation is certified finite-dimensional the overflow case
         is recovered exactly: q is multiplied onto p one generator at a time,
         and each intermediate product stays under the bound because the
         heaviest reduced word plus one generator does.
         """
-        pq = self._product(self._word_id(p), self._word_id(q))
+        pq = self._multiply(self._word_id(p), self._word_id(q))
         return None if pq is None else self._paths_of(pq)
 
-    def _product(self, i, j):
-        """Memoised product of words i and j as {id: coeff}, or None; the
-        dict is the memo entry itself and must not be modified."""
-        row = self._products[i]
-        if row is None:
-            row = self._products[i] = {}
-        pq = row.get(j, _UNSET)
-        if pq is _UNSET:
-            pq = row[j] = self._multiply(i, j)
-        return pq
-
     def _multiply(self, i, j):
+        """The product of words i and j as a new {id: coeff}: {} when they
+        do not compose, None when it escapes the weight bound and the
+        truncation is not certified finite-dimensional (see word_product)."""
         (labels, _, target, weight, _), q = self._records[i], self._records[j]
         if target != q[1]:
             return {}
@@ -607,10 +596,7 @@ class TruncatedDgAlgebra:
                 k = self._by_labels.get(labels + q[0])
             if k is None:
                 return self._ids_on_labels(self.qb._reduced({labels + q[0]: 1}))
-            unit = self._units.get(k)
-            if unit is None:
-                unit = self._units[k] = {k: 1}
-            return unit
+            return {k: 1}
         if not self.certified_finite_dimensional:
             return None
         acc = {labels: 1}
@@ -743,19 +729,18 @@ def verify_differential(t):
 
     Products come from product rows (see _product_rows), built on first
     read and dropped once their word is done, so they live only for the
-    call and the truncation's product memo is neither read nor filled.  The
-    row of p holds p*q for every q that fits its room, filled in walk order
-    from the row entry of q's prefix: p*(q' a) = (p*q') a, by associativity
-    in the truncated quotient, is read off the (id, letter) -> id table
-    _step when p*q' is one basis word k with coefficient one and k a is a
-    basis word too (under a rule of slack > 0, only when k is the
-    concatenation of p and q'); only the other products are reduced,
-    through _multiply.  A
-    product that is an id has that word's column as its differential.  The
-    right side (dp)q + (-1)^|p| p(dq) reads the rows of the terms of dp
-    and of p, and a product past a row's room (a differential that raises
-    weight) is taken from _multiply and kept in that row.  A one-word piece
-    whose key is not yet on the right side is stored as it is, its
+    call and nothing is kept on the truncation.  The row of p holds p*q for
+    every q that fits its room, filled in walk order from the row entry of
+    q's prefix: p*(q' a) = (p*q') a, by associativity in the truncated
+    quotient, is read off the (id, letter) -> id table _step when p*q' is
+    one basis word k with coefficient one and k a is a basis word too
+    (under a rule of slack > 0, only when k is the concatenation of p and
+    q'); only the other products are reduced, through _multiply.  A product
+    that is an id has that word's column as its differential.  The right
+    side (dp)q + (-1)^|p| p(dq) reads the rows of the terms of dp and of p.
+    A product past a row's room (a differential that raises weight) is
+    taken from _multiply where it is read, and not stored.  A one-word
+    piece whose key is not yet on the right side is stored as it is, its
     coefficient already reduced (negated with the field's neg).
     Returns a DifferentialReport whose failures list carries witnesses; it
     never raises.
@@ -778,12 +763,10 @@ def verify_differential(t):
     for i, record in enumerate(records):
         by_source.setdefault(record[1], {}).setdefault(record[4], []).append(i)
     runs_at = {v: list(runs.values()) for v, runs in by_source.items()}
-    # rows[i] is the product row of word i, built on first read; it also
-    # keeps the products past the room of i that a differential raising
-    # weight asks for, as _multiply returns them (None when one escapes).
-    # Row i is read for the pairs (i, j) and, since d raises degree by one
-    # and ids ascend with degree, for pairs of words of lower id only, so it
-    # is dropped once i is done
+    # rows[i] is the product row of word i, built on first read.  Row i is
+    # read for the pairs (i, j) and, since d raises degree by one and ids
+    # ascend with degree, for pairs of words of lower id only, so it is
+    # dropped once i is done
     rows, row_of = [None] * len(records), _product_rows(t)
     multiply, d = t._multiply, t._d
     add_term, axpy, neg = t._scalars.add_term, t._scalars.axpy, t._scalars.neg
@@ -813,9 +796,7 @@ def verify_differential(t):
                     pieces = rows[u]
                     if pieces is None:
                         pieces = rows[u] = row_of(u)
-                    piece = pieces.get(j, _UNSET)
-                    if piece is _UNSET:
-                        piece = pieces[j] = multiply(u, j)
+                    piece = pieces[j] if j in pieces else multiply(u, j)
                     if piece.__class__ is int:
                         if piece in rhs:
                             add_term(rhs, piece, cu)
@@ -828,9 +809,7 @@ def verify_differential(t):
                         axpy(rhs, cu, piece)
                 if rhs is not None:
                     for v, cv in dq.items():
-                        piece = row.get(v, _UNSET)
-                        if piece is _UNSET:
-                            piece = row[v] = multiply(i, v)
+                        piece = row[v] if v in row else multiply(i, v)
                         if odd:
                             cv = neg(cv)
                         if piece.__class__ is int:

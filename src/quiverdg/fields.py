@@ -8,7 +8,7 @@ so downstream code is field-agnostic.  No floats anywhere.
 Inside the engine, scalars native to the field stand for these: a Python
 int, or a Fraction only when the value is not integral, over Q; a Python
 int in range(p) over F_p (see linalg's native_scalars).  The eliminations in
-linalg, the columns and product memo of a truncation, the letter table and
+linalg, the columns and word products of a truncation, the letter table and
 columns of a bar complex, and FiniteDimAlgebra.mul run on them.  Every
 public view hands out Fraction or FpElement values again: d_of, d_element,
 product, word_product and matrix_between of a truncation, the cohomology

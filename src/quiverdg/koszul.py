@@ -78,9 +78,9 @@ class _LetterTable:
     products[i] maps each letter j that composes after letter i (target of
     i = source of j), in id order, to their reduced product as {letter id:
     coeff}, or to None when it escapes the weight bound.  Each product is
-    taken once.  Degrees, columns and products are read off the
-    truncation's word-id tables and re-keyed from word ids to letter ids;
-    like those, they hold native scalars of the field.
+    taken once, by the truncation's _multiply.  Degrees, columns and
+    products are read off the truncation's word ids and re-keyed from word
+    ids to letter ids; like those, they hold native scalars of the field.
     """
 
     def __init__(self, t):
@@ -101,7 +101,7 @@ class _LetterTable:
         for i, e in enumerate(self.letters):
             row = {}
             for j in self.starting_at.get(e.target, ()):
-                pq = t._product(word[i], word[j])
+                pq = t._multiply(word[i], word[j])
                 row[j] = None if pq is None else {letter[m]: c for m, c in pq.items()}
             self.products.append(row)
 

@@ -13,8 +13,8 @@ over F_p.  native_scalars(field) returns the field's kernel (_Rationals or
 _Residues): conversions between native and public scalars, and the vector
 kernels (axpy, add_term, scaled, quotient, bilinear) on native ones.  The
 eliminations (RowSpace, SpanSolver, kernel_image, cohomology_of_complex) run
-on native scalars; so do the truncation's columns and product memo, the bar
-complex's letter table and columns, and FiniteDimAlgebra.mul.  Inputs may
+on native scalars; so do the truncation's columns and word products, the
+bar complex's letter table and columns, and FiniteDimAlgebra.mul.  Inputs may
 hold any scalars the field coerces, and everything handed out holds
 Fraction or FpElement entries.  A native run performs the same operations
 in the same order as the public scalars would, so every zero test, pivot

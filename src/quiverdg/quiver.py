@@ -482,10 +482,11 @@ class QuotientBasis:
 
     The reduction itself, _reduced, works on native vectors keyed by label
     tuples, which name a non-trivial word whole; truncations call it
-    directly and never build a path.  It keeps the row of each word it meets
-    for the life of the basis, keyed by labels.  reduce is its adapter on
-    PathAlgebraElements: it checks the terms, keys them by labels, and
-    builds the paths and field scalars of the result.
+    directly and never build a path.  It computes the row of each word it
+    meets where it reads it (_row) and keeps none: a normal form is a
+    function of the word.  reduce is its adapter on PathAlgebraElements: it
+    checks the terms, keys them by labels, and builds the paths and field
+    scalars of the result.
     """
 
     def __init__(self, quiver, length_bound, field, weights, walk, rewriting):
@@ -498,9 +499,6 @@ class QuotientBasis:
         self.basis = _LazyList(len(records), partial(_paths, records))
         self._rewriting = rewriting
         self._scalars = rewriting.scalars
-        # labels, or a trivial path (see reduce), -> (weight, row), row None
-        # on a basis word
-        self._rows = {}
 
     def __len__(self):
         return len(self.basis)
@@ -509,21 +507,21 @@ class QuotientBasis:
         return sum(self.weights[name] for name in path.labels)
 
     def _row(self, key):
-        """(weight, row) of the word with labels key, of weight <= bound.
-        row is None for a basis word; for any other word it is the word
-        minus its normal form, keyed by labels, the word first with
-        coefficient one and the normal form heaviest first."""
-        found = self._rows.get(key)
-        if found is None:
-            rewriting, row = self._rewriting, None
-            weight = rewriting.weight(key)
-            if rewriting.find(key, self.length_bound - weight) is not None:
-                neg = self._scalars.neg
-                row = {key: 1}
-                for term, c in rewriting.rewrite({key: 1}, self.length_bound).items():
-                    row[term] = neg(c)
-            found = self._rows[key] = (weight, row)
-        return found
+        """(weight, row) of the word key, of weight <= bound: its labels, or
+        a trivial path (see reduce), which is a basis word.  row is None for
+        a basis word; for any other word it is the word minus its normal
+        form, keyed by labels, the word first with coefficient one and the
+        normal form heaviest first."""
+        if not key:
+            return 0, None
+        rewriting, neg = self._rewriting, self._scalars.neg
+        weight = rewriting.weight(key)
+        if rewriting.find(key, self.length_bound - weight) is None:
+            return weight, None
+        row = {key: 1}
+        for term, c in rewriting.rewrite({key: 1}, self.length_bound).items():
+            row[term] = neg(c)
+        return weight, row
 
     def _reduced(self, vec):
         """Reduce the native vector vec, keyed by the labels of words of
@@ -545,7 +543,7 @@ class QuotientBasis:
     def reduce(self, element):
         """The normal form of element, with the term order of _reduced.  A
         trivial path is a basis word, keyed by itself, since its labels ()
-        name no vertex."""
+        name no vertex; _row reads it as a basis word."""
         scalars, quiver, vec = self._scalars, self.quiver, {}
         for path, coeff in element.terms.items():
             try:
@@ -555,8 +553,6 @@ class QuotientBasis:
             if not valid or self.weight_of(path) > self.length_bound:
                 raise ValueError(
                     "path %s exceeds the length bound %d" % (path, self.length_bound))
-            if not path.labels:
-                self._rows[path] = (0, None)
             vec[path.labels or path] = scalars.native(coeff)
         return PathAlgebraElement({
             key if isinstance(key, Path) else quiver.path(key): scalars.public(c)

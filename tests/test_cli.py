@@ -301,6 +301,14 @@ SHAPE_FAULTS = {
         "document.object.differential.eps"),
     "words-a-bool": (
         "koszul-dual", mutated(CIRCLE, ("bounds", "words"), True), "document.bounds.words"),
+    "complete-with-one-word": (
+        "complete", mutated(CIRCLE, ("bounds", "words"), 1), "document.bounds.words"),
+    "koszul-dual-not-augmented": (
+        "koszul-dual", mutated(CIRCLE, ("object", "augmented"), False),
+        "document.object.augmented"),
+    "complete-not-augmented": (
+        "complete", mutated(CIRCLE, ("object", "augmented"), False),
+        "document.object.augmented"),
     "term-labels-not-a-list": (
         "ginzburg", mutated(LOOP, ("object", "terms"), [[3, "1"]]),
         "document.object.terms[0]"),
@@ -342,6 +350,12 @@ SHAPE_FAULTS = {
     "arrow-name-a-list": (
         "ginzburg", mutated(LOOP, ("object", "quiver", "arrows", 0, 0), ["x"]),
         "document.object.quiver.arrows[0]"),
+    "cy-arrow-of-nonzero-degree": (
+        "cy", mutated(document_of("a2_preprojective"), ("object", "arrows", 0, 3), 1),
+        "document.object.arrows[0]"),
+    "reflexive-arrow-of-nonzero-degree": (
+        "reflexive", mutated(document_of("a2_preprojective"), ("object", "arrows", 0, 3), -1),
+        "document.object.arrows[0]"),
     "vertex-name-a-list": (
         "cy", mutated(document_of("a2_preprojective"), ("object", "vertices", 0), ["1"]),
         "document.object.vertices[0]"),

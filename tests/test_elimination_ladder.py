@@ -1,11 +1,11 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
-cohomology_dims rung, the dual_bar rung, the square-zero completeness_report
-rung, the A5 realize rung, the square-zero double dual realize rung, the A5
-H^0 slice rung, the five verify_differential rungs, the local-factors rung,
-the three radical rungs, the Koszul pair rung, the L = 16 Jacobi rung of
-C^3, the selftest and verdict-table rungs and two CLI rungs run here, to
-keep the suite fast."""
+cohomology_dims rung, the dual_bar rung, the letter-tables rung, the
+square-zero completeness_report rung, the A5 realize rung, the square-zero
+double dual realize rung, the A5 H^0 slice rung, the five
+verify_differential rungs, the local-factors rung, the three radical rungs,
+the Koszul pair rung, the L = 16 Jacobi rung of C^3, the selftest and
+verdict-table rungs and two CLI rungs run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -20,6 +20,7 @@ RUNG = "cohomology/3-cycle-cy3/L6"
 BAR_RUNG = "bar/3-cycle-cy3-F101-L2/5-letters"
 BAR_DIMS_RUNG = "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters"
 DUAL_BAR_RUNG = "dual_bar/3-cycle-cy3-F101-L2/5-letters"
+LETTER_TABLES_RUNG = "letter-tables/3-cycle-cy3-F101-L2-cold"
 COMPLETENESS_RUNG = "completeness_report/square-zero-3/L10"
 REALIZE_RUNG = "realize/A5-cy2/L9"
 DOUBLE_DUAL_RUNG = "realize/square-zero-double-dual/L10"
@@ -84,6 +85,12 @@ def test_the_dual_bar_rung_writes_its_json(tmp_path, monkeypatch):
     assert sum(map(len, dual.basis_by_degree.values())) == 1449
     assert dual.dims() == {0: 3, 1: 6, 2: 21, 3: 63, 4: 156, 5: 291, 6: 378, 7: 324,
                            8: 165, 9: 39, 10: 3}
+
+
+def test_the_letter_tables_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(LETTER_TABLES_RUNG, tmp_path, monkeypatch)
+    words, dual_dims, cogenerators = load_tool().RUNGS[LETTER_TABLES_RUNG]()()
+    assert (words, sum(dual_dims.values()), cogenerators) == (58824, 1449, 21)
 
 
 def test_the_completeness_rung_writes_its_json(tmp_path, monkeypatch):

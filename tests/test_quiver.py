@@ -278,6 +278,27 @@ def test_quotient_mixed_length_relation():
     assert nf2 == nf4
 
 
+def test_reduce_lists_a_multi_term_normal_form_heaviest_first():
+    # z*y + 2 x*y - 3 y*x + x on three loops: the leading word is z*y, so
+    # z*y -> 3 y*x - 2 x*y - x, listed heaviest first, after the terms of
+    # the input that stay (a trivial path among them)
+    q = QuiverPresentation(["v"], [Arrow(name, "v", "v") for name in "xyz"])
+    r = elem(q, (["z", "y"], 1), (["x", "y"], 2), (["y", "x"], -3), (["x"], 1))
+    qb = reduce_modulo_relations(q, [r], 3)
+    reduced = qb.reduce(PathAlgebraElement({q.path(["z", "y"]): Fraction(2),
+                                            q.trivial("v"): Fraction(5),
+                                            q.path(["z"]): Fraction(1)}))
+    expected = [(q.trivial("v"), 5), (q.path(["z"]), 1), (q.path(["y", "x"]), 6),
+                (q.path(["x", "y"]), -4), (q.path(["x"]), -2)]
+    assert [(p, c, type(c)) for p, c in reduced.terms.items()] == [
+        (p, Fraction(c), Fraction) for p, c in expected]
+    reduced = qb.reduce(elem(q, (["z", "y", "x"], 1)))
+    expected = [(q.path(["y", "x", "x"]), 3), (q.path(["x", "y", "x"]), -2),
+                (q.path(["x", "x"]), -1)]
+    assert [(p, c, type(c)) for p, c in reduced.terms.items()] == [
+        (p, Fraction(c), Fraction) for p, c in expected]
+
+
 def test_quotient_with_a_leading_word_of_slack_one():
     # r = x*x - y on two loops.  The overlap x*x*x gives r*x - x*r = x*y -
     # y*x, of sugar 3 and leading word y*x of weight 2: slack 1.  So at

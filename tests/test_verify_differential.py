@@ -7,6 +7,7 @@ faster scan must run exactly the same checks, so these tuples, failure order
 included, must not move.
 """
 
+import pytest
 from test_acceptance import (
     CORPUS,
     cubic_loop_potential,
@@ -22,10 +23,16 @@ from test_dgalgebra import (
     preprojective_a2_presentation,
 )
 
-from quiverdg.dgalgebra import DgAlgebraPresentation, realize, verify_differential
+from quiverdg.dgalgebra import (
+    DgAlgebraPresentation,
+    NotStabilized,
+    h0_algebra,
+    realize,
+    verify_differential,
+)
 from quiverdg.fields import GroundField
 from quiverdg.ginzburg import cy_completion, ginzburg
-from quiverdg.koszul import cobar, dual_bar, dual_coalgebra
+from quiverdg.koszul import bar, cobar, dual_bar, dual_coalgebra
 from quiverdg.quiver import Arrow, QuiverPresentation
 
 QQ = GroundField(0)
@@ -130,10 +137,68 @@ def test_product_recovers_escaping_pairs_letterwise():
 def test_word_product_is_memoised_per_truncation():
     q, t = cubic_minus_linear()
     x, xx = q.path(["x"]), q.path(["x", "x"])
-    assert t._product(t._id[xx], t._id[xx]) is t._product(t._id[xx], t._id[xx])
+    # each read is computed afresh and is the caller's to change
+    first, second = t.word_product(xx, xx), t.word_product(xx, xx)
+    assert first == second == {xx: QQ.one()}
+    first.clear()
+    assert second == {xx: QQ.one()} == t.word_product(xx, xx)
+    unit = t._multiply(t._id[x], t._id[x])
+    unit.clear()
+    assert t._multiply(t._id[x], t._id[x]) == {t._id[xx]: 1}
     assert t.word_product(x, xx) == {x: QQ.one()}
     assert t.word_product(q.trivial("v"), x) == {x: QQ.one()}
     # without the certificate an escaping product is refused, not guessed
     free = DgAlgebraPresentation(["v"], [Arrow("x", "v", "v", 0)])
     assert realize(free, (0, 0), 2).word_product(x, xx) is None
     assert realize(free, (0, 0), 3).word_product(x, xx) == {q.path(["x", "x", "x"]): QQ.one()}
+
+
+def attribute_state(obj):
+    """Each attribute of obj with its len() where it has one and, for a
+    list, the number of its None entries: a memo filled in place keeps its
+    identity but changes one of the two."""
+    state = {}
+    for name, value in vars(obj).items():
+        size = len(value) if hasattr(value, "__len__") else None
+        nones = sum(v is None for v in value) if isinstance(value, list) else None
+        state[name] = (value, size, nones)
+    return state
+
+
+def assert_state_unchanged(before, after):
+    assert before.keys() == after.keys()
+    for name, (value, size, nones) in before.items():
+        assert after[name][0] is value, name
+        assert after[name][1:] == (size, nones), name
+
+
+def test_reading_products_leaves_no_state_on_the_truncation():
+    # x of degree 0 and y of degree -1 with dy = x, modulo x*y - y*x, whose
+    # differential x*x - x*x is zero; and the truncation the duals of the
+    # benchmark read, the rank-3 completion of the 3-cycle over F_101 at
+    # L = 2, where dim H^0 moves from 9 to 12 at L = 3
+    arrows = [Arrow("x", "v", "v", 0), Arrow("y", "v", "v", -1)]
+    q = QuiverPresentation(["v"], arrows)
+    commuting = DgAlgebraPresentation(
+        ["v"], arrows, differential={"y": element(q, (1, ["x"], None))},
+        relations=[element(q, (1, ["x", "y"], None), (-1, ["y", "x"], None))])
+    cycle = cy_completion(three_cycle(), 3, field=GroundField(101))
+    for t in (realize(commuting, (-3, 0), 4), realize(cycle, (-6, 2), 2)):
+        t._id  # the path -> id map, built on first read
+        before = attribute_state(t), attribute_state(t.qb)
+        bar(t, 3, t.window)
+        dual_bar(t, 3, t.window)
+        dual_coalgebra(t)
+        if t.presentation.relations:
+            assert h0_algebra(t).algebra.dim == 1
+            x, y = q.path(["x"]), q.path(["y"])
+            assert t.word_product(y, x) == {q.path(["x", "y"]): QQ.one()}
+        else:
+            with pytest.raises(NotStabilized):
+                h0_algebra(t)
+        assert verify_differential(t).ok
+        for p in t._words:
+            for r in t._words:
+                t.word_product(p, r)
+        assert_state_unchanged(before[0], attribute_state(t))
+        assert_state_unchanged(before[1], attribute_state(t.qb))

@@ -30,9 +30,16 @@ rungs, over Q unless stated:
   differential ledger (58,824 and 411,771 words);
 - dual_bar at 5 letters of that realization, as the benchmark's
   duals-relations-cli workload builds it;
+- letter-tables of that completion: realize on (-40, 8) at L = 2, then
+  bar at 5 letters, dual_bar at 5 letters and dual_coalgebra, all inside
+  the timed call, the sequence in which the benchmark's duals op reads the
+  letter table of one truncation three times;
 - completeness_report at word bound 10 on (0, 18) of k[eps]/eps^2 with eps
   in degree -2 over F_101, realized on (0, 18) at L = 10 before the clock
-  starts, as that workload's square-zero-3 op runs it;
+  starts, as that workload's square-zero-3 op runs it.  This rung and the
+  dual_bar rung time five calls on one truncation.  While truncations kept
+  a product memo, the first call filled it and the other four reread it
+  warm; every product is now taken afresh on each call;
 - cohomology_dims on (-6, 0) of the bar at 6 letters of R_2 of the 3-cycle
   (rn_presentation) over F_101, realized on (-8, 8) at L = 2, as the
   benchmark's duals-relations-cli workload runs it; the bar is built before
@@ -43,8 +50,8 @@ rungs, over Q unless stated:
   words, 36,969 pairs).  These two time five calls on one truncation;
   their -cold twins realize inside the timed call, as the benchmark does
   before every verify_differential.  verify_differential builds its
-  product rows afresh on every call and fills no memo, so the two differ
-  by the realize;
+  product rows afresh on every call and keeps nothing on the truncation,
+  so the two differ by the realize;
 - verify_differential of the commutative k[x, y, z] (three loops, the
   commutators as relations, zero differential) on (0, 0) at L = 10 over Q:
   286 words and 8,008 pairs.  Every rule has slack 0, so a product whose
@@ -118,6 +125,7 @@ from quiverdg import (
     cy_completion,
     decompose_commutative,
     dual_bar,
+    dual_coalgebra,
     gentle_presentation,
     ginzburg,
     h0_algebra,
@@ -209,6 +217,19 @@ def cycle_bar(letters):
 def cycle_dual_bar():
     t = realize(cy_completion(three_cycle(), 3, field=GroundField(101)), (-40, 8), 2)
     return lambda: dual_bar(t, 5, (-40, 8))
+
+
+def cycle_letter_tables():
+    p = cy_completion(three_cycle(), 3, field=GroundField(101))
+
+    def call():
+        # a fresh truncation per run, read by the three callers of its
+        # letter table in the order the benchmark's duals op runs them
+        t = realize(p, (-40, 8), 2)
+        words = sum(map(len, bar(t, 5, (-40, 8)).words_by_degree.values()))
+        dual = dual_bar(t, 5, (-40, 8))
+        return words, dual.dims(), len(dual_coalgebra(t).cogenerators)
+    return call
 
 
 def square_zero():
@@ -430,6 +451,7 @@ RUNGS = {
     "bar/3-cycle-cy3-F101-L2/6-letters": lambda: cycle_bar(6),
     "bar-cohomology-dims/3-cycle-R2-F101-L2/6-letters": r2_bar_cohomology_dims,
     "dual_bar/3-cycle-cy3-F101-L2/5-letters": cycle_dual_bar,
+    "letter-tables/3-cycle-cy3-F101-L2-cold": cycle_letter_tables,
     "completeness_report/square-zero-3/L10": square_zero_completeness,
     "verify_differential/3-cycle-cy3-Q/L8": lambda: cycle_verify(GroundField(0)),
     "verify_differential/3-cycle-cy3-F101/L8": lambda: cycle_verify(GroundField(101)),
