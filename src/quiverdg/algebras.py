@@ -47,6 +47,13 @@ class FiniteDimAlgebra:
     def __init__(self, field, basis, structure, unit, degrees=None):
         self.field = field
         self.basis = list(basis)
+        dim = len(self.basis)
+        indices = [*unit] + [k for (i, j), vec in structure.items() for k in (i, j, *vec)]
+        if not all(0 <= k < dim for k in indices):
+            raise ValueError("the structure constants or the unit have an index outside "
+                             "range(%d)" % dim)
+        if degrees is not None and len(degrees) != dim:
+            raise ValueError("%d degrees for a basis of %d elements" % (len(degrees), dim))
         self.structure = {}
         for (i, j), vec in structure.items():
             cleaned = {}

@@ -9,6 +9,18 @@ results only make sense when the window was chosen on purpose.  Exact
 scalars are written as integer or fraction strings ("2", "-3/4") so nothing
 is lost in serialization.
 
+The document is read by one walker over declarative tables: JOB for the
+job's own keys and OBJECTS for each object kind.  A spec is a leaf that
+checks one value, a one-item list of specs, or a table of keys with the
+optional ones marked "?" (the comment above the tables has the detail).
+References to declared names (an arrow's endpoints, a term's labels, a
+structure constant's indices) are read from a scope that earlier keys fill,
+so a fault in a value is reported at the key that holds it; what only the
+engine's validators find (a cycle that does not close, a malformed ribbon)
+is reported at document.object.  The flags --char, --window, --words and
+--paths are merged into the document before the walk and override its
+values.
+
 Exit codes: 0 means a verdict or report was produced (Unknown counts), 1 is
 an input problem and the message names the offending document location, 2 is
 an internal invariant failure, which is a bug worth reporting, with the
@@ -60,339 +72,355 @@ class InternalFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# document parsing
+# document tables
+#
+# A spec says what one node of the document must be, in one of three forms:
+#
+# - a leaf: a callable (raw, where, scope) -> value that raises InputError at
+#   the location `where` when raw does not fit;
+# - a one-item list [spec]: a JSON list, each item walked against spec at
+#   where[pos];
+# - a table {key: spec}: a JSON object, each key walked in table order at
+#   where.key.  A key ending in "?" may be absent or null; keys the table
+#   does not name are ignored.  The walk gives a dict of the keys present.
+#
+# `scope` is one dict per walk: leaves of earlier keys fill it and leaves of
+# later keys read it.  It holds the field, the declared vertices, the arrows
+# or generators declared so far, the quiver they make, and the size of an
+# algebra's basis; the job's own walk holds the command and the flags there.
+
+def _walk(spec, raw, where, scope):
+    """The value of raw, the node at where, walked against spec."""
+    if type(spec) is dict:
+        if not isinstance(raw, dict):
+            raise InputError(where, "expected an object")
+        value = {}
+        for key, item in spec.items():
+            name = key.rstrip("?")
+            node = raw.get(name)
+            if node is None:
+                if name != key:
+                    continue
+                if name not in raw:
+                    raise InputError(where, "missing key %r" % name)
+            at = f"{where}.{name}"
+            # a leaf is called here, not through a frame of _walk per node
+            value[name] = item(node, at, scope) if callable(item) else _walk(item, node, at, scope)
+        return value
+    if type(spec) is list:
+        if not isinstance(raw, list):
+            raise InputError(where, "expected a list")
+        walk = spec[0] if callable(spec[0]) else functools.partial(_walk, spec[0])
+        return [walk(node, "%s[%d]" % (where, pos), scope) for pos, node in enumerate(raw)]
+    return spec(raw, where, scope)
+
 
 def _is_int(value):
     """An int that is not a bool: JSON true must not run as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int
 
 
-def _need(mapping, key, location, kinds=None):
-    """mapping[key], of one of the types kinds when given; a bool is not
-    taken for an int."""
-    if not isinstance(mapping, dict):
-        raise InputError(location, "expected an object")
-    if key not in mapping:
-        raise InputError(location, "missing key %r" % key)
-    value = mapping[key]
-    if kinds is not None and (not isinstance(value, kinds)
-                              or isinstance(value, bool) and kinds is not bool):
-        raise InputError("%s.%s" % (location, key),
-                         "unexpected value type %s" % type(value).__name__)
-    return value
+def _typed(kind, what):
+    """The leaf for a value of one JSON type, which is exactly kind: a bool
+    is not taken for an int."""
+    def leaf(raw, where, scope):
+        if type(raw) is not kind:
+            raise InputError(where, "expected %s, got %s" % (what, type(raw).__name__))
+        return raw
+    return leaf
 
 
-def _optional(mapping, key, location, kinds, default=None):
-    """_need for a key that may be absent or null, which gives default."""
-    if mapping.get(key) is None:
-        return default
-    return _need(mapping, key, location, kinds)
+_int, _bool = _typed(int, "an integer"), _typed(bool, "true or false")
+_name = _typed(str, "a string")
 
 
-def _scalar(field, raw, location):
-    """A coefficient of the document in the field.  It is a string such as
-    "-2/3" or an integer: a JSON float is binary, so it is not exact."""
-    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
-        raise InputError(location, "scalar %r is not a string or an integer" % (raw,))
-    try:
-        return field.of(raw)
-    except ZeroDivisionError:
-        raise InputError(location, "scalar %r divides by zero" % (raw,))
-    except ValueError as err:
-        raise InputError(location, str(err))
-
-
-def _name(raw, location):
-    """A name of the document: a string, never another value printed."""
-    if not isinstance(raw, str):
-        raise InputError(location, "a name must be a string, got %s" % type(raw).__name__)
+def _positive(raw, where, scope=None):
+    if not _is_int(raw) or raw < 1:
+        raise InputError(where, "expected a positive integer, got %r" % (raw,))
     return raw
 
 
-def _strings(raw, location):
-    """A JSON list of names as a tuple of strings."""
-    if not isinstance(raw, list):
-        raise InputError(location, "expected a list")
-    return tuple(_name(s, "%s[%d]" % (location, pos)) for pos, s in enumerate(raw))
+def _each(spec):
+    """The leaf for a JSON object whose every value is walked against spec at
+    where.key, whatever its key."""
+    def leaf(raw, where, scope):
+        if not isinstance(raw, dict):
+            raise InputError(where, "expected an object")
+        return {key: _walk(spec, value, "%s.%s" % (where, key), scope)
+                for key, value in raw.items()}
+    return leaf
 
 
-def _vertices(raw, location):
-    """The declared vertices: a list of names, none of them repeated."""
-    vertices = _strings(raw, location)
+def _scalar(raw, where, scope):
+    """A coefficient of the document in the field.  It is a string such as
+    "-2/3" or an integer: a JSON float is binary, so it is not exact."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise InputError(where, "scalar %r is not a string or an integer" % (raw,))
+    try:
+        return scope["field"].of(raw)
+    except ZeroDivisionError:
+        raise InputError(where, "scalar %r divides by zero" % (raw,))
+    except ValueError as err:
+        raise InputError(where, str(err))
+
+
+def _characteristic(raw, where, scope):
+    try:
+        return GroundField(_int(raw, where, scope))
+    except ValueError as err:
+        raise InputError(where, str(err))
+
+
+def _commands(raw, where, scope):
+    """The commands the document is meant for; the one run must be listed."""
+    if not isinstance(raw, list) or scope["command"] not in raw:
+        raise InputError(where, "document does not request command %r" % scope["command"])
+    return raw
+
+
+def _kind(raw, where, scope):
+    if raw not in scope["kinds"]:
+        raise InputError(where, "command %r works on %s objects, got %r"
+                         % (scope["command"], " / ".join(scope["kinds"]), raw))
+    return raw
+
+
+def _window(raw, where, scope):
+    """The degree window [lo, hi] with lo <= hi; --window LO..HI overrides it."""
+    if scope["flags"].window is not None:
+        where, raw = "flags.window", raw.split("..")
+        try:
+            raw = [int(end) for end in raw]
+        except ValueError:
+            pass
+    if not (isinstance(raw, list) and len(raw) == 2 and all(map(_is_int, raw))):
+        raise InputError(where, "a window is two integers lo <= hi, [lo, hi] in the "
+                                "document or LO..HI as a flag")
+    if raw[0] > raw[1]:
+        raise InputError(where, "window %d..%d is empty" % tuple(raw))
+    return tuple(raw)
+
+
+def _vertices(raw, where, scope):
+    """The declared vertices: names, none of them repeated."""
+    vertices = scope["vertices"] = _walk([_name], raw, where, scope)
     for pos, name in enumerate(vertices):
         if name in vertices[:pos]:
-            raise InputError("%s[%d]" % (location, pos), "vertex %r is declared twice" % name)
+            raise InputError("%s[%d]" % (where, pos), "vertex %r is declared twice" % name)
     return vertices
 
 
-def _index(key, location):
-    """An integer object key such as "3", the index of a basis element."""
+def _arrow(raw, where, scope):
+    """An arrow [name, source, target, degree] between the declared vertices,
+    its name not declared before."""
+    if not (isinstance(raw, list) and len(raw) == 4):
+        raise InputError(where, "an arrow is [name, source, target, degree]")
+    name, source, target = (_name(x, where, scope) for x in raw[:3])
+    declared = scope.setdefault("arrows", set())
+    if name in declared:
+        raise InputError(where, "arrow %r is declared twice" % name)
+    arrow = Arrow(name, source, target, _int(raw[3], where, scope))
+    for end in (source, target):
+        if end not in scope["vertices"]:
+            raise InputError(where, "arrow %s has undeclared endpoint %r" % (name, end))
+    declared.add(name)
+    return arrow
+
+
+def _arrows(raw, where, scope):
+    """Arrows of distinct names; the quiver they make goes to scope."""
+    arrows = _walk([_arrow], raw, where, scope)
+    scope["quiver"] = QuiverPresentation(scope["vertices"], arrows)
+    return arrows
+
+
+def _cy_arrow(raw, where, scope):
+    """An arrow of the quiver of a Calabi-Yau completion, which is in degree 0."""
+    arrow = _arrow(raw, where, scope)
+    if arrow.degree != 0:
+        raise InputError(where, "arrow %s has degree %d; a Calabi-Yau completion "
+                                "needs degree 0" % (arrow.name, arrow.degree))
+    return arrow
+
+
+def _term(raw, where, scope):
+    """A term [coeff, [labels...], base] of an element: coeff times the path
+    of the labels.  base is null or a declared vertex; it names the vertex of
+    an empty path."""
+    if not (isinstance(raw, list) and len(raw) == 3 and isinstance(raw[1], list)):
+        raise InputError(where, "a term is [coeff, [labels...], base]")
+    coeff, labels, base = raw
+    coeff = _scalar(coeff, where, scope)
+    if base is not None and base not in scope["vertices"]:
+        raise InputError(where, "base %r is not a declared vertex" % (base,))
     try:
-        return int(key)
-    except ValueError:
-        raise InputError("%s.%s" % (location, key), "key %r is not an integer" % (key,))
-
-
-def _parse_arrows(raw, vertices, location):
-    """Arrows [name, source, target, degree] between the declared vertices,
-    no name repeated."""
-    arrows = []
-    for pos, entry in enumerate(raw):
-        where = "%s[%d]" % (location, pos)
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise InputError(where, "an arrow is [name, source, target, degree]")
-        name, source, target = (_name(x, where) for x in entry[:3])
-        if any(a.name == name for a in arrows):
-            raise InputError(where, "arrow %r is declared twice" % name)
-        degree = entry[3]
-        if not _is_int(degree):
-            raise InputError(where, "arrow degree must be an integer")
-        for end in (source, target):
-            if end not in vertices:
-                raise InputError(where, "arrow %s has undeclared endpoint %r" % (name, end))
-        arrows.append(Arrow(name, source, target, degree))
-    return tuple(arrows)
-
-
-def _parse_quiver(raw, location):
-    vertices = _vertices(_need(raw, "vertices", location, list), location + ".vertices")
-    arrows = _parse_arrows(_need(raw, "arrows", location, list), vertices,
-                           location + ".arrows")
-    try:
-        return QuiverPresentation(vertices, arrows)
+        path = scope["quiver"].path([_name(x, where, scope) for x in labels], base=base)
+    except UnknownArrow as err:
+        raise InputError(where, "unknown generator %s" % err)
     except ValueError as err:
-        raise InputError(location, str(err))
+        raise InputError(where, str(err))
+    return PathAlgebraElement.from_path(path, coeff)
 
 
-def _completion_quiver(job):
-    """The document's quiver, whose arrows a Calabi-Yau completion needs in
-    degree 0, faulted at the first arrow that is not."""
-    quiver = _parse_quiver(job.raw_object, "document.object")
-    for pos, arrow in enumerate(quiver.arrows):
-        if arrow.degree != 0:
-            raise InputError("document.object.arrows[%d]" % pos,
-                             "arrow %s has degree %d; a Calabi-Yau completion "
-                             "needs degree 0" % (arrow.name, arrow.degree))
-    return quiver
+def _element(raw, where, scope):
+    """A sum of terms."""
+    return sum(_walk([_term], raw, where, scope), PathAlgebraElement.zero())
 
 
-def _parse_element(quiver, field, raw, location):
-    """A sum of terms [coeff-string, [labels...], base-vertex-or-null]."""
-    if not isinstance(raw, list):
-        raise InputError(location, "an element is a list of terms")
-    total = PathAlgebraElement.zero()
-    for pos, term in enumerate(raw):
-        where = "%s[%d]" % (location, pos)
-        if not (isinstance(term, list) and len(term) == 3 and isinstance(term[1], list)):
-            raise InputError(where, "a term is [coeff, [labels...], base]")
-        coeff_raw, labels, base = term
-        coeff = _scalar(field, coeff_raw, where)
-        try:
-            path = quiver.path([str(x) for x in labels],
-                               base=None if base is None else str(base))
-        except UnknownArrow as err:
-            raise InputError(where, "unknown generator %s" % err)
-        except (ValueError, KeyError) as err:
-            raise InputError(where, str(err))
-        total = total + PathAlgebraElement.from_path(path, coeff)
-    return total
+def _by_generator(spec):
+    """The leaf for a JSON object keyed by declared generators, its values
+    walked against spec."""
+    def leaf(raw, where, scope):
+        value = _each(spec)(raw, where, scope)
+        for name in value:
+            if not scope["quiver"].has_arrow(name):
+                raise InputError("%s.%s" % (where, name), "unknown generator %r" % name)
+        return value
+    return leaf
 
 
-def _parse_dg_presentation(raw, field, location):
-    vertices = _vertices(_need(raw, "vertices", location, list), location + ".vertices")
-    generators = _parse_arrows(_need(raw, "generators", location, list), vertices,
-                               location + ".generators")
-    scratch = QuiverPresentation(vertices, generators)
-    differential = None
-    if raw.get("differential") is not None:
-        differential = {}
-        for name, terms in _need(raw, "differential", location, dict).items():
-            differential[str(name)] = _parse_element(
-                scratch, field, terms, "%s.differential.%s" % (location, name))
-    relations = []
-    for pos, terms in enumerate(_optional(raw, "relations", location, list, [])):
-        relations.append(_parse_element(
-            scratch, field, terms, "%s.relations[%d]" % (location, pos)))
-    weights = _optional(raw, "weights", location, dict)
-    if weights is not None:
-        weights = {k: _weight(scratch, weights, k, location + ".weights") for k in weights}
-    try:
-        return DgAlgebraPresentation(
-            vertices, generators, differential=differential, relations=relations,
-            augmented=_optional(raw, "augmented", location, bool, True),
-            weights=weights, field=field)
-    except (ValueError, InconsistentPresentation) as err:
-        raise InputError(location, str(err))
+def _cycle(raw, where, scope):
+    """A superpotential term [[labels...], coeff]: a cycle of declared arrows."""
+    if not (isinstance(raw, list) and len(raw) == 2 and isinstance(raw[0], list)):
+        raise InputError(where, "a term is [[labels...], coeff]")
+    labels = tuple(_name(x, where, scope) for x in raw[0])
+    for name in labels:
+        if not scope["quiver"].has_arrow(name):
+            raise InputError(where, "unknown arrow %s" % name)
+    return labels, _scalar(raw[1], where, scope)
 
 
-def _weight(quiver, weights, name, location):
-    """The weight of generator name: an int of at least 1, faulted at its key
-    for an unknown generator."""
-    weight = _need(weights, name, location, int)
-    where = "%s.%s" % (location, name)
-    if not quiver.has_arrow(name):
-        raise InputError(where, "weight for unknown generator %r" % name)
-    if weight < 1:
-        raise InputError(where, "weight of %s must be a positive integer" % name)
-    return weight
+def _basis(raw, where, scope):
+    """The basis labels; their number goes to scope."""
+    basis = _walk([_name], raw, where, scope)
+    scope["dim"] = len(basis)
+    return basis
 
 
-def _parse_superpotential(raw, field, location):
-    quiver = _parse_quiver(_need(raw, "quiver", location, dict),
-                           location + ".quiver")
-    terms = {}
-    for pos, entry in enumerate(_need(raw, "terms", location, list)):
-        where = "%s.terms[%d]" % (location, pos)
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], list)):
-            raise InputError(where, "a term is [[labels...], coeff]")
-        labels, coeff = entry
-        labels = tuple(str(x) for x in labels)
-        try:
-            for name in labels:
-                quiver.arrow(name)
-        except UnknownArrow as err:
-            raise InputError(where, "unknown arrow %s" % err)
-        terms[labels] = _scalar(field, coeff, where)
-    try:
-        return quiver, Superpotential(quiver, terms, field=field)
-    except ValueError as err:
-        raise InputError(location, str(err))
+def _vector(raw, where, scope):
+    """A vector {k: coeff} on the basis.  A key that is not an index of the
+    basis is faulted at where.key, a coefficient at where."""
+    if not isinstance(raw, dict):
+        raise InputError(where, "expected an object")
+    vector = {}
+    for key, coeff in raw.items():
+        index = int(key) if key.isdecimal() else -1
+        if not 0 <= index < scope["dim"]:
+            raise InputError("%s.%s" % (where, key),
+                             "key %r is not an index of the basis" % (key,))
+        vector[index] = _scalar(coeff, where, scope)
+    return vector
 
 
-def _parse_surface(raw, location):
-    from .surfaces import BoundaryComponent, MalformedRibbon, MarkedSurfaceArcSystem
-
-    components = []
-    for pos, entry in enumerate(_need(raw, "components", location, list)):
-        where = "%s.components[%d]" % (location, pos)
-        name = _name(_need(entry, "name", where), where + ".name")
-        fully = _need(entry, "fully_marked", where, bool)
-        intervals = tuple(_strings(group, "%s.intervals[%d]" % (where, k)) for k, group
-                          in enumerate(_optional(entry, "intervals", where, list, [])))
-        components.append(BoundaryComponent(
-            name, fully, winding=_optional(entry, "winding", where, int),
-            slots=_strings(_optional(entry, "slots", where, list, []), where + ".slots"),
-            intervals=intervals,
-            enclosed_after_slot=_optional(entry, "enclosed_after_slot", where, str)))
-    arcs = _need(raw, "arcs", location, dict)
-    arcs = {str(k): _strings(v, "%s.arcs.%s" % (location, k)) for k, v in arcs.items()}
-    degrees = _optional(raw, "flow_degrees", location, dict, {})
-    degrees = {str(k): _need(degrees, k, location + ".flow_degrees", int) for k in degrees}
-    try:
-        return MarkedSurfaceArcSystem(components, arcs, degrees)
-    except (ValueError, MalformedRibbon) as err:
-        raise InputError(location, str(err))
+def _product(raw, where, scope):
+    """A structure row [i, j, {k: coeff}]: the product b_i * b_j."""
+    if not (isinstance(raw, list) and len(raw) == 3 and isinstance(raw[2], dict)
+            and all(_is_int(i) and 0 <= i < scope["dim"] for i in raw[:2])):
+        raise InputError(where, "a structure row is [i, j, {k: coeff}] with i and j "
+                                "indices of the basis")
+    return tuple(raw[:2]), _vector(raw[2], where, scope)
 
 
-def _parse_algebra(raw, field, location):
+def _degrees(raw, where, scope):
+    if not (isinstance(raw, list) and len(raw) == scope["dim"] and all(map(_is_int, raw))):
+        raise InputError(where, "the degrees are one integer per basis element")
+    return raw
+
+
+def _superpotential(value, scope):
+    return Superpotential(scope["quiver"], dict(value["terms"]), field=scope["field"])
+
+
+def _surface(value, scope):
+    from .surfaces import BoundaryComponent, MarkedSurfaceArcSystem
+
+    return MarkedSurfaceArcSystem([BoundaryComponent(**c) for c in value["components"]],
+                                  value["arcs"], value.get("flow_degrees"))
+
+
+def _algebra(value, scope):
     from .algebras import FiniteDimAlgebra
 
-    basis = list(_strings(_need(raw, "basis", location, list), location + ".basis"))
-    structure = {}
-    for pos, entry in enumerate(_need(raw, "structure", location, list)):
-        where = "%s.structure[%d]" % (location, pos)
-        if not (isinstance(entry, list) and len(entry) == 3
-                and _is_int(entry[0]) and _is_int(entry[1]) and isinstance(entry[2], dict)):
-            raise InputError(where, "a structure row is [i, j, {k: coeff}]")
-        i, j, vec = entry
-        structure[(i, j)] = {_index(k, where): _scalar(field, c, where)
-                             for k, c in vec.items()}
-    unit = {_index(k, location + ".unit"): _scalar(field, c, location + ".unit")
-            for k, c in _need(raw, "unit", location, dict).items()}
-    degrees = _optional(raw, "degrees", location, list)
-    if degrees is not None and not (len(degrees) == len(basis) and all(map(_is_int, degrees))):
-        raise InputError(location + ".degrees", "the degrees are one integer per basis element")
-    try:
-        return FiniteDimAlgebra(field, basis, structure, unit, degrees=degrees)
-    except (ValueError, IndexError) as err:
-        raise InputError(location, str(err))
+    return FiniteDimAlgebra(scope["field"], value["basis"], dict(value["structure"]),
+                            value["unit"], degrees=value.get("degrees"))
 
 
-def _parse_family(raw, location):
+def _family(value, scope):
     from .reflexivity import SymbolicFamily
 
-    try:
-        return SymbolicFamily(_need(raw, "family", location, str),
-                              degree=_optional(raw, "degree", location, int, 0),
-                              variables=_optional(raw, "variables", location, int, 1))
-    except ValueError as err:
-        raise InputError(location, str(err))
+    return SymbolicFamily(value.pop("family"), **value)
 
 
-def _parse_window(text, location):
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise InputError(location, "a window is written LO..HI")
-    try:
-        window = (int(lo), int(hi))
-    except ValueError:
-        raise InputError(location, "window ends must be integers")
-    if window[0] > window[1]:
-        raise InputError(location, "window %d..%d is empty" % window)
-    return window
+JOB = {"characteristic": _characteristic, "commands?": _commands,
+       "bounds": {"window?": _window, "words?": _positive, "paths?": _positive}}
+
+# kind -> (the table of the object's keys besides "kind", the function that
+# makes the engine's object from the walked value and the scope)
+OBJECTS = {
+    "quiver": ({"vertices": _vertices, "arrows": [_cy_arrow]},
+               lambda value, scope: QuiverPresentation(**value)),
+    "superpotential": ({"quiver": {"vertices": _vertices, "arrows": _arrows},
+                        "terms": [_cycle]}, _superpotential),
+    "dg-presentation": ({"vertices": _vertices, "generators": _arrows,
+                         "differential?": _by_generator(_element), "relations?": [_element],
+                         "weights?": _by_generator(_positive), "augmented?": _bool},
+                        lambda value, scope: DgAlgebraPresentation(field=scope["field"],
+                                                                   **value)),
+    "surface": ({"components": [{"name": _name, "fully_marked": _bool,
+                                 "intervals?": [[_name]], "winding?": _int,
+                                 "slots?": [_name], "enclosed_after_slot?": _name}],
+                 "arcs": _each([_name]), "flow_degrees?": _each(_int)}, _surface),
+    "algebra": ({"basis": _basis, "degrees?": _degrees, "structure": [_product],
+                 "unit": _vector}, _algebra),
+    "family": ({"family": _name, "degree?": _int, "variables?": _int}, _family),
+}
 
 
 class Job:
-    """A parsed document plus resolved flags, ready to run."""
+    """A walked document plus resolved flags, ready to run."""
 
     def __init__(self, command, document, args):
         self.command = command
+        self.document = document = dict(document)
+        bounds = document.setdefault("bounds", {})
+        if isinstance(bounds, dict):
+            flags = {"window": args.window, "words": args.words, "paths": args.paths}
+            document["bounds"] = {**bounds, **{k: v for k, v in flags.items() if v is not None}}
         if args.char is not None:
-            characteristic = args.char
-        else:
-            characteristic = _need(document, "characteristic", "document", int)
-        try:
-            self.field = GroundField(characteristic)
-        except ValueError as err:
-            raise InputError("document.characteristic", str(err))
-        requested = _optional(document, "commands", "document", list)
-        if requested is not None and command not in requested:
-            raise InputError("document.commands",
-                             "document does not request command %r" % command)
-        self.raw_object = document.get("object")
-        self.rank = document.get("n")
-        bounds = document.get("bounds", {})
-        if not isinstance(bounds, dict):
-            raise InputError("document.bounds", "expected an object")
-        self.window = None
-        if args.window is not None:
-            self.window = _parse_window(args.window, "flags.window")
-        elif bounds.get("window") is not None:
-            raw = bounds["window"]
-            if not (isinstance(raw, list) and len(raw) == 2
-                    and all(_is_int(x) for x in raw)):
-                raise InputError("document.bounds.window",
-                                 "a window is [lo, hi] with integers")
-            if raw[0] > raw[1]:
-                raise InputError("document.bounds.window",
-                                 "window %d..%d is empty" % tuple(raw))
-            self.window = (raw[0], raw[1])
-        self.words = args.words if args.words is not None else bounds.get("words")
-        self.paths = args.paths if args.paths is not None else bounds.get("paths")
-        for name, value in (("words", self.words), ("paths", self.paths)):
-            if value is not None and (not _is_int(value) or value < 1):
-                raise InputError("document.bounds.%s" % name,
-                                 "bound must be a positive integer")
+            document["characteristic"] = args.char
+        job = _walk(JOB, document, "document", {"command": command, "flags": args})
+        self.field = job["characteristic"]
+        bounds = job["bounds"]
+        self.window, self.words, self.paths = (bounds.get("window"), bounds.get("words"),
+                                               bounds.get("paths"))
 
     def need_bounds(self, *names):
         for name in names:
-            if getattr(self, {"window": "window", "words": "words",
-                              "paths": "paths"}[name]) is None:
+            if getattr(self, name) is None:
                 raise InputError(
                     "document.bounds." + name,
                     "command %r needs the %s bound; set it in the document "
                     "or pass the flag" % (self.command, name))
 
-    def object_of_kind(self, *kinds):
-        if self.raw_object is None:
+    def parse(self, *kinds):
+        """The document's object, walked against the table of its kind, one
+        of kinds, and built."""
+        raw = self.document.get("object")
+        if raw is None:
             raise InputError("document.object", "missing object description")
-        kind = _need(self.raw_object, "kind", "document.object")
-        if kind not in kinds:
-            raise InputError(
-                "document.object.kind",
-                "command %r works on %s objects, got %r"
-                % (self.command, " / ".join(kinds), kind))
-        return kind
+        kind = _walk({"kind": _kind}, raw, "document.object",
+                     {"command": self.command, "kinds": kinds})["kind"]
+        table, build = OBJECTS[kind]
+        scope = {"field": self.field}
+        value = _walk(table, raw, "document.object", scope)
+        try:
+            return build(value, scope)
+        except _document_faults() as err:
+            raise InputError("document.object", str(err))
+
+    def rank(self):
+        """The rank n of a Calabi-Yau completion."""
+        return _positive(self.document.get("n"), "document.n")
 
     def used_bounds(self):
         out = {}
@@ -456,10 +484,9 @@ def _differential_block(report):
 # commands
 
 def _cmd_ginzburg(job):
-    job.object_of_kind("superpotential")
+    potential = job.parse("superpotential")
     job.need_bounds("window", "words", "paths")
-    quiver, potential = _parse_superpotential(job.raw_object, job.field,
-                                              "document.object")
+    quiver = potential.quiver
     presentation = ginzburg(quiver, potential)
     t = realize(presentation, job.window, job.words)
     report = verify_differential(t)
@@ -490,13 +517,10 @@ def _cmd_ginzburg(job):
 
 
 def _cmd_cy(job):
-    job.object_of_kind("quiver")
+    quiver = job.parse("quiver")
     job.need_bounds("window", "words")
-    if not _is_int(job.rank) or job.rank < 1:
-        raise InputError("document.n",
-                         "command 'cy' needs a positive completion rank n")
-    quiver = _completion_quiver(job)
-    presentation = cy_completion(quiver, job.rank, field=job.field)
+    rank = job.rank()
+    presentation = cy_completion(quiver, rank, field=job.field)
     t = realize(presentation, job.window, job.words)
     report = verify_differential(t)
     if report.failures:
@@ -504,10 +528,10 @@ def _cmd_cy(job):
             "d^2 != 0 on a constructed completion: %s"
             % [str(f) for f in report.failures])
     dims = cohomology(t, job.window).dims
-    pair = verify_koszul_pair(quiver, job.rank, job.words, job.window,
+    pair = verify_koszul_pair(quiver, rank, job.words, job.window,
                               field=job.field)
     lines = [
-        "calabi-yau completion of rank %d" % job.rank,
+        "calabi-yau completion of rank %d" % rank,
         "d^2 = 0: %d words checked, no failures" % report.checked_words,
         "H dims %d..%d: %s" % (job.window[0], job.window[1], _dims_text(dims)),
         "koszul pair: %s" % pair.kind,
@@ -518,7 +542,7 @@ def _cmd_cy(job):
                      % (degree, row["rn_dual"], row["completion"],
                         "match" if row["match"] else "MISMATCH"))
     payload = {
-        "n": job.rank,
+        "n": rank,
         "differential": _differential_block(report),
         "cohomology": _pairs(dims),
         "koszul_pair": {
@@ -535,8 +559,7 @@ def _cmd_cy(job):
 def _augmented_presentation(job):
     """The document's dg-presentation, which the Koszul duals need
     augmented."""
-    presentation = _parse_dg_presentation(job.raw_object, job.field,
-                                          "document.object")
+    presentation = job.parse("dg-presentation")
     if not presentation.augmented:
         raise InputError("document.object.augmented",
                          "the Koszul duals need an augmented input")
@@ -546,9 +569,9 @@ def _augmented_presentation(job):
 def _cmd_koszul_dual(job):
     from .koszul import dual_bar
 
-    job.object_of_kind("dg-presentation")
+    presentation = _augmented_presentation(job)
     job.need_bounds("window", "words")
-    t = realize(_augmented_presentation(job), job.window, job.words)
+    t = realize(presentation, job.window, job.words)
     dual = dual_bar(t, job.words, job.window)
     dual_dims = cohomology(dual, job.window).dims
     input_dims = t.dims()
@@ -568,12 +591,12 @@ def _cmd_koszul_dual(job):
 def _cmd_complete(job):
     from .koszul import completeness_report
 
-    job.object_of_kind("dg-presentation")
+    presentation = _augmented_presentation(job)
     job.need_bounds("window", "words")
     if job.words < 2:
         raise InputError("document.bounds.words",
                          "word bound must be >= 2 so stability can be checked")
-    t = realize(_augmented_presentation(job), job.window, job.words)
+    t = realize(presentation, job.window, job.words)
     report = completeness_report(t, job.words, job.window)
     lines = ["completeness within %d..%d at %d words: %s"
              % (job.window[0], job.window[1], job.words, report.kind)]
@@ -604,8 +627,7 @@ def _cmd_gentle(job):
     from .surfaces import (classify_arc_system, extract_sod, gentle_presentation,
                            quadratic_dual, trace_faces)
 
-    job.object_of_kind("surface")
-    system = _parse_surface(job.raw_object, "document.object")
+    system = job.parse("surface")
     faces = trace_faces(system)
     flags = classify_arc_system(system)
     lines = ["surface with %d boundary components, %d arcs"
@@ -663,28 +685,16 @@ def _cmd_gentle(job):
 
 
 def _reflexive_input(job):
-    kind = job.object_of_kind("family", "surface", "algebra",
-                             "dg-presentation", "superpotential", "quiver")
-    if kind == "family":
-        return _parse_family(job.raw_object, "document.object")
-    if kind == "surface":
-        return _parse_surface(job.raw_object, "document.object")
-    if kind == "algebra":
-        return _parse_algebra(job.raw_object, job.field, "document.object")
-    if kind == "superpotential":
-        quiver, potential = _parse_superpotential(job.raw_object, job.field,
-                                                  "document.object")
-        return ginzburg(quiver, potential)
-    if kind == "quiver":
-        if not _is_int(job.rank) or job.rank < 1:
-            raise InputError("document.n",
-                             "a bare quiver is checked through its completion; "
-                             "give the rank n")
-        return cy_completion(_completion_quiver(job), job.rank, field=job.field)
-    job.need_bounds("window", "words")
-    presentation = _parse_dg_presentation(job.raw_object, job.field,
-                                          "document.object")
-    return realize(presentation, job.window, job.words)
+    value = job.parse("family", "surface", "algebra", "dg-presentation",
+                      "superpotential", "quiver")
+    if isinstance(value, Superpotential):
+        return ginzburg(value.quiver, value)
+    if isinstance(value, QuiverPresentation):
+        return cy_completion(value, job.rank(), field=job.field)
+    if isinstance(value, DgAlgebraPresentation):
+        job.need_bounds("window", "words")
+        return realize(value, job.window, job.words)
+    return value
 
 
 def _cmd_reflexive(job):
@@ -900,9 +910,10 @@ def _load_document(path):
     if path is None:
         return {"characteristic": 0}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as err:
+        # bytes decoded in one call: a text-mode file object costs more
+        with open(path, "rb") as handle:
+            document = json.loads(handle.read().decode("utf-8"))
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(path, str(err))
     except json.JSONDecodeError as err:
         raise InputError("%s:%d:%d" % (path, err.lineno, err.colno), err.msg)

@@ -80,6 +80,21 @@ def test_verify_catches_defects():
     assert any("grading" in f for f in missgraded.verify())
 
 
+@pytest.mark.parametrize("structure,unit,degrees", [
+    ({(0, 0): {0: 1}, (5, 7): {9: 1}}, {0: 1}, None),
+    ({(0, 0): {0: 1}, (2, 0): {1: 1}}, {0: 1}, [0, 0]),
+    ({(0, 0): {0: 1}, (0, 1): {-1: 1}}, {0: 1}, None),
+    ({(0, 0): {0: 1}}, {2: 1}, None),
+    ({(0, 0): {0: 1}}, {0: 1}, [0]),
+], ids=["row-past-the-basis", "graded-row-past-the-basis", "negative-key",
+        "unit-key-past-the-basis", "degrees-too-short"])
+def test_an_index_outside_the_basis_is_a_value_error(structure, unit, degrees):
+    # a row past the basis was dropped without a word, or crashed verify
+    # with an IndexError when degrees were given
+    with pytest.raises(ValueError):
+        FiniteDimAlgebra(QQ, ["e", "x"], structure, unit, degrees=degrees)
+
+
 def test_dual_numbers_radical():
     a = poly_quotient_algebra(QQ, [Fraction(0), Fraction(0), Fraction(1)])
     info = a.radical()

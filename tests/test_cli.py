@@ -1,8 +1,14 @@
+import contextlib
 import copy
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from quiverdg import FiniteDimAlgebra, GroundField, check, cli
 
@@ -277,6 +283,7 @@ ALGEBRA = {"characteristic": 0,
                       "structure": [[0, 0, {"0": "1"}], [0, 1, {"1": "1"}],
                                     [1, 0, {"1": "1"}]],
                       "unit": {"0": "1"}}}
+GRADED_ALGEBRA = mutated(ALGEBRA, ("object", "degrees"), [0, 0])
 SHAPE_FAULTS = {
     "relations-not-a-list": (
         "koszul-dual", mutated(CIRCLE, ("object", "relations"), 5),
@@ -380,6 +387,28 @@ SHAPE_FAULTS = {
     "arrow-declared-twice": (
         "ginzburg", mutated(LOOP, ("object", "quiver", "arrows"), [["x", "v", "v", 0]] * 2),
         "document.object.quiver.arrows[1]"),
+    "structure-row-past-the-basis": (
+        "reflexive", mutated(ALGEBRA, ("object", "structure"),
+                             ALGEBRA["object"]["structure"] + [[5, 7, {"9": "1"}]]),
+        "document.object.structure[3]"),
+    "graded-structure-row-past-the-basis": (
+        "reflexive", mutated(GRADED_ALGEBRA, ("object", "structure", 0, 0), 2),
+        "document.object.structure[0]"),
+    "structure-key-past-the-basis": (
+        "reflexive", mutated(ALGEBRA, ("object", "structure", 0, 2), {"2": "1"}),
+        "document.object.structure[0].2"),
+    "structure-key-negative": (
+        "reflexive", mutated(ALGEBRA, ("object", "structure", 1, 2), {"-1": "1"}),
+        "document.object.structure[1].-1"),
+    "unit-key-past-the-basis": (
+        "reflexive", mutated(ALGEBRA, ("object", "unit"), {"5": "1"}),
+        "document.object.unit.5"),
+    "differential-on-an-unknown-generator": (
+        "koszul-dual", mutated(CIRCLE, ("object", "differential"), {"q": [["1", ["eps"], None]]}),
+        "document.object.differential.q"),
+    "term-base-undeclared": (
+        "koszul-dual", mutated(CIRCLE, ("object", "relations", 0, 0, 2), "w"),
+        "document.object.relations[0][0]"),
 }
 
 
@@ -391,6 +420,15 @@ def test_document_shape_faults_exit_one(capsys, tmp_path, command, document, loc
     code, _, err = run_cli([command, str(path)], capsys)
     assert code == 1, err
     assert "input error at %s: " % location in err
+
+
+def test_a_document_that_is_not_utf8_is_faulted_at_its_path(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"characteristic": 0, "object": {"kind": "family", '
+                     '"family": "laur\u00e9nt"}}'.encode("latin-1"))
+    code, _, err = run_cli(["reflexive", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("input error at %s: " % path)
 
 
 def test_the_algebra_document_of_the_shape_faults_runs(capsys, tmp_path):
@@ -428,3 +466,92 @@ def test_the_parser_is_built_once_and_parses_each_call_alone(capsys, tmp_path):
     assert code == 0 and out.startswith("ginzburg algebra on 1 vertices")
     assert json.loads(first.read_text())["bounds"]["words"] == 3
     assert second.read_bytes() == (GOLDEN / "one_loop_ginzburg.report.json").read_bytes()
+
+
+# The mutation property: one node of a known-good document deleted,
+# duplicated (a list item) or replaced by one of these values, under a
+# command the document lists or reflexive, exits 0 or 1 and never 2, and an
+# exit 1 names a location in the document or the flags.
+MUTATION_POOL = {**{name: document_of(name) for name, _ in FIXTURES},
+                 "graded-algebra": GRADED_ALGEBRA,
+                 "family": {"characteristic": 0,
+                            "object": {"kind": "family", "family": "polynomial",
+                                       "degree": 2, "variables": 3}}}
+REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 7, 1.5, "x", "v", "1/0", "", [], {}, [1],
+                {"x": 1}, {"0": "1"}, ["v"], [[]], ["x", "v", "v", 0],
+                [["1", ["x"], None]], [["x", "x", "x"], "1"])
+
+
+def nodes(value, path=()):
+    """The path of every node under value."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield path + (key,)
+            yield from nodes(item, path + (key,))
+
+
+def edited(document, path, edit):
+    if edit not in ("delete", "duplicate"):
+        return mutated(document, path, edit[0])
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if edit == "delete":
+        del parent[path[-1]]
+    else:
+        parent.insert(path[-1], parent[path[-1]])
+    return document
+
+
+@st.composite
+def mutated_runs(draw):
+    document = MUTATION_POOL[draw(st.sampled_from(sorted(MUTATION_POOL)))]
+    command = draw(st.sampled_from(sorted({"reflexive", *document.get("commands", ())})))
+    path = draw(st.sampled_from(list(nodes(document))))
+    edits = ["delete"] + ["duplicate"] * isinstance(path[-1], int) + [
+        (value,) for value in REPLACEMENTS]
+    return command, edited(document, path, draw(st.sampled_from(edits)))
+
+
+# a mutated superpotential may have a cycle too short for the verdicts; the
+# engine warns, and the property reads only the exit code and stderr
+@pytest.mark.filterwarnings("ignore::quiverdg.ginzburg.ShortCycleWarning")
+@settings(derandomize=True, max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=mutated_runs())
+@example(run=("reflexive", SHAPE_FAULTS["structure-row-past-the-basis"][1]))
+@example(run=("reflexive", SHAPE_FAULTS["graded-structure-row-past-the-basis"][1]))
+def test_a_mutated_document_exits_zero_or_one_at_a_location(run):
+    command, document = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "mutated.json"
+        path.write_text(json.dumps(document))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path)])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith(("input error at document", "input error at flags")), \
+            err.getvalue()
+
+
+def table_keys(spec):
+    """The keys of every table in spec, "?" stripped."""
+    if isinstance(spec, dict):
+        for key, item in spec.items():
+            yield key.rstrip("?")
+            yield from table_keys(item)
+    elif isinstance(spec, list):
+        yield from table_keys(spec[0])
+
+
+def test_the_readme_lists_every_key_of_every_object_kind():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    rows = {}
+    for kind, keys in re.findall(r"^\| `([a-z-]+)` \| (.*?) \|", section, re.MULTILINE):
+        rows[kind] = set(re.findall(r"`([a-z_]+)\??`", keys))
+    assert sorted(rows) == sorted(cli.OBJECTS)
+    for kind, (table, _) in cli.OBJECTS.items():
+        assert set(table_keys(table)) <= rows[kind], kind

@@ -5,7 +5,8 @@ square-zero completeness_report rung, the A5 realize rung, the square-zero
 double dual realize rung, the A5 H^0 slice rung, the five
 verify_differential rungs, the local-factors rung, the three radical rungs,
 the Koszul pair rung, the L = 16 Jacobi rung of C^3, the selftest and
-verdict-table rungs and two CLI rungs run here, to keep the suite fast."""
+verdict-table rungs, two CLI rungs and the document-faults rung run here, to
+keep the suite fast."""
 
 import importlib.util
 import json
@@ -32,6 +33,7 @@ VERIFY_COLD_RUNG = "verify_differential/3-cycle-cy3-F101/L8-cold"
 VERIFY_Q_COLD_RUNG = "verify_differential/3-cycle-cy3-Q/L8-cold"
 CLI_GOLDEN_RUNG = "cli/circle_pair/koszul-dual"
 CLI_RUNG = "cli/annulus_pair/reflexive"
+FAULTS_RUNG = "document-faults/fixtures"
 FACTORS_RUNG = "decompose_commutative/five-local-factors"
 KOSZUL_RUNG = "verify_koszul_pair/3-cycle/n2-L7"
 JACOBI_RUNG = "jacobi_basis/C3-xyz-xzy/L16"
@@ -176,6 +178,11 @@ def test_a_cli_rung_fails_on_a_nonzero_exit_or_other_bytes(monkeypatch, tmp_path
     monkeypatch.setattr(ladder.cli, "main", other_bytes)
     with pytest.raises(RuntimeError, match="golden"):
         call()
+
+
+def test_the_document_faults_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(FAULTS_RUNG, tmp_path, monkeypatch)
+    assert load_tool().RUNGS[FAULTS_RUNG]()() == 214
 
 
 def test_the_local_factors_rung_writes_its_json(tmp_path, monkeypatch):

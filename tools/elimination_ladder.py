@@ -76,7 +76,15 @@ rungs, over Q unless stated:
 - each command of the commands list of the six documents under tests/data,
   run in this process as `quiverdg COMMAND DOCUMENT --quiet --json PATH`
   through cli.main; the rung checks exit 0, and the report bytes against the
-  document's golden report where that report is of this command.
+  document's golden report where that report is of this command;
+- document-faults/fixtures: those six documents, each written once per
+  node under "object" (the object itself included) with that node replaced
+  by {"?": null}, under each command the document lists: 214 runs of
+  cli.main, each checked to exit 1.  The documents are written before the
+  clock starts, so the rung times the document walk and its faults.  The
+  base of a relation's term is left out: a commit that ignored the base of
+  a term with labels exits 0 there, and two commits are compared on the
+  same faults.
 
 The cold-start rungs are different: each is the median wall time, not
 process_time, of five fresh Python processes, run under the caller's
@@ -97,6 +105,9 @@ Compare two commits by running the script in a checkout of each, with the
 same Python, and reading the rungs side by side.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import platform
@@ -368,6 +379,45 @@ def verdict_table():
     return call
 
 
+def object_nodes(value, path=("object",)):
+    """The path of value and of every node under it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from object_nodes(item, path + (key,))
+
+
+def document_faults():
+    """The timed call of document-faults/fixtures.  Its documents are written
+    before the clock starts; the call runs each (document, command) through
+    cli.main, raises RuntimeError when one does not exit 1, and returns the
+    number of runs."""
+    directory = tempfile.TemporaryDirectory()
+    runs = []
+    for name in DOCUMENTS:
+        document = json.loads((DATA / ("%s.json" % name)).read_text())
+        for number, path in enumerate(object_nodes(document["object"])):
+            if path[1:2] == ("relations",) and len(path) == 5 and path[4] == 2:
+                continue  # the base of a term
+            faulty = copy.deepcopy(document)
+            parent = faulty
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = {"?": None}
+            target = Path(directory.name) / ("%s-%d.json" % (name, number))
+            target.write_text(json.dumps(faulty))
+            runs += [[command, str(target), "--quiet"] for command in document["commands"]]
+
+    def call(directory=directory):  # the documents live as long as the call
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes = [(argv, cli.main(argv)) for argv in runs]
+        for argv, code in codes:
+            if code != 1:
+                raise RuntimeError("%s exited %d" % (" ".join(argv[:2]), code))
+        return len(runs)
+    return call
+
+
 def cli_rungs():
     """cli/<document>/<command> for each command each document lists."""
     rungs = {}
@@ -468,6 +518,7 @@ RUNGS = {
     "selftest": selftest,
     "check/verdict-table": verdict_table,
     **cli_rungs(),
+    "document-faults/fixtures": document_faults,
     "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
     "cold-import/quiverdg.cli": lambda: fresh_process("-c", "import quiverdg.cli"),
     "cold-cli/disk_gentle-gentle": lambda: fresh_process(
