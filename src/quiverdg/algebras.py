@@ -132,7 +132,7 @@ class FiniteDimAlgebra:
                     m.set(i, j, total)
         return m
 
-    def quotient_by_span(self, vectors, labels_hint=None):
+    def quotient_by_span(self, vectors):
         """Quotient algebra by the span of `vectors` (assumed a two-sided ideal).
 
         Returns (quotient algebra, reduce function mapping vectors of self to
@@ -154,8 +154,8 @@ class FiniteDimAlgebra:
                 prod = project(self.mul({i: one}, {j: one}))
                 if prod:
                     structure[(a, b)] = prod
-        labels = labels_hint or [self.basis[i] for i in kept]
-        quotient = FiniteDimAlgebra(self.field, labels, structure, project(self.unit))
+        quotient = FiniteDimAlgebra(self.field, [self.basis[i] for i in kept], structure,
+                                    project(self.unit))
         return quotient, project
 
     def frobenius_matrix(self):

@@ -16,10 +16,10 @@ optional ones marked "?" (the comment above the tables has the detail).
 References to declared names (an arrow's endpoints, a term's labels, a
 structure constant's indices) are read from a scope that earlier keys fill,
 so a fault in a value is reported at the key that holds it; what only the
-engine's validators find (a cycle that does not close, a malformed ribbon)
-is reported at document.object.  The flags --char, --window, --words and
---paths are merged into the document before the walk and override its
-values.
+engine's validators find (a malformed ribbon, power series on a variable of
+nonzero degree) is reported at document.object.  The flags --char,
+--window, --words and --paths are merged into the document before the walk
+and override its values.
 
 Exit codes: 0 means a verdict or report was produced (Unknown counts), 1 is
 an input problem and the message names the offending document location, 2 is
@@ -280,13 +280,18 @@ def _by_generator(spec):
 
 
 def _cycle(raw, where, scope):
-    """A superpotential term [[labels...], coeff]: a cycle of declared arrows."""
+    """A superpotential term [[labels...], coeff]: a cycle of declared arrows,
+    which Superpotential's own checks of one cycle accept."""
     if not (isinstance(raw, list) and len(raw) == 2 and isinstance(raw[0], list)):
         raise InputError(where, "a term is [[labels...], coeff]")
     labels = tuple(_name(x, where, scope) for x in raw[0])
     for name in labels:
         if not scope["quiver"].has_arrow(name):
             raise InputError(where, "unknown arrow %s" % name)
+    try:
+        Superpotential(scope["quiver"], {labels: 1})
+    except ValueError as err:
+        raise InputError(where, str(err))
     return labels, _scalar(raw[1], where, scope)
 
 
@@ -324,6 +329,15 @@ def _product(raw, where, scope):
 def _degrees(raw, where, scope):
     if not (isinstance(raw, list) and len(raw) == scope["dim"] and all(map(_is_int, raw))):
         raise InputError(where, "the degrees are one integer per basis element")
+    return raw
+
+
+def _family_kind(raw, where, scope):
+    from .reflexivity import FAMILY_KINDS
+
+    if _name(raw, where, scope) not in FAMILY_KINDS:
+        raise InputError(where, "unknown family kind %r; use one of %s"
+                         % (raw, ", ".join(FAMILY_KINDS)))
     return raw
 
 
@@ -372,7 +386,7 @@ OBJECTS = {
                  "arcs": _each([_name]), "flow_degrees?": _each(_int)}, _surface),
     "algebra": ({"basis": _basis, "degrees?": _degrees, "structure": [_product],
                  "unit": _vector}, _algebra),
-    "family": ({"family": _name, "degree?": _int, "variables?": _int}, _family),
+    "family": ({"family": _family_kind, "degree?": _int, "variables?": _positive}, _family),
 }
 
 

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .fields import GroundField
 from .linalg import (
@@ -35,7 +35,6 @@ from .quiver import (
     PathAlgebraElement,
     QuiverPresentation,
     _LazyList,
-    _Level,
     _paths,
     _word_name,
     reduce_modulo_relations,
@@ -217,15 +216,16 @@ class TruncatedDgAlgebra:
     The internal basis covers every degree the words reach; the window only
     scopes what is reported and classified.  differential_ledger lists the
     words whose differential escaped the weight bound (their columns are
-    omitted), and mul_overflow counts composable basis pairs whose product
-    escapes, keyed by the degree the product would land in.
+    omitted), and mul_overflow, counted on first read, counts composable
+    basis pairs whose product escapes, keyed by the degree the product would
+    land in.
 
     Inside the truncation each basis word is numbered once: its id is its
     position in degree-major basis order (degrees ascending, basis order
     within a degree), so the words of one degree have consecutive ids.  Ids,
     weights, degrees, columns and mul_overflow are read off the quotient
-    basis's word records (labels, source, target, weight, degree), which its
-    word walk lists in (weight, labels) order with each word's prefix;
+    basis's word records (labels, source, target, weight, degree), which it
+    keeps in (weight, labels) order with each word's prefix position;
     sorted stably by degree they are kept in id order as _records.  The
     differential columns are stored on ids as {id: coeff}, with each id's
     weight and degree in lists, and verify_differential, cohomology and
@@ -246,8 +246,8 @@ class TruncatedDgAlgebra:
     order of the presentation's _leibniz_into on its native letter table
     (the same dict operations as d_of_element).  Most columns are summed
     from their prefix's column through a (prefix id, letter) -> id table,
-    the prefix ids coming from the walk, so no prefix is sliced off or
-    looked up by its labels (see _prefix_columns), with or without
+    the prefix ids coming from the quotient basis, so no prefix is sliced
+    off or looked up by its labels (see _prefix_columns), with or without
     relations.  When every surviving term is a basis word the column is
     kept on ids as it is: no basis word is a pivot column of the quotient
     basis, so reduction would return those terms unchanged.  A word is
@@ -309,7 +309,6 @@ class TruncatedDgAlgebra:
         self.differential_ledger = [
             OverflowEntry("differential", self._degree[i], self._name(i))
             for i, col in enumerate(self._columns) if col is None]
-        self.mul_overflow = self._count_mul_overflow(words)
         self.certified_finite_dimensional = self._certify_finite_dimensional()
 
     def _word_column(self, record):
@@ -334,7 +333,7 @@ class TruncatedDgAlgebra:
         """The columns, by id.
 
         order[i] is the position of word i among the quotient basis's
-        records, whose walk gives each word's prefix labels[:-1] as a
+        records, and its _prefix gives each word's prefix labels[:-1] as a
         position there (see quiver._WordWalk).  In that (weight, labels)
         order each word's prefix comes before the word, and its column is
         summed from the prefix's column by _extended_column through the
@@ -351,7 +350,7 @@ class TruncatedDgAlgebra:
         """
         words, n = self._records, len(self._records)
         at = self._at = sorted(range(n), key=order.__getitem__)
-        positions = self.qb._walk.prefix
+        positions = self.qb._prefix
         prefix = self._prefix = [
             None if k is None else at[k] for k in map(positions.__getitem__, order)]
         step = self._step = [None] * n  # step[i]: {letter: id of word i followed by it}
@@ -443,13 +442,14 @@ class TruncatedDgAlgebra:
                     "d of relation %r leaves the relation ideal: residue %r"
                     % (r, PathAlgebraElement({path(t): public(c) for t, c in residue.items()})))
 
-    def _count_mul_overflow(self, words):
+    @cached_property
+    def mul_overflow(self):
         """{landing degree: composable word pairs whose weights sum past the
-        bound}, counted from (target, degree, weight) classes of left words
-        against, per start vertex and degree, how many right words are at
-        least each weight."""
+        bound}, counted on first read from (target, degree, weight) classes
+        of left words against, per start vertex and degree, how many right
+        words are at least each weight."""
         bound = self.weight_bound
-        histogram = Counter(map(itemgetter(1, 2, 3, 4), words))
+        histogram = Counter(map(itemgetter(1, 2, 3, 4), self._records))
         ending = {}
         heavier = {}  # source -> degree -> [words of weight >= w for w in 0..bound+1]
         for (source, target, weight, degree), n in histogram.items():
@@ -636,7 +636,7 @@ def realize(presentation, window, weight_bound):
     does not call realize again at L + 1 for a presentation with no
     relations whose differential preserves weight: there the truncation at
     L + 1 is this one plus the words of weight exactly L + 1, a direct
-    summand, which is the walk's next level, so it builds only that slice.
+    summand, so it builds only that slice, from this one's records.
     """
     return TruncatedDgAlgebra(presentation, window, weight_bound)
 
@@ -1083,6 +1083,32 @@ class H0Result:
     dims_checked: tuple
 
 
+def _weight_slice(t):
+    """(record, prefix id) of each word of weight L + 1 and degree -1 to 2,
+    L the weight bound of t, in labels order, for a presentation with no
+    relations.  Every path is a basis word there, so these words are, for
+    each arrow a in name order, a*s for each record s of weight L + 1 - w(a)
+    that starts at target(a), in the (weight, labels) order of the quotient
+    basis's records (as quiver._WordWalk lists the levels).  The prefix of
+    a*s is a word of t: the trivial word at source(a) when s is trivial,
+    and otherwise the word of its labels."""
+    at, records, top = t._at, t.qb._records, t.weight_bound + 1
+    p, weight = t.presentation, itemgetter(3)
+    # the trivial words weigh 0 and come first
+    trivial = {records[k][1]: at[k] for k in range(bisect_left(records, 1, key=weight))}
+    starting = {}  # (weight, vertex) -> the records of that weight starting there
+    lightest = top - max(p.weights.values(), default=0)
+    for record in records[bisect_left(records, lightest, key=weight):]:
+        starting.setdefault((record[3], record[1]), []).append(record)
+    for a in sorted(p.quiver.arrows, key=attrgetter("name")):
+        for labels, _, end, _, degree in starting.get((top - p.weights[a.name], a.target), ()):
+            degree += a.degree
+            if -1 <= degree <= 2:
+                word = (a.name,) + labels
+                yield ((word, a.source, end, top, degree),
+                       t._by_labels[word[:-1]] if labels else trivial[a.source])
+
+
 def _h0_of_weight_slice(t):
     """dim H^0 of the words of weight exactly L + 1, L the weight bound of t.
 
@@ -1090,27 +1116,23 @@ def _h0_of_weight_slice(t):
     weight: there every path is a basis word and d maps the words of one
     weight to words of that weight, so this slice is a direct summand of
     the truncation at L + 1 and the rest of it is the truncation at L.  Its
-    words of degrees -1 to 2 are the next level of the truncation's word
-    walk, in labels order within each degree, and each one's prefix is a
-    word of the truncation.  Their columns are summed by the truncation's
-    own prefix recurrence (_extended_column), seeded by its columns, which
-    are every word's free differential here; the last letter of each term
-    steps into the slice.  They are fed to the ranks step of
+    words of degrees -1 to 2 are listed from the truncation's own records
+    by _weight_slice, in labels order within each degree, and each one's
+    prefix is a word of the truncation.  Their columns are summed by the
+    truncation's own prefix recurrence (_extended_column), seeded by its
+    columns, which are every word's free differential here; the last letter
+    of each term steps into the slice.  They are fed to the ranks step of
     cohomology_of_complex as cohomology feeds a truncation: the same rank
     check of d o d into degree 0, then the square of each degree-0 word.
     The slice's words come after the lighter ones in each degree of the
     truncation at L + 1, whose lighter words passed these checks at L, so
     DSquaredNonzero names the word the truncation at L + 1 would name.
     """
-    at = t._at
     words = {-1: [], 0: [], 1: [], 2: []}  # the slice's records, by degree
     prefixes = {-1: [], 0: [], 1: []}  # (prefix id, last letter) of each
-    into = [None] * len(at)  # id -> {letter: position of the slice word}
-    walk = t.qb._walk
-    level = _Level(walk)
-    walk.level(t.weight_bound + 1, level, range(-1, 3))
-    for record, k in zip(level.records, level.prefix):
-        degree, letter, p = record[4], record[0][-1], at[k]
+    into = [None] * len(t._records)  # id -> {letter: position of the slice word}
+    for record, p in _weight_slice(t):
+        degree, letter = record[4], record[0][-1]
         row = into[p]
         if row is None:
             row = into[p] = {}
@@ -1153,9 +1175,9 @@ def h0_algebra(t):
     truncation at L + 1 is the one at L plus the subcomplex of the words of
     weight exactly L + 1, so dim H^0 at L + 1 is read as the dimension at L
     plus that slice's (see _h0_of_weight_slice); this is exact, not an
-    estimate.  The slice is the next level of the truncation's own word
-    walk, its columns summed from the truncation's, so no word of weight
-    <= L is walked or summed again.  Any other presentation is realized
+    estimate.  The slice is listed from the truncation's own records, its
+    columns summed from the truncation's, so no word of weight <= L is
+    walked or summed again.  Any other presentation is realized
     again at L + 1.
     """
     from .algebras import FiniteDimAlgebra

@@ -458,6 +458,11 @@ def dual_bar(t, word_bound, window):
     relations, and certified finite-dimensional inputs recover the products
     instead of skipping.
     """
+    return realize(_dual_presentation(t), window, word_bound)
+
+
+def _dual_presentation(t):
+    """The presentation dual_bar realizes; the word bound does not enter it."""
     table, names, weights, linear, quadratic = _dual_structure(t)
     degree = table.degree
     arrows = [Arrow(names[i], e.source, e.target, 1 - degree[i])
@@ -474,10 +479,8 @@ def dual_bar(t, word_bound, window):
         vec_add_term(terms[names[e]], scratch.path([names[p], names[q]]), sign * c)
     differential = {name: PathAlgebraElement(bucket)
                     for name, bucket in terms.items() if bucket}
-    presentation = DgAlgebraPresentation(
-        t.presentation.vertices, arrows, differential=differential,
-        weights=weights, field=field)
-    return realize(presentation, window, word_bound)
+    return DgAlgebraPresentation(t.presentation.vertices, arrows, differential=differential,
+                                 weights=weights, field=field)
 
 
 class CoalgebraPresentation:
@@ -706,11 +709,11 @@ def completeness_report(t, word_bound, window):
                    % (err.degrees,)])
 
     def double_dual(bound):
-        first = dual_bar(t, bound, window)
-        second = dual_bar(first, bound, window)
+        second = dual_bar(realize(first, window, bound), bound, window)
         return second, cohomology(second, window).dims
 
     try:
+        first = _dual_presentation(t)
         second, full_dims = double_dual(word_bound)
         _, prev_dims = double_dual(word_bound - 1)
     except UnsafeWindow as err:

@@ -361,10 +361,8 @@ class _WordWalk:
     prefix the position in records of its prefix labels[:-1], or None for a
     trivial path or a prefix off the basis.  The prefix of a*s is
     a*prefix(s), read off a one-letter prepend table, so no labels are
-    sliced or hashed for it.  level lists the words of one weight from the
-    lighter levels; given a _Level to hold them, it lists them there and
-    leaves the walk as it is, so the walk can be taken one weight step past
-    the bound (see dgalgebra._h0_of_weight_slice).
+    sliced or hashed for it.  The walk is a helper of construction: its
+    callers keep records and prefix, and the rest goes with it.
     """
 
     def __init__(self, quiver, bound, weights=None, rules=None):
@@ -388,36 +386,26 @@ class _WordWalk:
         # _levels[W][v]: the live nodes of weight W starting at v
         self._levels = [{v: [node] for v, node in self._trivial.items()}]
         for weight in range(1, bound + 1):
-            self._levels.append(self.level(weight, self))
+            self._levels.append(self.level(weight))
 
-    def level(self, weight, into, degrees=None):
-        """Append the node of each live word of this weight, of a degree in
-        degrees when that is given, to the lists of into (the walk itself,
-        or a _Level), in labels order, and return them as {v: [nodes of the
-        words starting at v]}.  Only the lighter levels of the walk are
-        read, so a _Level takes a level past the bound and the walk is left
-        as it is; there a node or position counts from the _Level's start,
-        while a prefix is a node and a position of the walk."""
+    def level(self, weight):
+        """Append the node of each live word of this weight to the walk's
+        lists, in labels order, and return them as {v: [nodes of the words
+        starting at v]}.  Only the lighter levels are read."""
         record_of, slack_of, pre_of, position_of = (
             self._record, self._slack, self._pre, self._position)
-        add_record, add_slack, add_pre, add_position = (
-            into._record.append, into._slack.append, into._pre.append, into._position.append)
-        add_basis, add_prefix = into.records.append, into.prefix.append
+        add_basis, add_prefix = self.records.append, self.prefix.append
         rules, lengths, levels = self._rules, self._lengths, self._levels
         room = self.bound - weight
-        node, position = len(into._record), len(into.records)
+        node, position = len(record_of), len(self.records)
         out = {v: [] for v in self._trivial}
         for name, source, target, w, d in self._arrows:
             below = levels[weight - w][target] if w <= weight else None
             if not below:
                 continue
-            prepend, added, first = self._prepend[name], into._prepend[name], self._trivial[source]
-            live = out[source]
+            prepend, first, live = self._prepend[name], self._trivial[source], out[source]
             for s in below:
                 labels, _, end, _, degree = record_of[s]
-                degree += d
-                if degrees is not None and degree not in degrees:
-                    continue
                 word = (name,) + labels
                 least = slack_of[s]
                 for k in lengths:
@@ -430,30 +418,21 @@ class _WordWalk:
                     continue
                 pre = pre_of[s]
                 pre = first if pre is None else prepend[pre]
-                record = (word, source, end, weight, degree)
-                added[s] = node
+                record = (word, source, end, weight, degree + d)
+                prepend[s] = node
                 live.append(node)
-                add_record(record)
-                add_slack(least)
-                add_pre(pre)
+                record_of.append(record)
+                slack_of.append(least)
+                pre_of.append(pre)
                 if least > room:
-                    add_position(position)
+                    position_of.append(position)
                     add_basis(record)
                     add_prefix(position_of[pre])
                     position += 1
                 else:
-                    add_position(None)
+                    position_of.append(None)
                 node += 1
         return out
-
-
-class _Level:
-    """The lists _WordWalk.level fills for words past the walk's bound."""
-
-    def __init__(self, walk):
-        self._record, self._slack, self._pre, self._position = [], [], [], []
-        self.records, self.prefix = [], []
-        self._prepend = {name: {} for name in walk._prepend}
 
 
 def enumerate_paths(quiver, bound, weights=None):
@@ -475,7 +454,8 @@ class QuotientBasis:
     `basis` lists the surviving paths in (weight, labels) order; `reduce`
     rewrites any element supported in weights <= bound to its normal form on
     that basis.  _records holds the word record of each basis path, in the
-    same order, as the word walk _walk listed them, and basis is a read-only
+    same order, as the word walk listed them, and _prefix the position in
+    _records of each one's prefix (see _WordWalk); basis is a read-only
     lazy list that builds its Paths from them on first read, so len(basis)
     builds none.  A word off the basis is rewritten by the truncated
     Groebner basis of reduce_modulo_relations (empty without relations).
@@ -494,8 +474,8 @@ class QuotientBasis:
         self.length_bound = length_bound
         self.field = field
         self.weights = weights
-        self._walk = walk
         self._records = records = walk.records
+        self._prefix = walk.prefix
         self.basis = _LazyList(len(records), partial(_paths, records))
         self._rewriting = rewriting
         self._scalars = rewriting.scalars

@@ -344,6 +344,22 @@ SHAPE_FAULTS = {
     "coefficient-a-float": (
         "koszul-dual", mutated(CIRCLE, ("object", "relations", 0, 0, 0), 1.5),
         "document.object.relations[0][0]"),
+    "cycle-empty": (
+        "ginzburg", mutated(LOOP, ("object", "terms", 0, 0), []), "document.object.terms[0]"),
+    "cycle-does-not-close": (
+        "ginzburg", mutated(LOOP, ("object", "quiver"),
+                            {"vertices": ["v", "w"], "arrows": [["x", "v", "w", 0]]}),
+        "document.object.terms[0]"),
+    "cycle-arrow-of-nonzero-degree": (
+        "ginzburg", mutated(LOOP, ("object", "quiver", "arrows", 0, 3), 1),
+        "document.object.terms[0]"),
+    "family-kind-unknown": (
+        "reflexive", {"characteristic": 0, "object": {"kind": "family", "family": "x"}},
+        "document.object.family"),
+    "family-without-variables": (
+        "reflexive", {"characteristic": 0,
+                      "object": {"kind": "family", "family": "polynomial", "variables": 0}},
+        "document.object.variables"),
     "term-coefficient-null": (
         "ginzburg", mutated(LOOP, ("object", "terms", 0, 1), None), "document.object.terms[0]"),
     "unit-coefficient-a-list": (

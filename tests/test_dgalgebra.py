@@ -4,8 +4,12 @@ Expected dimensions are frozen from hand computations recorded next to each
 fixture; nothing below trusts the code under test for its own answers.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from quiverdg import quiver
 from quiverdg.dgalgebra import (
     DgAlgebraPresentation,
     H0Result,
@@ -327,6 +331,24 @@ def test_h0_stability_guard():
     t = realize(p, (0, 0), 3)
     with pytest.raises(NotStabilized):
         h0_algebra(t)
+
+
+def test_realize_keeps_no_word_walk_and_counts_overflow_when_read(monkeypatch):
+    walks = []
+
+    class Watched(quiver._WordWalk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            walks.append(weakref.ref(self))
+    a2 = QuiverPresentation(["1", "2"], [Arrow("a", "1", "2")])
+    p = cy_completion(a2, 3)
+    monkeypatch.setattr(quiver, "_WordWalk", Watched)
+    t = realize(p, (-3, 0), 3)
+    gc.collect()
+    assert len(walks) == 1 and walks[0]() is None
+    assert "mul_overflow" not in t.__dict__
+    overflow = t.mul_overflow
+    assert overflow and t.mul_overflow == overflow and "mul_overflow" in t.__dict__
 
 
 def test_multiplication_overflow_is_counted():

@@ -1,8 +1,8 @@
 """tools/elimination_ladder.py writes BENCH_<label>.json with one entry per
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the dual_bar rung, the letter-tables rung, the
-square-zero completeness_report rung, the A5 realize rung, the square-zero
-double dual realize rung, the A5 H^0 slice rung, the five
+square-zero completeness_report rung, the A5 and A2 realize rungs, the
+square-zero double dual realize rung, the A5 H^0 slice rung, the five
 verify_differential rungs, the local-factors rung, the three radical rungs,
 the Koszul pair rung, the L = 16 Jacobi rung of C^3, the selftest and
 verdict-table rungs, two CLI rungs and the document-faults rung run here, to
@@ -24,6 +24,7 @@ DUAL_BAR_RUNG = "dual_bar/3-cycle-cy3-F101-L2/5-letters"
 LETTER_TABLES_RUNG = "letter-tables/3-cycle-cy3-F101-L2-cold"
 COMPLETENESS_RUNG = "completeness_report/square-zero-3/L10"
 REALIZE_RUNG = "realize/A5-cy2/L9"
+TINY_REALIZE_RUNG = "realize/A2-cy3/L3"
 DOUBLE_DUAL_RUNG = "realize/square-zero-double-dual/L10"
 SLICE_RUNG = "h0_slice/A5-cy2/L8"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
@@ -105,6 +106,12 @@ def test_the_realize_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(REALIZE_RUNG, tmp_path, monkeypatch)
     t = load_tool().RUNGS[REALIZE_RUNG]()()
     assert sum(t.dims().values()) == 8141
+
+
+def test_the_tiny_realize_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(TINY_REALIZE_RUNG, tmp_path, monkeypatch)
+    t = load_tool().RUNGS[TINY_REALIZE_RUNG]()()
+    assert sum(t.dims().values()) == 14
 
 
 def test_the_double_dual_realize_rung_writes_its_json(tmp_path, monkeypatch):

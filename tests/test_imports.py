@@ -103,6 +103,8 @@ NO_METHOD_CALLER_IN_SRC = {
     "dgalgebra.TruncatedDgAlgebra.unit_element": "public view: the unit as a sum of trivial "
                                                  "paths; the oracle tests reduce it",
     "dgalgebra.TruncatedDgAlgebra.d_element": "public view: d of an element on basis words",
+    "dgalgebra.TruncatedDgAlgebra.mul_overflow": "counted on first read; the benchmark's "
+                                                 "answers and two oracles read it",
     "dgalgebra.TruncatedDgAlgebra.word_product": "public view: the reduced product of two "
                                                  "basis words",
     "dgalgebra.TruncatedDgAlgebra.matrix_between": "public view: the differential between two "

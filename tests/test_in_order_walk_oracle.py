@@ -10,11 +10,13 @@ labels).  Per draw these must agree:
 - the records, (labels, source, target, weight, degree), in order: those of
   reduce_modulo_relations, given its Groebner basis's leading words, and
   those of the walk with no rules, which is enumerate_paths's;
-- for a draw with no relations, the basis records of level(L + 1) and the
-  words of weight exactly L + 1 of the walk at L + 1;
 - per basis word of the realization, the id of its prefix labels[:-1] as
   the walk gives it and as _by_labels gives it: the trivial path's id for a
-  one-letter word, and None for a prefix off the basis.
+  one-letter word, and None for a prefix off the basis;
+- for a draw with no relations, the records of h0_algebra's slice and the
+  words of weight exactly L + 1 and degrees -1 to 2 of the walk at L + 1,
+  in order, and the id of each slice word's prefix as the slice gives it
+  and as the realization's records give it.
 
 The draws are those of test_realize_oracle (one to three vertices over Q,
 F_5 and F_101, weights 1 to 3, some with relations) and those of
@@ -22,9 +24,9 @@ test_groebner_oracle, realized with zero differential, whose relation sets
 give Groebner elements of slack above 0: a rule of slack above 0 can put a
 word on the basis and its prefix off it.  A plain test pins one such case.
 
-The last test checks that h0_algebra walks only the next weight level of a
+The last test checks that h0_algebra lists only the next weight level of a
 free weight-graded truncation, the words of weight L + 1 and degrees -1 to
-2, and builds no lighter record a second time.
+2, builds no lighter record a second time and does not realize at L + 1.
 """
 
 from fractions import Fraction
@@ -36,13 +38,19 @@ from test_groebner_oracle import loop_presentations
 from test_groebner_oracle import presentations as relation_sets
 from test_realize_oracle import SETTINGS, presentations
 
-from quiverdg.dgalgebra import DgAlgebraPresentation, InconsistentPresentation, h0_algebra, realize
+from quiverdg import dgalgebra
+from quiverdg.dgalgebra import (
+    DgAlgebraPresentation,
+    InconsistentPresentation,
+    _weight_slice,
+    h0_algebra,
+    realize,
+)
 from quiverdg.ginzburg import cy_completion
 from quiverdg.quiver import (
     Arrow,
     PathAlgebraElement,
     QuiverPresentation,
-    _Level,
     _WordWalk,
     reduce_modulo_relations,
 )
@@ -94,14 +102,6 @@ def assert_the_walks_agree(p, bound):
     assert qb._records == ref_word_records(p.quiver, bound, p.weights, qb._rewriting.rules)
     free = _WordWalk(p.quiver, bound, p.weights)
     assert free.records == ref_word_records(p.quiver, bound, p.weights)
-    if not p.relations:
-        heavier = _Level(free)
-        free.level(bound + 1, heavier)
-        assert heavier.records == [record for record in
-                                   ref_word_records(p.quiver, bound + 1, p.weights)
-                                   if record[3] == bound + 1]
-        # and the walk is left as it was
-        assert free.records == ref_word_records(p.quiver, bound, p.weights)
     return qb
 
 
@@ -110,7 +110,7 @@ def assert_the_prefix_ids_agree(p, bound):
         t = realize(p, (0, 0), bound)
     except InconsistentPresentation:
         return None
-    prefix = t.qb._walk.prefix
+    prefix = t.qb._prefix
     trivial = {record[1]: i for i, record in enumerate(t._records) if not record[0]}
     for k, i in enumerate(t._at):
         labels, source = t._records[i][:2]
@@ -121,6 +121,13 @@ def assert_the_prefix_ids_agree(p, bound):
             assert got == trivial[source], labels
         else:
             assert got == t._by_labels.get(labels[:-1]), labels
+    if not p.relations:
+        slice_ = list(_weight_slice(t))
+        assert [record for record, _ in slice_] == [
+            record for record in ref_word_records(p.quiver, bound + 1, p.weights)
+            if record[3] == bound + 1 and -1 <= record[4] <= 2]
+        for (labels, source, _, _, _), k in slice_:
+            assert t._records[k][:2] == (labels[:-1], source), labels
     return t
 
 
@@ -148,7 +155,7 @@ def test_a_prefix_off_the_basis_has_no_id():
     qb = assert_the_walks_agree(p, 3)
     assert {lead: slack for lead, (slack, _) in qb._rewriting.rules.items()} == {
         ("y", "y"): 0, ("y", "x"): 1}
-    assert [record[0] for pre, record in zip(qb._walk.prefix, qb._records)
+    assert [record[0] for pre, record in zip(qb._prefix, qb._records)
             if pre is None and record[0]] == [("y", "x", "x"), ("y", "x", "y")]
     assert assert_the_prefix_ids_agree(p, 3) is not None
 
@@ -161,15 +168,18 @@ def a5():
 
 def test_h0_algebra_walks_only_the_next_weight_level(monkeypatch):
     t = realize(cy_completion(a5(), 2), (-4, 0), 8)
-    level = _WordWalk.level
-    built = []
+    built, realized = [], []
 
-    def counted(self, weight, into, degrees=None):
-        start = len(into._record)
-        nodes = level(self, weight, into, degrees)
-        built.extend(into._record[start:])
-        return nodes
-    monkeypatch.setattr(_WordWalk, "level", counted)
+    def listed(t):
+        for record, k in _weight_slice(t):
+            built.append(record)
+            yield record, k
+
+    def counted(*args):
+        realized.append(args)
+        return realize(*args)
+    monkeypatch.setattr(dgalgebra, "_weight_slice", listed)
+    monkeypatch.setattr(dgalgebra, "realize", counted)
     result = h0_algebra(t)
     # H^0 is the preprojective algebra of A5, of dimension 5 * 6 * 7 / 6
     assert result.algebra.dim == 35 and result.dims_checked == (35, 35)
@@ -177,3 +187,4 @@ def test_h0_algebra_walks_only_the_next_weight_level(monkeypatch):
     # weight 9 lists 8,141 words
     assert {(record[3], -1 <= record[4] <= 2) for record in built} == {(9, True)}
     assert len(built) == len(set(built)) == 2376
+    assert not realized

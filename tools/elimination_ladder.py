@@ -18,9 +18,12 @@ rungs, over Q unless stated:
   12 and 16;
 - h0_algebra of the rank-2 completion of A5 realized on (-4, 0) at L = 8,
   and the dim H^0 of its weight-9 slice alone (_h0_of_weight_slice: 2,376
-  words of degrees -1 to 2, the next level of the truncation's word walk);
+  words of degrees -1 to 2, listed from the truncation's own records);
 - realize of that completion on (-4, 0) at L = 9 (8,141 words), and of the
   rank-3 completion of the 3-cycle on (-8, 0) at L = 8 (5,043 words);
+- realize of the rank-3 completion of A2 on (-3, 0) at L = 3 (14 words),
+  1,000 times in one call, since one such realize takes well under a
+  millisecond and best of five could not resolve it;
 - realize on (0, 18) at L = 10 of the double dual that completeness_report
   builds for k[eps]/eps^2 with eps in degree -2 over F_101: ten letters of
   weights 1 to 10 and 1,024 words, where the walk joins the most levels
@@ -209,6 +212,16 @@ def a5_h0_slice():
 def a5_realize():
     p = cy_completion(a5(), 2)
     return lambda: realize(p, (-4, 0), 9)
+
+
+def a2_realizes():
+    p = cy_completion(QuiverPresentation(("1", "2"), (Arrow("a", "1", "2"),)), 3)
+
+    def call():
+        for _ in range(1000):
+            t = realize(p, (-3, 0), 3)
+        return t
+    return call
 
 
 def cycle_realize():
@@ -495,6 +508,7 @@ RUNGS = {
     "h0_algebra/A5-cy2/L8": a5_h0,
     "h0_slice/A5-cy2/L8": a5_h0_slice,
     "realize/A5-cy2/L9": a5_realize,
+    "realize/A2-cy3/L3": a2_realizes,
     "realize/3-cycle-cy3/L8": cycle_realize,
     "realize/square-zero-double-dual/L10": square_zero_double_dual_realize,
     "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
