@@ -16,10 +16,10 @@ optional ones marked "?" (the comment above the tables has the detail).
 References to declared names (an arrow's endpoints, a term's labels, a
 structure constant's indices) are read from a scope that earlier keys fill,
 so a fault in a value is reported at the key that holds it; what only the
-engine's validators find (a malformed ribbon, power series on a variable of
-nonzero degree) is reported at document.object.  The flags --char,
---window, --words and --paths are merged into the document before the walk
-and override its values.
+engine's validators find (a ribbon fault that spans keys, such as a missing
+flow degree or a winding sum) is reported at document.object.  The flags
+--char, --window, --words and --paths are merged into the document before
+the walk and override its values.
 
 Exit codes: 0 means a verdict or report was produced (Unknown counts), 1 is
 an input problem and the message names the offending document location, 2 is
@@ -41,7 +41,8 @@ import traceback
 from .certificates import replay_certificate
 from .dgalgebra import (DgAlgebraPresentation, DSquaredNonzero,
                         InconsistentPresentation, NotStabilized, UnsafeWindow,
-                        cohomology, h0_algebra, realize, verify_differential)
+                        _differential_failures, cohomology, h0_algebra, realize,
+                        verify_differential)
 from .fields import GroundField
 from .ginzburg import cy_completion, ginzburg, jacobi_basis, verify_koszul_pair
 from .quiver import (Arrow, PathAlgebraElement, QuiverPresentation,
@@ -86,8 +87,9 @@ class InternalFailure(Exception):
 #
 # `scope` is one dict per walk: leaves of earlier keys fill it and leaves of
 # later keys read it.  It holds the field, the declared vertices, the arrows
-# or generators declared so far, the quiver they make, and the size of an
-# algebra's basis; the job's own walk holds the command and the flags there.
+# or generators declared so far, the quiver they make, the size of an
+# algebra's basis, a surface's slots and a family's kind; the job's own walk
+# holds the command and the flags there.
 
 def _walk(spec, raw, where, scope):
     """The value of raw, the node at where, walked against spec."""
@@ -332,13 +334,45 @@ def _degrees(raw, where, scope):
     return raw
 
 
-def _family_kind(raw, where, scope):
-    from .reflexivity import FAMILY_KINDS
-
-    if _name(raw, where, scope) not in FAMILY_KINDS:
-        raise InputError(where, "unknown family kind %r; use one of %s"
-                         % (raw, ", ".join(FAMILY_KINDS)))
+def _slot(raw, where, scope):
+    """A slot of a marked region, on no other one; its name goes to scope."""
+    slots = scope.setdefault("slots", set())
+    if _name(raw, where, scope) in slots:
+        raise InputError(where, "slot %r appears on two marked regions" % raw)
+    slots.add(raw)
     return raw
+
+
+def _arcs(raw, where, scope):
+    """Arcs {name: [slot, slot]}, whose ends MarkedSurfaceArcSystem's own
+    checks of one arc accept: two distinct declared slots, no slot the end
+    of two arcs.  A fault is reported at where.name."""
+    from .surfaces import MalformedRibbon, _arc_ends
+
+    arcs, slot_arc = _each([_name])(raw, where, scope), {}
+    for name, ends in arcs.items():
+        try:
+            _arc_ends(name, ends, scope.get("slots", ()), slot_arc)
+        except MalformedRibbon as err:
+            raise InputError("%s.%s" % (where, name), str(err))
+    return arcs
+
+
+def _family_key(key, leaf):
+    """The leaf for a key of a family, passed to SymbolicFamily as `key`:
+    the value of leaf, which SymbolicFamily's own checks accept together
+    with the keys walked before it.  The keys walked go to scope."""
+    def family_leaf(raw, where, scope):
+        from .reflexivity import SymbolicFamily
+
+        given = scope.setdefault("family", {})
+        given[key] = leaf(raw, where, scope)
+        try:
+            SymbolicFamily(**given)
+        except ValueError as err:
+            raise InputError(where, str(err))
+        return raw
+    return family_leaf
 
 
 def _superpotential(value, scope):
@@ -381,12 +415,13 @@ OBJECTS = {
                         lambda value, scope: DgAlgebraPresentation(field=scope["field"],
                                                                    **value)),
     "surface": ({"components": [{"name": _name, "fully_marked": _bool,
-                                 "intervals?": [[_name]], "winding?": _int,
-                                 "slots?": [_name], "enclosed_after_slot?": _name}],
-                 "arcs": _each([_name]), "flow_degrees?": _each(_int)}, _surface),
+                                 "intervals?": [[_slot]], "winding?": _int,
+                                 "slots?": [_slot], "enclosed_after_slot?": _name}],
+                 "arcs": _arcs, "flow_degrees?": _each(_int)}, _surface),
     "algebra": ({"basis": _basis, "degrees?": _degrees, "structure": [_product],
                  "unit": _vector}, _algebra),
-    "family": ({"family": _family_kind, "degree?": _int, "variables?": _positive}, _family),
+    "family": ({"family": _family_key("kind", _name), "degree?": _family_key("degree", _int),
+                "variables?": _positive}, _family),
 }
 
 
@@ -751,19 +786,17 @@ def _check_differential_corpus():
     point, loop, a2, cycle3 = _selftest_corpus()
     for quiver in (point, loop, a2, cycle3):
         for n in (1, 2, 3):
-            t = realize(cy_completion(quiver, n), (-6, 0), 3)
-            report = verify_differential(t)
-            if report.failures:
+            failures = _differential_failures(cy_completion(quiver, n), 3)
+            if failures:
                 return "d^2 != 0 for the rank %d completion: %s" % (
-                    n, [str(f) for f in report.failures])
+                    n, [str(f) for f in failures])
     w_loop = Superpotential(loop, {("x", "x", "x"): 1})
     w_cycle = Superpotential(cycle3, {("x", "y", "z"): 1})
     for quiver, potential in ((loop, w_loop), (cycle3, w_cycle)):
-        t = realize(ginzburg(quiver, potential), (-4, 1), 4)
-        report = verify_differential(t)
-        if report.failures:
+        failures = _differential_failures(ginzburg(quiver, potential), 4)
+        if failures:
             return "d^2 != 0 for a Ginzburg presentation: %s" % (
-                [str(f) for f in report.failures])
+                [str(f) for f in failures])
     return None
 
 

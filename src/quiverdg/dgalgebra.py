@@ -832,6 +832,13 @@ def verify_differential(t):
     return report
 
 
+def _differential_failures(presentation, weight_bound):
+    """The failures verify_differential reports on the truncation of the
+    presentation at the weight bound.  verify_differential does not read the
+    window, so the truncation is realized on (0, 0)."""
+    return verify_differential(realize(presentation, (0, 0), weight_bound)).failures
+
+
 class CohomologyResult:
     """Per-degree cohomology of a truncation, with representatives.
 

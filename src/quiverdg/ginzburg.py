@@ -5,11 +5,14 @@ objects: the finite dimensional graded algebra R_n on the basis
 idempotents + arrows (degree 1) + dual arrows (degree n-1) + socle elements
 (degree n); the completion Pi_n(Q), free on arrows (degree 0), dual arrows
 (degree 2-n), and one loop per vertex (degree 1-n) with dz_i summing the
-commutators e_i [a, a*] e_i; and the Ginzburg presentation for a
-superpotential W, which is Pi_3(Q) with d(a*) deformed to the cyclic
-derivative of W.  verify_koszul_pair compares the Koszul dual of R_n with
-the truncated completion degree by degree, which ties the whole chain of
-constructions together.
+commutators e_i [a, a*] e_i; and the Ginzburg dg algebra Gamma(Q, W) of a
+superpotential W, which is Pi_3(Q) deformed by dW: d(a*) is the cyclic
+derivative of W (Keller's deformed Calabi-Yau completion).  Both
+completions come out of one builder, _completion, which names the partners
+of the arrows and vertices, sets the weights and the differential, and
+certifies d^2 = 0 on a truncation.  verify_koszul_pair compares the Koszul
+dual of R_n with the truncated completion degree by degree, which ties the
+whole chain of constructions together.
 
 Completions are represented by weight-bounded truncations throughout; the
 differentials here preserve the generator weights (arrows and duals weigh 1
@@ -26,9 +29,9 @@ from .dgalgebra import (
     DgAlgebraPresentation,
     InconsistentPresentation,
     UnsafeWindow,
+    _differential_failures,
     cohomology,
     realize,
-    verify_differential,
 )
 from .fields import GroundField
 from .quiver import (
@@ -59,25 +62,32 @@ def _require_degree_zero(quiver):
                 "arrow %s has degree %d; expected 0" % (a.name, a.degree))
 
 
-def _dual_name(arrow_name):
-    return arrow_name + "^"
+def _doubled(quiver, prefix, degrees, weights):
+    """The doubled quiver with a loop at each vertex, as generators.
 
-
-def _loop_name(vertex):
-    return "z_%s" % vertex
-
-
-def _socle_name(vertex):
-    return "t_%s" % vertex
-
-
-def _check_fresh_names(quiver, names):
-    taken = {a.name for a in quiver.arrows}
-    for name in names:
+    Each arrow a gets a partner, its dual a^ from target(a) to source(a),
+    and each vertex v a loop prefix_v.  The generators are the arrows, then
+    the duals, then the loops, in the three degrees given and with the three
+    weights given.  Returns the dual names, the loop names, the generators
+    and their weights.  NonzeroArrowDegree is raised when an arrow of the
+    quiver is not in degree 0, and ValueError names a partner that an input
+    arrow or an earlier partner already has.
+    """
+    _require_degree_zero(quiver)
+    arrows, vertices = quiver.arrows, quiver.vertices
+    duals = {a.name: a.name + "^" for a in arrows}
+    loops = {v: "%s_%s" % (prefix, v) for v in vertices}
+    taken = set(duals)
+    for name in [*duals.values(), *loops.values()]:
         if name in taken:
             raise ValueError(
                 "generated name %r collides with an input arrow; rename it" % name)
         taken.add(name)
+    generators = ([Arrow(a.name, a.source, a.target, degrees[0]) for a in arrows]
+                  + [Arrow(duals[a.name], a.target, a.source, degrees[1]) for a in arrows]
+                  + [Arrow(loops[v], v, v, degrees[2]) for v in vertices])
+    kinds = [0] * len(arrows) + [1] * len(arrows) + [2] * len(vertices)
+    return duals, loops, generators, {g.name: weights[k] for g, k in zip(generators, kinds)}
 
 
 @dataclass
@@ -103,19 +113,10 @@ def build_rn(quiver, n, field=None):
     """
     from .algebras import FiniteDimAlgebra
 
-    _require_degree_zero(quiver)
     field = field if field is not None else GroundField(0)
-    duals = {a.name: _dual_name(a.name) for a in quiver.arrows}
-    socles = {v: _socle_name(v) for v in quiver.vertices}
-    _check_fresh_names(quiver, list(duals.values()) + list(socles.values()))
-    labels = (["e_%s" % v for v in quiver.vertices]
-              + [a.name for a in quiver.arrows]
-              + [duals[a.name] for a in quiver.arrows]
-              + [socles[v] for v in quiver.vertices])
-    degrees = ([0] * len(quiver.vertices)
-               + [1] * len(quiver.arrows)
-               + [n - 1] * len(quiver.arrows)
-               + [n] * len(quiver.vertices))
+    duals, socles, generators, _ = _doubled(quiver, "t", (1, n - 1, n), (1, 1, 2))
+    labels = ["e_%s" % v for v in quiver.vertices] + [g.name for g in generators]
+    degrees = [0] * len(quiver.vertices) + [g.degree for g in generators]
     index = {label: i for i, label in enumerate(labels)}
     one = field.one()
     structure = {}
@@ -148,18 +149,8 @@ def rn_presentation(quiver, n, field=None):
     is a relation, equal to the matching socle element for the two diagonal
     contractions and to zero otherwise.
     """
-    _require_degree_zero(quiver)
     field = field if field is not None else GroundField(0)
-    duals = {a.name: _dual_name(a.name) for a in quiver.arrows}
-    socles = {v: _socle_name(v) for v in quiver.vertices}
-    _check_fresh_names(quiver, list(duals.values()) + list(socles.values()))
-    generators = ([Arrow(a.name, a.source, a.target, 1) for a in quiver.arrows]
-                  + [Arrow(duals[a.name], a.target, a.source, n - 1)
-                     for a in quiver.arrows]
-                  + [Arrow(socles[v], v, v, n) for v in quiver.vertices])
-    weights = {g.name: 1 for g in generators}
-    for v in quiver.vertices:
-        weights[socles[v]] = 2
+    duals, socles, generators, weights = _doubled(quiver, "t", (1, n - 1, n), (1, 1, 2))
     scratch = QuiverPresentation(quiver.vertices, generators)
     contractions = {(a.name, duals[a.name]): socles[a.source]
                     for a in quiver.arrows}
@@ -193,28 +184,45 @@ class GinzburgPresentation(DgAlgebraPresentation):
         self.n = n
 
 
-def _commutator_differential(quiver, scratch, duals, field):
-    columns = {}
+def _completion(quiver, n, field, cycle, potential=None):
+    """Pi_n(Q), with d(a^) = dW/da when a potential W is given.
+
+    Arrows stay in degree 0 with weight 1, the dual a^ of an arrow a goes to
+    degree 2-n with weight cycle-1, and the loop z_v to degree 1-n with
+    weight cycle; dz_v sums e_v [a, a^] e_v over the arrows (the
+    presentation drops the zero values).  The differential is certified to
+    square to zero on the truncation at weight bound cycle + 1, and
+    InconsistentPresentation names its failures.
+    """
+    duals, loops, generators, weights = _doubled(
+        quiver, "z", (0, 2 - n, 1 - n), (1, cycle - 1, cycle))
+    arrows, vertices = quiver.arrows, quiver.vertices
+    scratch = QuiverPresentation(vertices, generators)
     one = field.one()
-    for v in quiver.vertices:
+    differential = {}
+    for v in vertices:
         total = PathAlgebraElement.zero()
-        for a in quiver.arrows:
+        for a in arrows:
             if a.source == v:
                 total = total + PathAlgebraElement.from_path(
                     scratch.path([a.name, duals[a.name]]), one)
             if a.target == v:
                 total = total - PathAlgebraElement.from_path(
                     scratch.path([duals[a.name], a.name]), one)
-        if not total.is_zero():
-            columns[_loop_name(v)] = total
-    return columns
-
-
-def _certify(presentation, weight_bound):
-    report = verify_differential(realize(presentation, (0, 0), weight_bound))
-    if report.failures:
+        differential[loops[v]] = total
+    if potential is not None:
+        for a in arrows:
+            differential[duals[a.name]] = PathAlgebraElement({
+                scratch.path(list(p.labels), base=p.source): c
+                for p, c in cyclic_derivative(potential, a.name).terms.items()})
+    presentation = GinzburgPresentation(
+        vertices, generators, differential, weights, field,
+        superpotential=potential, n=n)
+    failures = _differential_failures(presentation, cycle + 1)
+    if failures:
         raise InconsistentPresentation(
-            "differential fails its own checks: %s" % (report.failures[:3],))
+            "differential fails its own checks: %s" % (failures[:3],))
+    return presentation
 
 
 def cy_completion(quiver, n, field=None):
@@ -225,24 +233,7 @@ def cy_completion(quiver, n, field=None):
     differential preserves the weights (1, 1, 2), so truncations at any
     bound have empty overflow ledgers.
     """
-    _require_degree_zero(quiver)
-    field = field if field is not None else GroundField(0)
-    duals = {a.name: _dual_name(a.name) for a in quiver.arrows}
-    loops = {v: _loop_name(v) for v in quiver.vertices}
-    _check_fresh_names(quiver, list(duals.values()) + list(loops.values()))
-    generators = ([Arrow(a.name, a.source, a.target, 0) for a in quiver.arrows]
-                  + [Arrow(duals[a.name], a.target, a.source, 2 - n)
-                     for a in quiver.arrows]
-                  + [Arrow(loops[v], v, v, 1 - n) for v in quiver.vertices])
-    weights = {g.name: 1 for g in generators}
-    for v in quiver.vertices:
-        weights[loops[v]] = 2
-    scratch = QuiverPresentation(quiver.vertices, generators)
-    differential = _commutator_differential(quiver, scratch, duals, field)
-    presentation = GinzburgPresentation(
-        quiver.vertices, generators, differential, weights, field, n=n)
-    _certify(presentation, 3)
-    return presentation
+    return _completion(quiver, n, field if field is not None else GroundField(0), 2)
 
 
 def ginzburg(quiver, potential):
@@ -268,36 +259,11 @@ def ginzburg(quiver, potential):
             "superpotential cycle of length %d < 3; downstream reflexivity"
             " results need longer cycles" % min(lengths),
             ShortCycleWarning, stacklevel=2)
-    duals = {a.name: _dual_name(a.name) for a in quiver.arrows}
-    loops = {v: _loop_name(v) for v in quiver.vertices}
-    _check_fresh_names(quiver, list(duals.values()) + list(loops.values()))
-    generators = ([Arrow(a.name, a.source, a.target, 0) for a in quiver.arrows]
-                  + [Arrow(duals[a.name], a.target, a.source, -1)
-                     for a in quiver.arrows]
-                  + [Arrow(loops[v], v, v, -2) for v in quiver.vertices])
     if len(set(lengths)) == 1 and min(lengths) >= 2:
         cycle = lengths[0]
     else:
         cycle = 2
-    weights = {g.name: 1 for g in generators}
-    for a in quiver.arrows:
-        weights[duals[a.name]] = cycle - 1
-    for v in quiver.vertices:
-        weights[loops[v]] = cycle
-    scratch = QuiverPresentation(quiver.vertices, generators)
-    differential = _commutator_differential(quiver, scratch, duals, field)
-    for a in quiver.arrows:
-        derivative = cyclic_derivative(potential, a.name)
-        if not derivative.is_zero():
-            rebuilt = PathAlgebraElement({
-                scratch.path(list(p.labels), base=p.source): c
-                for p, c in derivative.terms.items()})
-            differential[duals[a.name]] = rebuilt
-    presentation = GinzburgPresentation(
-        quiver.vertices, generators, differential, weights, field,
-        superpotential=potential, n=3)
-    _certify(presentation, cycle + 1)
-    return presentation
+    return _completion(quiver, 3, field, cycle, potential)
 
 
 def jacobi_basis(quiver, potential, length_bound):

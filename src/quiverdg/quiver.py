@@ -335,8 +335,8 @@ class _WordWalk:
 
     rules maps each leading word to (slack, element), as in _Rewriting;
     without rules every path is a word, since a noncommutative Groebner
-    basis with no element leaves every word normal.  The weights are checked
-    before the walk starts.
+    basis with no element leaves every word normal.  weights holds one
+    positive weight per arrow, as _checked_weights returns them.
 
     Level 0 is the trivial paths, in reverse-sorted vertex order.  Level W
     is, for each arrow a in name order, a*s for each live word s of level
@@ -365,9 +365,8 @@ class _WordWalk:
     callers keep records and prefix, and the rest goes with it.
     """
 
-    def __init__(self, quiver, bound, weights=None, rules=None):
+    def __init__(self, quiver, bound, weights, rules=None):
         self.bound = bound
-        weights = _checked_weights(quiver, weights)
         self._rules = rules or {}
         self._lengths = sorted({len(lead) for lead in self._rules})
         self._arrows = sorted((a.name, a.source, a.target, weights[a.name], a.degree)
@@ -444,8 +443,9 @@ def enumerate_paths(quiver, bound, weights=None):
     positive so the enumeration terminates, and given for exactly the
     arrows of the quiver.
     """
+    walk = _WordWalk(quiver, bound, _checked_weights(quiver, weights))
     return {Path(labels, source, target): weight
-            for labels, source, target, weight, _ in _WordWalk(quiver, bound, weights).records}
+            for labels, source, target, weight, _ in walk.records}
 
 
 class QuotientBasis:

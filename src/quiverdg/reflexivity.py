@@ -24,8 +24,8 @@ from .certificates import (ASSUMED_BY_USER, VERIFIED_EXACTLY,
                            VERIFIED_WITHIN_WINDOW, Certificate, Hypothesis,
                            ReflexivityVerdict)
 from .dgalgebra import (DgAlgebraPresentation, NotStabilized,
-                        TruncatedDgAlgebra, classify, cohomology, h0_algebra,
-                        realize, verify_differential)
+                        TruncatedDgAlgebra, _differential_failures, classify,
+                        cohomology, h0_algebra)
 from .ginzburg import GinzburgPresentation
 from .linalg import RowSpace
 from .quiver import PathAlgebraElement, reduce_modulo_relations
@@ -302,15 +302,12 @@ def _check_gentle(g):
 # ---------------------------------------------------------------------------
 # completions and potentials
 
-def _differential_squares_to_zero(p):
-    lo = min([g.degree for g in p.generators] + [0])
-    t = realize(p, (lo, 2), 3)
-    return verify_differential(t).ok
-
-
 def _check_ginzburg(p):
     characteristic = p.field.characteristic
     potential = p.superpotential
+    squares_to_zero = Hypothesis(
+        "the differential squares to zero on a realized truncation",
+        VERIFIED_EXACTLY, replay=lambda: not _differential_failures(p, 3))
     if potential is None or potential.is_zero():
         if p.n is None or p.n < 2:
             raise NoCriterionApplies(
@@ -319,9 +316,7 @@ def _check_ginzburg(p):
         hypotheses = (
             Hypothesis("the completion rank n = %d is at least two" % p.n,
                        VERIFIED_EXACTLY, replay=lambda: p.n >= 2),
-            Hypothesis("the differential squares to zero on a realized "
-                       "truncation", VERIFIED_EXACTLY,
-                       replay=lambda: _differential_squares_to_zero(p)),
+            squares_to_zero,
         )
         certificate = Certificate(
             "calabi-yau-completion-of-rank-at-least-two", hypotheses,
@@ -344,9 +339,7 @@ def _check_ginzburg(p):
         Hypothesis("the ground field has characteristic zero",
                    VERIFIED_EXACTLY,
                    replay=lambda: p.field.characteristic == 0),
-        Hypothesis("the differential squares to zero on a realized "
-                   "truncation", VERIFIED_EXACTLY,
-                   replay=lambda: _differential_squares_to_zero(p)),
+        squares_to_zero,
     )
     certificate = Certificate("ginzburg-algebra-of-a-long-cycle-potential",
                               hypotheses)

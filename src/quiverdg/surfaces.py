@@ -88,6 +88,25 @@ class BoundaryComponent:
         return out
 
 
+def _arc_ends(name, pair, slots, slot_arc):
+    """The ends of the arc name: two distinct slots among slots, neither of
+    them the end of an arc in slot_arc {slot: arc}, to which they go.
+    MalformedRibbon otherwise."""
+    ends = tuple(pair)
+    if len(ends) != 2 or ends[0] == ends[1]:
+        raise MalformedRibbon(
+            "arc %r needs two distinct endpoint slots" % name)
+    for end in ends:
+        if end not in slots:
+            raise MalformedRibbon(
+                "arc %r ends on unknown slot %r" % (name, end), end)
+        if end in slot_arc:
+            raise MalformedRibbon(
+                "slot %r is used by two arc ends" % end, end)
+        slot_arc[end] = name
+    return ends
+
+
 class MarkedSurfaceArcSystem:
     """Ribbon datum: boundary components, arcs, and flow degrees.
 
@@ -142,18 +161,7 @@ class MarkedSurfaceArcSystem:
         self._slot_arc = {}
         self._partner = {}
         for name, pair in dict(arcs).items():
-            ends = tuple(pair)
-            if len(ends) != 2 or ends[0] == ends[1]:
-                raise MalformedRibbon(
-                    "arc %r needs two distinct endpoint slots" % name)
-            for end in ends:
-                if end not in self._slot_component:
-                    raise MalformedRibbon(
-                        "arc %r ends on unknown slot %r" % (name, end), end)
-                if end in self._slot_arc:
-                    raise MalformedRibbon(
-                        "slot %r is used by two arc ends" % end, end)
-                self._slot_arc[end] = name
+            ends = _arc_ends(name, pair, self._slot_component, self._slot_arc)
             self._partner[ends[0]] = ends[1]
             self._partner[ends[1]] = ends[0]
             self.arcs[name] = ends

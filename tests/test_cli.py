@@ -360,6 +360,25 @@ SHAPE_FAULTS = {
         "reflexive", {"characteristic": 0,
                       "object": {"kind": "family", "family": "polynomial", "variables": 0}},
         "document.object.variables"),
+    "power-series-of-nonzero-degree": (
+        "reflexive", {"characteristic": 0,
+                      "object": {"kind": "family", "family": "power-series-complete-local",
+                                 "degree": 2}},
+        "document.object.degree"),
+    "slot-on-two-marked-regions": (
+        "gentle", mutated(ANNULUS, ("object", "components", 1, "slots"), ["p"]),
+        "document.object.components[1].slots[0]"),
+    "arc-on-an-unknown-slot": (
+        "gentle", mutated(ANNULUS, ("object", "arcs", "g"), ["p", "x"]),
+        "document.object.arcs.g"),
+    "arc-on-one-slot-twice": (
+        "gentle", mutated(ANNULUS, ("object", "arcs", "g"), ["p", "p"]),
+        "document.object.arcs.g"),
+    "arc-with-one-end": (
+        "gentle", mutated(ANNULUS, ("object", "arcs", "g"), ["p"]), "document.object.arcs.g"),
+    "slot-the-end-of-two-arcs": (
+        "gentle", mutated(ANNULUS, ("object", "arcs", "h"), ["q", "p"]),
+        "document.object.arcs.h"),
     "term-coefficient-null": (
         "ginzburg", mutated(LOOP, ("object", "terms", 0, 1), None), "document.object.terms[0]"),
     "unit-coefficient-a-list": (

@@ -2,11 +2,11 @@
 rung.  Only the L = 6 cohomology rung, the 5-letter bar rung, the bar
 cohomology_dims rung, the dual_bar rung, the letter-tables rung, the
 square-zero completeness_report rung, the A5 and A2 realize rungs, the
-square-zero double dual realize rung, the A5 H^0 slice rung, the five
-verify_differential rungs, the local-factors rung, the three radical rungs,
-the Koszul pair rung, the L = 16 Jacobi rung of C^3, the selftest and
-verdict-table rungs, two CLI rungs and the document-faults rung run here, to
-keep the suite fast."""
+completions build rung, the square-zero double dual realize rung, the A5
+H^0 slice rung, the five verify_differential rungs, the local-factors rung,
+the three radical rungs, the Koszul pair rung, the L = 16 Jacobi rung of
+C^3, the selftest and verdict-table rungs, two CLI rungs and the
+document-faults rung run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -25,6 +25,7 @@ LETTER_TABLES_RUNG = "letter-tables/3-cycle-cy3-F101-L2-cold"
 COMPLETENESS_RUNG = "completeness_report/square-zero-3/L10"
 REALIZE_RUNG = "realize/A5-cy2/L9"
 TINY_REALIZE_RUNG = "realize/A2-cy3/L3"
+COMPLETIONS_RUNG = "build/completions"
 DOUBLE_DUAL_RUNG = "realize/square-zero-double-dual/L10"
 SLICE_RUNG = "h0_slice/A5-cy2/L8"
 VERIFY_RUNG = "verify_differential/3-cycle-cy3-F101/L8"
@@ -112,6 +113,13 @@ def test_the_tiny_realize_rung_writes_its_json(tmp_path, monkeypatch):
     assert_the_rung_writes_its_json(TINY_REALIZE_RUNG, tmp_path, monkeypatch)
     t = load_tool().RUNGS[TINY_REALIZE_RUNG]()()
     assert sum(t.dims().values()) == 14
+
+
+def test_the_completions_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(COMPLETIONS_RUNG, tmp_path, monkeypatch)
+    built = load_tool().RUNGS[COMPLETIONS_RUNG]()()
+    assert [p.n for p in built] == [2, 3, 2, 2, 2, 3, 3, 3]
+    assert [p.superpotential is None for p in built] == [True] * 6 + [False] * 2
 
 
 def test_the_double_dual_realize_rung_writes_its_json(tmp_path, monkeypatch):

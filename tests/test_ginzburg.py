@@ -35,6 +35,7 @@ from quiverdg.quiver import (
     PathAlgebraElement,
     QuiverPresentation,
     Superpotential,
+    cyclic_derivative,
 )
 
 QQ = GroundField(0)
@@ -198,14 +199,71 @@ def test_ginzburg_of_cubic_loop():
     assert verify_differential(realize(g, (-2, 0), 5)).ok
 
 
-def test_ginzburg_of_zero_potential_is_the_3cy_completion():
-    w0 = Superpotential(one_loop(), {})
-    g = ginzburg(one_loop(), w0)
-    p3 = cy_completion(one_loop(), 3)
+def kronecker():
+    return QuiverPresentation(
+        ["1", "2"], [Arrow("a", "1", "2", 0), Arrow("b", "1", "2", 0)])
+
+
+def point():
+    return QuiverPresentation(["v"], [])
+
+
+def differential_terms(presentation):
+    """The differential with its key order and each element's term order."""
+    return [(name, list(element.terms.items()))
+            for name, element in presentation.differential.items()]
+
+
+@pytest.mark.parametrize("quiver", [point, one_loop, a2_quiver, kronecker, three_cycle],
+                         ids=["point", "loop", "A2", "kronecker", "3-cycle"])
+def test_ginzburg_of_zero_potential_is_the_3cy_completion(quiver):
+    w0 = Superpotential(quiver(), {})
+    g = ginzburg(quiver(), w0)
+    p3 = cy_completion(quiver(), 3)
     assert g.differential == p3.differential
     assert g.weights == p3.weights
     assert [(a.name, a.degree) for a in g.generators] == [
         (a.name, a.degree) for a in p3.generators]
+    # field by field, dict key order and term order included
+    assert g.generators == p3.generators
+    assert list(g.weights.items()) == list(p3.weights.items())
+    assert differential_terms(g) == differential_terms(p3)
+    assert (g.superpotential, g.n, p3.superpotential, p3.n) == (w0, 3, None, 3)
+
+
+@pytest.mark.parametrize("quiver,cycles,weights", [
+    (one_loop, {("x", "x", "x"): 1}, (1, 2, 3)),
+    (three_cycle, {("x", "y", "z"): 1}, (1, 2, 3)),
+    (lambda: QuiverPresentation(["v"], [Arrow("x", "v", "v", 0), Arrow("y", "v", "v", 0)]),
+     {("x", "x", "y", "y"): 1, ("x", "y", "x", "y"): -1}, (1, 3, 4)),
+    (one_loop, {("x", "x"): 1, ("x", "x", "x"): 1}, (1, 1, 2)),
+    (lambda: QuiverPresentation(["1", "2"], [Arrow("u", "1", "2", 0),
+                                             Arrow("v", "2", "1", 0)]),
+     {("u", "v"): 1}, (1, 1, 2)),
+], ids=["cubic-loop", "3-cycle", "two-loops-quartic", "mixed-lengths", "short-cycle"])
+def test_ginzburg_deforms_the_3cy_completion_by_the_cyclic_derivatives(
+        quiver, cycles, weights):
+    potential = Superpotential(quiver(), cycles)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShortCycleWarning)
+        g = ginzburg(quiver(), potential)
+    p3 = cy_completion(quiver(), 3)
+    assert g.generators == p3.generators
+    loops = [name for name in p3.differential if name.startswith("z_")]
+    assert [(name, list(g.differential[name].terms.items())) for name in loops] == [
+        (name, list(p3.differential[name].terms.items())) for name in loops]
+    arrows = quiver().arrows
+    arrow_weight, dual_weight, loop_weight = weights
+    assert list(g.weights.items()) == (
+        [(a.name, arrow_weight) for a in arrows]
+        + [(a.name + "^", dual_weight) for a in arrows]
+        + [("z_%s" % v, loop_weight) for v in quiver().vertices])
+    for a in arrows:
+        expected = cyclic_derivative(potential, a.name)
+        assert g.differential.get(a.name + "^", PathAlgebraElement.zero()) == expected
+    assert list(g.differential) == loops + [
+        a.name + "^" for a in arrows if not cyclic_derivative(potential, a.name).is_zero()]
+    assert (g.superpotential, g.n) == (potential, 3)
 
 
 def test_ginzburg_of_three_cycle():

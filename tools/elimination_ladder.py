@@ -24,6 +24,13 @@ rungs, over Q unless stated:
 - realize of the rank-3 completion of A2 on (-3, 0) at L = 3 (14 words),
   1,000 times in one call, since one such realize takes well under a
   millisecond and best of five could not resolve it;
+- build/completions: the eight constructions of the benchmark's
+  completion-verify workload in one call, the rank-2 and rank-3
+  completions of the loop, the rank-2 completions of A2 and the Kronecker
+  quiver, the rank-2 and rank-3 completions of the 3-cycle, and the
+  Ginzburg algebras of xxx on the loop and of xyz on the 3-cycle; each
+  certifies d^2 = 0 on its own truncation, and the quivers and potentials
+  are built before the clock starts;
 - realize on (0, 18) at L = 10 of the double dual that completeness_report
   builds for k[eps]/eps^2 with eps in degree -2 over F_101: ten letters of
   weights 1 to 10 and 1,024 words, where the walk joins the most levels
@@ -221,6 +228,21 @@ def a2_realizes():
         for _ in range(1000):
             t = realize(p, (-3, 0), 3)
         return t
+    return call
+
+
+def completions():
+    loop = QuiverPresentation(("v",), (Arrow("x", "v", "v"),))
+    a2 = QuiverPresentation(("1", "2"), (Arrow("a", "1", "2"),))
+    kronecker = QuiverPresentation(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "1", "2")))
+    cycle = three_cycle()
+    ranks = ((loop, 2), (loop, 3), (a2, 2), (kronecker, 2), (cycle, 2), (cycle, 3))
+    potentials = ((loop, Superpotential(loop, {("x", "x", "x"): 1})),
+                  (cycle, Superpotential(cycle, {("x", "y", "z"): 1})))
+
+    def call():
+        return ([cy_completion(quiver, n) for quiver, n in ranks]
+                + [ginzburg(quiver, potential) for quiver, potential in potentials])
     return call
 
 
@@ -509,6 +531,7 @@ RUNGS = {
     "h0_slice/A5-cy2/L8": a5_h0_slice,
     "realize/A5-cy2/L9": a5_realize,
     "realize/A2-cy3/L3": a2_realizes,
+    "build/completions": completions,
     "realize/3-cycle-cy3/L8": cycle_realize,
     "realize/square-zero-double-dual/L10": square_zero_double_dual_realize,
     "bar/3-cycle-cy3-F101-L2/5-letters": lambda: cycle_bar(5),
