@@ -10,7 +10,8 @@ superpotential W, which is Pi_3(Q) deformed by dW: d(a*) is the cyclic
 derivative of W (Keller's deformed Calabi-Yau completion).  Both
 completions come out of one builder, _completion, which names the partners
 of the arrows and vertices, sets the weights and the differential, and
-certifies d^2 = 0 on a truncation.  verify_koszul_pair compares the Koszul
+certifies d^2 = 0 on a truncation; a construction that fails its own
+certificate raises RuntimeError, an engine fault.  verify_koszul_pair compares the Koszul
 dual of R_n with the truncated completion degree by degree, which ties the
 whole chain of constructions together.
 
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .dgalgebra import (
     DgAlgebraPresentation,
-    InconsistentPresentation,
     UnsafeWindow,
     _differential_failures,
     cohomology,
@@ -191,8 +191,9 @@ def _completion(quiver, n, field, cycle, potential=None):
     degree 2-n with weight cycle-1, and the loop z_v to degree 1-n with
     weight cycle; dz_v sums e_v [a, a^] e_v over the arrows (the
     presentation drops the zero values).  The differential is certified to
-    square to zero on the truncation at weight bound cycle + 1, and
-    InconsistentPresentation names its failures.
+    square to zero on the truncation at weight bound cycle + 1.  A failure
+    there is a fault of this builder, not of its input, so RuntimeError
+    names the failures.
     """
     duals, loops, generators, weights = _doubled(
         quiver, "z", (0, 2 - n, 1 - n), (1, cycle - 1, cycle))
@@ -220,7 +221,7 @@ def _completion(quiver, n, field, cycle, potential=None):
         superpotential=potential, n=n)
     failures = _differential_failures(presentation, cycle + 1)
     if failures:
-        raise InconsistentPresentation(
+        raise RuntimeError(
             "differential fails its own checks: %s" % (failures[:3],))
     return presentation
 

@@ -7,6 +7,15 @@ window downgrade a Reflexive verdict to its window-conditional sub-state,
 and when nothing applies the verdict is Unknown with the nearest misses
 collected in the certificate witness.
 
+A finite dimensional algebra by structure constants that is commutative
+and concentrated in degree zero splits into local factors.  Any other one
+climbs one ladder: its degree zero subalgebra is built and its radical
+certified once, and the criteria its degrees allow are tried on that one
+radical in order: connective-local and connective with a commutative
+semisimple quotient when no basis degree is positive, then proper
+coconnective when none is negative.  The connective part's miss is listed
+before the coconnective part's.
+
 Infinite dimensional commutative rings are accepted only through
 `SymbolicFamily` tags (polynomial, laurent, power-series-complete-local);
 deciding adic completeness of an arbitrary presentation is not attempted.
@@ -355,22 +364,18 @@ def _degree_zero_subalgebra(a, indices):
     return _algebra_on_span(a, vectors, a.unit)
 
 
-def _decompose_replays(a, factors):
-    def factor_count_again():
-        return len(decompose_commutative(a)) == len(factors)
-
-    def partition_again():
-        return sum(f.algebra.dim for f in decompose_commutative(a)) == a.dim
-
-    return factor_count_again, partition_again
-
-
 def _check_finite_dimensional(a):
     failures = a.verify()
     if failures:
         raise ValueError("the structure constants are inconsistent: %s"
                          % failures[0])
     characteristic = str(a.field.characteristic)
+
+    def reflexive(criterion, hypotheses, witness):
+        return ReflexivityVerdict(
+            "Reflexive", Certificate(criterion, hypotheses, witness=witness),
+            characteristic)
+
     ungraded = a.degrees is None or all(d == 0 for d in a.degrees)
     if ungraded and a.is_commutative():
         factors = decompose_commutative(a)
@@ -378,132 +383,94 @@ def _check_finite_dimensional(a):
             raise NoCriterionApplies(
                 "a local factor's residue algebra could not be certified as "
                 "a field")
-        count_again, partition_again = _decompose_replays(a, factors)
-        hypotheses = (
+        return reflexive("finite-product-of-complete-local", (
             Hypothesis("multiplication is commutative on the whole basis",
                        VERIFIED_EXACTLY, replay=a.is_commutative),
             Hypothesis("the algebra splits into %d local factors through "
                        "orthogonal idempotents" % len(factors),
-                       VERIFIED_EXACTLY, replay=count_again),
+                       VERIFIED_EXACTLY,
+                       replay=lambda: len(decompose_commutative(a)) == len(factors)),
             Hypothesis("the factor dimensions partition the total, and every "
                        "residue field is finite over the ground field",
-                       VERIFIED_EXACTLY, replay=partition_again),
-        )
-        certificate = Certificate(
-            "finite-product-of-complete-local", hypotheses,
-            witness="factor dimensions %s, residue dimensions %s"
+                       VERIFIED_EXACTLY,
+                       replay=lambda: sum(f.algebra.dim for f in
+                                          decompose_commutative(a)) == a.dim),
+        ), "factor dimensions %s, residue dimensions %s"
             % ([f.algebra.dim for f in factors],
                [f.residue_dimension for f in factors]))
-        return ReflexivityVerdict("Reflexive", certificate, characteristic)
-
-    degrees = a.degrees if a.degrees is not None else [0] * a.dim
-    has_positive = any(d > 0 for d in degrees)
-    has_negative = any(d < 0 for d in degrees)
-    diagnostics = []
-    zero_indices = [i for i, d in enumerate(degrees) if d == 0]
-
-    if not has_positive:
-        verdict = _connective_finite_dimensional(
-            a, degrees, zero_indices, characteristic, diagnostics)
-        if verdict is not None:
-            return verdict
-    else:
-        diagnostics.append("not connective: basis degrees reach %d"
-                           % max(degrees))
-    if not has_negative:
-        verdict = _coconnective_finite_dimensional(
-            a, degrees, zero_indices, characteristic, diagnostics)
-        if verdict is not None:
-            return verdict
-    else:
-        diagnostics.append("not coconnective: basis degrees reach %d"
-                           % min(degrees))
-    raise NoCriterionApplies(*diagnostics)
-
-
-def _connective_finite_dimensional(a, degrees, zero_indices, characteristic,
-                                   diagnostics):
-    try:
-        sub, _ = _degree_zero_subalgebra(a, zero_indices)
-        info = sub.radical()
-    except RadicalComputationError as miss:
-        diagnostics.append("the degree zero radical resisted computation: %s"
-                           % miss)
-        return None
-    residue = info.quotient
 
     def degrees_again():
-        current = a.degrees if a.degrees is not None else [0] * a.dim
-        return max(current) <= 0
+        return a.degrees if a.degrees is not None else [0] * a.dim
 
-    if residue.dim == 1:
-        hypotheses = (
-            Hypothesis("every basis degree is at most zero",
-                       VERIFIED_EXACTLY, replay=degrees_again),
-            Hypothesis("the algebra is finite dimensional (dimension %d), "
-                       "hence locally proper" % a.dim, VERIFIED_EXACTLY,
-                       replay=lambda: a.dim == len(a.basis)),
-            Hypothesis("the degree zero part modulo its radical is one "
-                       "dimensional", VERIFIED_EXACTLY,
-                       replay=lambda: _degree_zero_subalgebra(
-                           a, zero_indices)[0].radical().quotient.dim == 1),
-        )
-        certificate = Certificate(
-            "connective-local-finite-dimensional", hypotheses,
-            witness="radical dimension %d in the degree zero part of "
-                    "dimension %d" % (info.dimension, sub.dim))
-        return ReflexivityVerdict("Reflexive", certificate, characteristic)
-    if residue.is_commutative():
-        hypotheses = (
-            Hypothesis("every basis degree is at most zero",
-                       VERIFIED_EXACTLY, replay=degrees_again),
-            Hypothesis("the algebra is finite dimensional (dimension %d), "
-                       "hence locally proper" % a.dim, VERIFIED_EXACTLY,
-                       replay=lambda: a.dim == len(a.basis)),
-            Hypothesis("the semisimple quotient of the degree zero part is "
-                       "commutative, hence separable over the perfect ground "
-                       "field, and lifts to a subalgebra", VERIFIED_EXACTLY,
-                       replay=lambda: _degree_zero_subalgebra(
-                           a, zero_indices)[0].radical()
-                       .quotient.is_commutative()),
-        )
-        certificate = Certificate(
-            "connective-with-commutative-semisimple-quotient", hypotheses,
-            witness="semisimple quotient of dimension %d" % residue.dim)
-        return ReflexivityVerdict("Reflexive", certificate, characteristic)
-    diagnostics.append("the semisimple quotient in degree zero has dimension "
-                       "%d and is not commutative" % residue.dim)
-    return None
+    # One rung per criterion on one radical: connective-local, then
+    # connective with a commutative semisimple quotient, then proper
+    # coconnective.  misses holds the connective part's diagnostic, then
+    # the coconnective part's.
+    degrees = degrees_again()
+    connective = all(d <= 0 for d in degrees)
+    coconnective = all(d >= 0 for d in degrees)
+    misses = ["not connective: basis degrees reach %d" % max(degrees),
+              "not coconnective: basis degrees reach %d" % min(degrees)]
+    if not (connective or coconnective):
+        raise NoCriterionApplies(*misses)
+    zero_indices = [i for i, d in enumerate(degrees) if d == 0]
 
+    def radical_again():
+        return _degree_zero_subalgebra(a, zero_indices)[0].radical()
 
-def _coconnective_finite_dimensional(a, degrees, zero_indices, characteristic,
-                                     diagnostics):
     try:
         sub, _ = _degree_zero_subalgebra(a, zero_indices)
         info = sub.radical()
     except RadicalComputationError as miss:
-        diagnostics.append("the degree zero radical resisted computation: %s"
-                           % miss)
-        return None
-    if info.dimension:
-        diagnostics.append("the degree zero part has a radical of dimension "
-                           "%d, so it is not semisimple" % info.dimension)
-        return None
-    hypotheses = (
-        Hypothesis("every basis degree is at least zero", VERIFIED_EXACTLY,
-                   replay=lambda: min(a.degrees if a.degrees is not None
-                                      else [0]) >= 0),
-        Hypothesis("the algebra is finite dimensional (dimension %d), hence "
-                   "proper" % a.dim, VERIFIED_EXACTLY,
-                   replay=lambda: a.dim == len(a.basis)),
-        Hypothesis("the degree zero part is semisimple", VERIFIED_EXACTLY,
-                   replay=lambda: _degree_zero_subalgebra(
-                       a, zero_indices)[0].radical().dimension == 0),
-    )
-    certificate = Certificate(
-        "proper-coconnective", hypotheses,
-        witness="semisimple degree zero part of dimension %d" % sub.dim)
-    return ReflexivityVerdict("Reflexive", certificate, characteristic)
+        resisted = "the degree zero radical resisted computation: %s" % miss
+        # listed once when both criteria apply
+        raise NoCriterionApplies(*dict.fromkeys(
+            resisted if applies else line
+            for applies, line in zip((connective, coconnective), misses)))
+    residue = info.quotient
+    if connective:
+        bounded = (
+            Hypothesis("every basis degree is at most zero",
+                       VERIFIED_EXACTLY, replay=lambda: max(degrees_again()) <= 0),
+            Hypothesis("the algebra is finite dimensional (dimension %d), "
+                       "hence locally proper" % a.dim, VERIFIED_EXACTLY,
+                       replay=lambda: a.dim == len(a.basis)),
+        )
+        if residue.dim == 1:
+            return reflexive("connective-local-finite-dimensional", bounded + (
+                Hypothesis("the degree zero part modulo its radical is one "
+                           "dimensional", VERIFIED_EXACTLY,
+                           replay=lambda: radical_again().quotient.dim == 1),
+            ), "radical dimension %d in the degree zero part of dimension %d"
+                % (info.dimension, sub.dim))
+        if residue.is_commutative():
+            return reflexive(
+                "connective-with-commutative-semisimple-quotient", bounded + (
+                    Hypothesis("the semisimple quotient of the degree zero part "
+                               "is commutative, hence separable over the perfect "
+                               "ground field, and lifts to a subalgebra",
+                               VERIFIED_EXACTLY,
+                               replay=lambda: radical_again()
+                               .quotient.is_commutative()),
+                ), "semisimple quotient of dimension %d" % residue.dim)
+        misses[0] = ("the semisimple quotient in degree zero has dimension %d "
+                     "and is not commutative" % residue.dim)
+    if coconnective:
+        if not info.dimension:
+            return reflexive("proper-coconnective", (
+                Hypothesis("every basis degree is at least zero",
+                           VERIFIED_EXACTLY,
+                           replay=lambda: min(degrees_again()) >= 0),
+                Hypothesis("the algebra is finite dimensional (dimension %d), "
+                           "hence proper" % a.dim, VERIFIED_EXACTLY,
+                           replay=lambda: a.dim == len(a.basis)),
+                Hypothesis("the degree zero part is semisimple",
+                           VERIFIED_EXACTLY,
+                           replay=lambda: radical_again().dimension == 0),
+            ), "semisimple degree zero part of dimension %d" % sub.dim)
+        misses[1] = ("the degree zero part has a radical of dimension %d, so "
+                     "it is not semisimple" % info.dimension)
+    raise NoCriterionApplies(*misses)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +597,13 @@ def _coconnective_truncation(t, flags, characteristic, diagnostics):
     a1 = flags["a1_zero"]
     a0 = flags["a0"]
     proper = flags["locally_proper_within_window"]
+    nonnegative = Hypothesis("no basis words sit in negative degrees",
+                             _scope_tag(coconnective["scope"]),
+                             replay=lambda: classify(t)
+                             ["strictly_coconnective"]["value"])
     if a1["value"] and a0["equals_base"]:
         hypotheses = (
-            Hypothesis("no basis words sit in negative degrees",
-                       _scope_tag(coconnective["scope"]),
-                       replay=lambda: classify(t)
-                       ["strictly_coconnective"]["value"]),
+            nonnegative,
             Hypothesis("the degree one component vanishes",
                        _scope_tag(a1["scope"]),
                        replay=lambda: classify(t)["a1_zero"]["value"]),
@@ -672,10 +640,7 @@ def _coconnective_truncation(t, flags, characteristic, diagnostics):
                            "semisimple" % info.dimension)
         return None
     hypotheses = (
-        Hypothesis("no basis words sit in negative degrees",
-                   _scope_tag(coconnective["scope"]),
-                   replay=lambda: classify(t)
-                   ["strictly_coconnective"]["value"]),
+        nonnegative,
         Hypothesis("the basis is finite and complete below the weight bound",
                    VERIFIED_EXACTLY,
                    replay=lambda: t.certified_finite_dimensional),

@@ -5,8 +5,8 @@ square-zero completeness_report rung, the A5 and A2 realize rungs, the
 completions build rung, the square-zero double dual realize rung, the A5
 H^0 slice rung, the five verify_differential rungs, the local-factors rung,
 the three radical rungs, the Koszul pair rung, the L = 16 Jacobi rung of
-C^3, the selftest and verdict-table rungs, two CLI rungs and the
-document-faults rung run here, to keep the suite fast."""
+C^3, the selftest, verdict-table and finite-dimensional check rungs, two
+CLI rungs and the document-faults rung run here, to keep the suite fast."""
 
 import importlib.util
 import json
@@ -41,6 +41,7 @@ KOSZUL_RUNG = "verify_koszul_pair/3-cycle/n2-L7"
 JACOBI_RUNG = "jacobi_basis/C3-xyz-xzy/L16"
 SELFTEST_RUNG = "selftest"
 VERDICT_RUNG = "check/verdict-table"
+FINITE_DIMENSIONAL_RUNG = "check/finite-dimensional"
 COLD_RUNG = "cold-import/quiverdg"
 
 
@@ -273,6 +274,18 @@ def test_the_verdict_table_rung_writes_its_json(tmp_path, monkeypatch):
         ("Reflexive", "calabi-yau-completion-of-rank-at-least-two"),
         ("Reflexive", "proper-graded-gentle"),
         ("NotReflexive", "fully-marked-component-of-winding-zero"),
+    ]
+
+
+def test_the_finite_dimensional_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(FINITE_DIMENSIONAL_RUNG, tmp_path, monkeypatch)
+    # the local, matrix, triangular and square-zero (|u| = 2, -3) fixtures
+    assert load_tool().RUNGS[FINITE_DIMENSIONAL_RUNG]()() == [
+        ("Reflexive", "connective-local-finite-dimensional"),
+        ("Reflexive", "proper-coconnective"),
+        ("Reflexive", "connective-with-commutative-semisimple-quotient"),
+        ("Reflexive", "proper-coconnective"),
+        ("Reflexive", "connective-local-finite-dimensional"),
     ]
 
 

@@ -7,7 +7,9 @@ differentials, and the Koszul pair comparison supplies the cross-pipeline
 oracle at the end.
 """
 
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,7 @@ from quiverdg.quiver import (
 )
 
 QQ = GroundField(0)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def a2_quiver():
@@ -346,3 +349,37 @@ def test_koszul_pair_for_point_and_a2():
     assert report.all_match and report.rows[0]["rn_dual"] == 3
     with pytest.raises(ValueError, match="empty window"):
         verify_koszul_pair(a2, 2, 4, (1, 0))
+
+
+def fail_every_d_squared_certificate(monkeypatch):
+    # the package attribute quiverdg.ginzburg is the function ginzburg, so
+    # the module is reached through sys.modules
+    monkeypatch.setattr(sys.modules["quiverdg.ginzburg"], "_differential_failures",
+                        lambda presentation, weight_bound: [("d2", "z_v")])
+
+
+def test_a_construction_that_fails_its_own_certificate_raises(monkeypatch):
+    # a failed d^2 certificate is a fault of the builder, not of its input
+    fail_every_d_squared_certificate(monkeypatch)
+    with pytest.raises(RuntimeError, match="differential fails its own checks"):
+        cy_completion(one_loop(), 2)
+    with pytest.raises(RuntimeError, match="differential fails its own checks"):
+        ginzburg(one_loop(), Superpotential(one_loop(), {("x", "x", "x"): 1}))
+
+
+@pytest.mark.parametrize("argv", [
+    ["cy", str(DATA / "a2_preprojective.json")],
+    ["ginzburg", str(DATA / "one_loop_ginzburg.json")],
+    ["reflexive", str(DATA / "a2_preprojective.json")],
+    ["selftest"],
+])
+def test_a_construction_that_fails_its_own_certificate_exits_two(argv, monkeypatch,
+                                                                 capsys):
+    from quiverdg import cli
+
+    fail_every_d_squared_certificate(monkeypatch)
+    assert cli.main(argv + ["--quiet"]) == cli.EXIT_INTERNAL == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant failure")
+    assert "differential fails its own checks" in err
+    assert "input error" not in err

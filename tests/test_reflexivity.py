@@ -23,6 +23,7 @@ from quiverdg.certificates import (
     VERIFIED_WITHIN_WINDOW,
     replay_certificate,
 )
+from quiverdg import reflexivity
 from quiverdg.reflexivity import (
     CompletenessTriple,
     SymbolicFamily,
@@ -33,6 +34,7 @@ from quiverdg.reflexivity import (
 from quiverdg.surfaces import BoundaryComponent, GentlePresentation, MarkedSurfaceArcSystem
 
 QQ = GroundField(0)
+F2 = GroundField(2)
 F3 = GroundField(3)
 ONE = Fraction(1)
 
@@ -233,6 +235,128 @@ def test_mixed_degree_commutative_algebra_stays_unknown():
     assert "not coconnective" in verdict.certificate.witness
 
 
+def unit_with_square_zero_pair(w_degree):
+    """e, u, w with unit e, |u| = 0 and every product of u and w zero."""
+    structure = {(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE},
+                 (0, 2): {2: ONE}, (2, 0): {2: ONE}}
+    return FiniteDimAlgebra(QQ, ["e", "u", "w"], structure, {0: ONE},
+                            degrees=[0, 0, w_degree])
+
+
+def matrices_over_f2(eps_degree=None):
+    """M_2(F_2), ungraded; or M_2(F_2) x k[eps]/eps^2 on e11, e12, e21, e22,
+    f, eps with unit e11 + e22 + f, every degree 0 but |eps|."""
+    one = F2.one()
+    names = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    structure = {(i, j): {names.index((a, d)): one}
+                 for i, (a, b) in enumerate(names)
+                 for j, (c, d) in enumerate(names) if b == c}
+    labels = ["e11", "e12", "e21", "e22"]
+    unit = {0: one, 3: one}
+    if eps_degree is None:
+        return FiniteDimAlgebra(F2, labels, structure, unit)
+    structure.update({(4, 4): {4: one}, (4, 5): {5: one}, (5, 4): {5: one}})
+    unit[4] = one
+    return FiniteDimAlgebra(F2, labels + ["f", "eps"], structure, unit,
+                            degrees=[0, 0, 0, 0, 0, eps_degree])
+
+
+AT_MOST_ZERO = ("every basis degree is at most zero", VERIFIED_EXACTLY)
+AT_LEAST_ZERO = ("every basis degree is at least zero", VERIFIED_EXACTLY)
+ONE_DIMENSIONAL = ("the degree zero part modulo its radical is one dimensional",
+                   VERIFIED_EXACTLY)
+SEMISIMPLE = ("the degree zero part is semisimple", VERIFIED_EXACTLY)
+RESISTED = ("the degree zero radical resisted computation: trace-form "
+            "certificate failed and the algebra is not commutative")
+
+
+def locally_proper(dim):
+    return ("the algebra is finite dimensional (dimension %d), hence locally "
+            "proper" % dim, VERIFIED_EXACTLY)
+
+
+def proper(dim):
+    return ("the algebra is finite dimensional (dimension %d), hence proper"
+            % dim, VERIFIED_EXACTLY)
+
+
+# (fixture, verdict, criterion, characteristic, witness, hypotheses)
+FINITE_DIMENSIONAL_TABLE = {
+    "local-noncommutative": (
+        local_noncommutative, "Reflexive", "connective-local-finite-dimensional",
+        "0", "radical dimension 3 in the degree zero part of dimension 4",
+        [AT_MOST_ZERO, locally_proper(4), ONE_DIMENSIONAL]),
+    "matrices": (
+        matrix_algebra, "Reflexive", "proper-coconnective", "0",
+        "semisimple degree zero part of dimension 4",
+        [AT_LEAST_ZERO, proper(4), SEMISIMPLE]),
+    "triangular": (
+        triangular_algebra, "Reflexive",
+        "connective-with-commutative-semisimple-quotient", "0",
+        "semisimple quotient of dimension 2",
+        [AT_MOST_ZERO, locally_proper(3),
+         ("the semisimple quotient of the degree zero part is commutative, "
+          "hence separable over the perfect ground field, and lifts to a "
+          "subalgebra", VERIFIED_EXACTLY)]),
+    "square-zero-u2": (
+        lambda: square_zero_algebra(2), "Reflexive", "proper-coconnective", "0",
+        "semisimple degree zero part of dimension 1",
+        [AT_LEAST_ZERO, proper(2), SEMISIMPLE]),
+    "square-zero-u-3": (
+        lambda: square_zero_algebra(-3), "Reflexive",
+        "connective-local-finite-dimensional", "0",
+        "radical dimension 0 in the degree zero part of dimension 1",
+        [AT_MOST_ZERO, locally_proper(2), ONE_DIMENSIONAL]),
+    "euw-w1": (
+        lambda: unit_with_square_zero_pair(1), "Unknown", "no-criterion-applies",
+        "0", "not connective: basis degrees reach 1; the degree zero part has "
+        "a radical of dimension 1, so it is not semisimple", []),
+    "euw-w-1": (
+        lambda: unit_with_square_zero_pair(-1), "Reflexive",
+        "connective-local-finite-dimensional", "0",
+        "radical dimension 1 in the degree zero part of dimension 2",
+        [AT_MOST_ZERO, locally_proper(3), ONE_DIMENSIONAL]),
+    # the connective part's miss comes first, whichever part it is
+    "m2f2-eps-1": (
+        lambda: matrices_over_f2(-1), "Unknown", "no-criterion-applies", "2",
+        RESISTED + "; not coconnective: basis degrees reach -1", []),
+    "m2f2-eps1": (
+        lambda: matrices_over_f2(1), "Unknown", "no-criterion-applies", "2",
+        "not connective: basis degrees reach 1; " + RESISTED, []),
+    # both criteria apply and share the one radical, so it resists once
+    "m2f2-ungraded": (
+        matrices_over_f2, "Unknown", "no-criterion-applies", "2", RESISTED, []),
+}
+
+
+@pytest.mark.parametrize("name", FINITE_DIMENSIONAL_TABLE)
+def test_finite_dimensional_verdict_table(name):
+    build, verdict, criterion, characteristic, witness, hypotheses = \
+        FINITE_DIMENSIONAL_TABLE[name]
+    result = check(build())
+    assert result.as_report() == {
+        "verdict": verdict, "criterion": criterion,
+        "characteristic": characteristic, "witness": witness,
+        "hypotheses": [{"statement": s, "tag": tag} for s, tag in hypotheses]}
+    assert replay_certificate(result.certificate) == []
+
+
+def test_the_degree_zero_radical_is_found_once(monkeypatch):
+    # M_2(Q) misses both connective criteria and meets proper-coconnective,
+    # all three on one degree zero subalgebra; the replay rebuilds its own
+    calls = []
+    build = reflexivity._degree_zero_subalgebra
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(reflexivity, "_degree_zero_subalgebra", counted)
+    verdict = check(matrix_algebra())
+    assert verdict.certificate.criterion == "proper-coconnective"
+    assert len(calls) == 1
+    assert replay_certificate(verdict.certificate) == []
+
+
 def test_malformed_structure_constants_are_rejected():
     broken = FiniteDimAlgebra(QQ, ["e", "u"],
                               {(0, 0): {0: ONE}, (0, 1): {1: ONE},
@@ -281,6 +405,29 @@ def test_preprojective_truncation_is_window_conditional():
                for s, tag in tags.items())
     assert any(tag == VERIFIED_WITHIN_WINDOW for tag in tags.values())
     assert ASSUMED_BY_USER not in tags.values()
+    assert replay_certificate(verdict.certificate) == []
+
+
+def test_an_unseen_splitting_is_assumed():
+    # k[x]/(x^2 - x): x is an idempotent, so it projects onto the semisimple
+    # quotient k x k of H^0 and not into the radical; the splitting is not
+    # seen, and the certificate says that it is assumed
+    arrow = Arrow("x", "v", "v", 0)
+    q = QuiverPresentation(["v"], [arrow])
+    x = PathAlgebraElement.from_path(q.path(["x"]))
+    xx = PathAlgebraElement.from_path(q.path(["x", "x"]))
+    t = realize(DgAlgebraPresentation(["v"], [arrow], relations=[xx - x],
+                                      field=QQ), (-2, 2), 2)
+    verdict = check(t)
+    assert verdict.verdict == "Reflexive"
+    assert verdict.certificate.criterion \
+        == "connective-with-commutative-semisimple-quotient"
+    assert verdict.certificate.witness \
+        == "semisimple quotient of H^0 has dimension 2"
+    last = verdict.certificate.hypotheses[-1]
+    assert (last.statement, last.tag) == (
+        "the projection onto the semisimple quotient of H^0 admits a dg "
+        "algebra splitting", ASSUMED_BY_USER)
     assert replay_certificate(verdict.certificate) == []
 
 

@@ -83,6 +83,10 @@ rungs, over Q unless stated:
   completion of A2 and the rank-3 completion of the 3-cycle, and two
   annuli), built before the clock starts; the rung checks that every
   certificate replays and returns the (verdict, criterion) rows;
+- check/finite-dimensional: check on five algebras by structure constants,
+  built before the clock starts: the local noncommutative one on e, x, y,
+  xy, M_2(Q), the upper triangular 2x2 matrices, and k[u]/u^2 with |u| = 2
+  and with |u| = -3; it returns the (verdict, criterion) rows;
 - each command of the commands list of the six documents under tests/data,
   run in this process as `quiverdg COMMAND DOCUMENT --quiet --json PATH`
   through cli.main; the rung checks exit 0, and the report bytes against the
@@ -414,6 +418,36 @@ def verdict_table():
     return call
 
 
+def finite_dimensional():
+    """check on five finite dimensional algebras by structure constants."""
+    field = GroundField(0)
+    one = field.one()
+    local = FiniteDimAlgebra(
+        field, ["e", "x", "y", "xy"],
+        {(0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
+         (1, 0): {1: one}, (2, 0): {2: one}, (3, 0): {3: one}, (1, 2): {3: one}},
+        {0: one})
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    matrices = FiniteDimAlgebra(
+        field, ["e11", "e12", "e21", "e22"],
+        {(i, j): {units.index((a, d)): one} for i, (a, b) in enumerate(units)
+         for j, (c, d) in enumerate(units) if b == c},
+        {0: one, 3: one})
+    triangular = FiniteDimAlgebra(
+        field, ["e11", "e22", "e12"],
+        {(0, 0): {0: one}, (1, 1): {1: one}, (0, 2): {2: one}, (2, 1): {2: one}},
+        {0: one, 1: one})
+    fixtures = [local, matrices, triangular] + [
+        FiniteDimAlgebra(field, ["e", "u"],
+                         {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}},
+                         {0: one}, degrees=[0, degree])
+        for degree in (2, -3)]
+
+    def call():
+        return [(v.verdict, v.certificate.criterion) for v in map(check, fixtures)]
+    return call
+
+
 def object_nodes(value, path=("object",)):
     """The path of value and of every node under it."""
     yield path
@@ -554,6 +588,7 @@ RUNGS = {
         lambda: polynomial_quotient(GroundField(5), [1, 5, 10, 10, 5, 1]).radical,
     "selftest": selftest,
     "check/verdict-table": verdict_table,
+    "check/finite-dimensional": finite_dimensional,
     **cli_rungs(),
     "document-faults/fixtures": document_faults,
     "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
