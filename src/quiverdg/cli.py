@@ -15,11 +15,14 @@ checks one value, a one-item list of specs, or a table of keys with the
 optional ones marked "?" (the comment above the tables has the detail).
 References to declared names (an arrow's endpoints, a term's labels, a
 structure constant's indices) are read from a scope that earlier keys fill,
-so a fault in a value is reported at the key that holds it; what only the
-engine's validators find (a ribbon fault that spans keys, such as a missing
-flow degree or a winding sum) is reported at document.object.  The flags
---char, --window, --words and --paths are merged into the document before
-the walk and override its values.
+so a fault in a value is reported at the key that holds it.  A ribbon fault
+that only the surface's own checks find, because it spans keys (a missing
+flow degree, a winding sum, a slot that is no arc's end), is reported at the
+key its MalformedRibbon names; a missing key is reported at the object that
+should hold it.  Any other fault the engine's validators find while building
+the object is reported at document.object.  The flags --char, --window,
+--words and --paths are merged into the document before the walk and
+override its values.
 
 Exit codes: 0 means a verdict or report was produced (Unknown counts), 1 is
 an input problem and the message names the offending document location, 2 is
@@ -464,7 +467,10 @@ class Job:
         try:
             return build(value, scope)
         except _document_faults() as err:
-            raise InputError("document.object", str(err))
+            # a ribbon fault names the path of its key inside the object
+            where = "document.object" + "".join(
+                "[%d]" % k if _is_int(k) else "." + k for k in getattr(err, "key", ()))
+            raise InputError(where, str(err))
 
     def rank(self):
         """The rank n of a Calabi-Yau completion."""

@@ -16,6 +16,15 @@ semisimple quotient when no basis degree is positive, then proper
 coconnective when none is negative.  The connective part's miss is listed
 before the coconnective part's.
 
+A realized truncation climbs a ladder of its own on one reading of its
+connectivity flags: connective with local H^0, then connective with a
+commutative semisimple quotient of H^0, when the cohomology vanishes in
+positive degrees; then coconnective with vanishing degree one, then proper
+coconnective, when no basis word sits in a negative degree.  H^0 and its
+radical are computed the first time a rung needs them, and a failure there
+(H^0 not stabilized, a radical that resists) is listed by every rung that
+needed them, connective part first.
+
 Infinite dimensional commutative rings are accepted only through
 `SymbolicFamily` tags (polynomial, laurent, power-series-complete-local);
 deciding adic completeness of an arbitrary presentation is not attempted.
@@ -25,6 +34,7 @@ commutative local-factor decomposition under its decision-procedure name.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .algebras import (FiniteDimAlgebra, RadicalComputationError,
                        _algebra_on_span, decompose_commutative)
@@ -181,6 +191,13 @@ def _characteristic_of(obj):
     if field is None:
         return "any"
     return str(field.characteristic)
+
+
+def _reflexive(obj, criterion, hypotheses, witness):
+    """A Reflexive verdict on obj, in the characteristic of its field."""
+    return ReflexivityVerdict(
+        "Reflexive", Certificate(criterion, hypotheses, witness=witness),
+        _characteristic_of(obj))
 
 
 def _unknown(diagnostics, characteristic):
@@ -369,13 +386,7 @@ def _check_finite_dimensional(a):
     if failures:
         raise ValueError("the structure constants are inconsistent: %s"
                          % failures[0])
-    characteristic = str(a.field.characteristic)
-
-    def reflexive(criterion, hypotheses, witness):
-        return ReflexivityVerdict(
-            "Reflexive", Certificate(criterion, hypotheses, witness=witness),
-            characteristic)
-
+    reflexive = partial(_reflexive, a)
     ungraded = a.degrees is None or all(d == 0 for d in a.degrees)
     if ungraded and a.is_commutative():
         factors = decompose_commutative(a)
@@ -499,156 +510,124 @@ def _splitting_is_visible(t, info):
 
 
 def _check_truncation(t):
-    characteristic = str(t.field.characteristic)
     flags = classify(t)
-    diagnostics = []
+    reflexive = partial(_reflexive, t)
+    misses = []
+    found = []  # found[0]: (H^0, its radical), or the miss that stopped them
 
-    if flags["connective"]["value"]:
-        verdict = _connective_truncation(t, flags, characteristic, diagnostics)
-        if verdict is not None:
-            return verdict
+    def h0_and_radical():
+        if not found:
+            try:
+                h0 = h0_algebra(t)
+                found.append((h0, h0.algebra.radical()))
+            except (NotStabilized, RadicalComputationError) as miss:
+                found.append(miss)
+        return found[0]
+
+    def radical_again():
+        return h0_algebra(t).algebra.radical()
+
+    def flag(statement, name, key="value"):
+        return Hypothesis(statement, _scope_tag(flags[name]["scope"]),
+                          replay=lambda: classify(t)[name][key])
+
+    # One rung per criterion: connective with local H^0, connective with a
+    # commutative semisimple quotient, coconnective with vanishing degree
+    # one, proper coconnective.  H^0 and its radical are found the first
+    # time a rung needs them, and a miss there is listed by each rung.
+    proper = flag("cohomology is finite dimensional in each computed degree",
+                  "locally_proper_within_window")
+    if not flags["connective"]["value"]:
+        misses.append("not connective: classes survive in positive degrees")
+    elif isinstance(h0_and_radical(), NotStabilized):
+        misses.append("H^0 did not stabilize: %s" % found[0])
+    elif isinstance(found[0], RadicalComputationError):
+        misses.append("the radical of H^0 resisted computation: %s"
+                      % found[0])
     else:
-        diagnostics.append("not connective: classes survive in positive "
-                           "degrees")
-
-    coconnective = flags["strictly_coconnective"]
-    if coconnective["value"]:
-        verdict = _coconnective_truncation(t, flags, characteristic,
-                                           diagnostics)
-        if verdict is not None:
-            return verdict
-    else:
-        diagnostics.append("not coconnective: words survive in negative "
-                           "degrees")
-    raise NoCriterionApplies(*diagnostics)
-
-
-def _connective_truncation(t, flags, characteristic, diagnostics):
-    try:
-        h0 = h0_algebra(t)
-    except NotStabilized as miss:
-        diagnostics.append("H^0 did not stabilize: %s" % miss)
-        return None
-    try:
-        info = h0.algebra.radical()
-    except RadicalComputationError as miss:
-        diagnostics.append("the radical of H^0 resisted computation: %s"
-                           % miss)
-        return None
-    residue = info.quotient
-    connective = flags["connective"]
-    proper = flags["locally_proper_within_window"]
-    shared = (
-        Hypothesis("cohomology vanishes in positive degrees",
-                   _scope_tag(connective["scope"]),
-                   replay=lambda: classify(t)["connective"]["value"]),
-        Hypothesis("cohomology is finite dimensional in each computed degree",
-                   _scope_tag(proper["scope"]),
-                   replay=lambda: classify(t)
-                   ["locally_proper_within_window"]["value"]),
-        Hypothesis("the H^0 dimension agrees between weight bounds %d and %d"
-                   % (h0.stabilized_at, h0.stabilized_at + 1),
-                   VERIFIED_EXACTLY,
-                   replay=lambda: h0.dims_checked[0] == h0.dims_checked[1]),
-    )
-    if residue.dim == 1:
-        hypotheses = shared + (
-            Hypothesis("H^0 modulo its radical is one dimensional",
-                       VERIFIED_EXACTLY,
-                       replay=lambda: h0_algebra(t).algebra.radical()
-                       .quotient.dim == 1),
+        h0, info = found[0]
+        residue = info.quotient
+        shared = (
+            flag("cohomology vanishes in positive degrees", "connective"),
+            proper,
+            Hypothesis("the H^0 dimension agrees between weight bounds %d "
+                       "and %d" % (h0.stabilized_at, h0.stabilized_at + 1),
+                       VERIFIED_EXACTLY, replay=lambda:
+                       h0.dims_checked[0] == h0.dims_checked[1]),
         )
-        certificate = Certificate(
-            "connective-with-local-degree-zero-cohomology", hypotheses,
-            witness="H^0 has dimension %d with radical of dimension %d"
-            % (h0.algebra.dim, info.dimension))
-        return ReflexivityVerdict("Reflexive", certificate, characteristic)
-    if residue.is_commutative():
-        if _splitting_is_visible(t, info):
-            splitting = Hypothesis(
-                "every degree zero generator projects into the radical of "
-                "H^0, so the semisimple quotient splits off",
-                VERIFIED_EXACTLY,
-                replay=lambda: _splitting_is_visible(
-                    t, h0_algebra(t).algebra.radical()))
-        else:
-            splitting = Hypothesis(
-                "the projection onto the semisimple quotient of H^0 admits "
-                "a dg algebra splitting", ASSUMED_BY_USER)
-        hypotheses = shared + (
-            Hypothesis("the semisimple quotient of H^0 is commutative",
-                       VERIFIED_EXACTLY,
-                       replay=lambda: h0_algebra(t).algebra.radical()
-                       .quotient.is_commutative()),
-            splitting,
-        )
-        certificate = Certificate(
-            "connective-with-commutative-semisimple-quotient", hypotheses,
-            witness="semisimple quotient of H^0 has dimension %d"
-            % residue.dim)
-        return ReflexivityVerdict("Reflexive", certificate, characteristic)
-    diagnostics.append("the semisimple quotient of H^0 has dimension %d and "
-                       "is not commutative" % residue.dim)
-    return None
+        if residue.dim == 1:
+            return reflexive(
+                "connective-with-local-degree-zero-cohomology", shared + (
+                    Hypothesis("H^0 modulo its radical is one dimensional",
+                               VERIFIED_EXACTLY, replay=lambda:
+                               radical_again().quotient.dim == 1),
+                ), "H^0 has dimension %d with radical of dimension %d"
+                % (h0.algebra.dim, info.dimension))
+        if residue.is_commutative():
+            if _splitting_is_visible(t, info):
+                splitting = Hypothesis(
+                    "every degree zero generator projects into the radical of "
+                    "H^0, so the semisimple quotient splits off",
+                    VERIFIED_EXACTLY,
+                    replay=lambda: _splitting_is_visible(t, radical_again()))
+            else:
+                splitting = Hypothesis(
+                    "the projection onto the semisimple quotient of H^0 "
+                    "admits a dg algebra splitting", ASSUMED_BY_USER)
+            return reflexive(
+                "connective-with-commutative-semisimple-quotient", shared + (
+                    Hypothesis("the semisimple quotient of H^0 is commutative",
+                               VERIFIED_EXACTLY,
+                               replay=lambda: radical_again()
+                               .quotient.is_commutative()),
+                    splitting,
+                ), "semisimple quotient of H^0 has dimension %d" % residue.dim)
+        misses.append("the semisimple quotient of H^0 has dimension %d and "
+                      "is not commutative" % residue.dim)
 
-
-def _coconnective_truncation(t, flags, characteristic, diagnostics):
-    coconnective = flags["strictly_coconnective"]
-    a1 = flags["a1_zero"]
-    a0 = flags["a0"]
-    proper = flags["locally_proper_within_window"]
-    nonnegative = Hypothesis("no basis words sit in negative degrees",
-                             _scope_tag(coconnective["scope"]),
-                             replay=lambda: classify(t)
-                             ["strictly_coconnective"]["value"])
-    if a1["value"] and a0["equals_base"]:
-        hypotheses = (
+    if not flags["strictly_coconnective"]["value"]:
+        raise NoCriterionApplies(*misses, "not coconnective: words survive "
+                                 "in negative degrees")
+    nonnegative = flag("no basis words sit in negative degrees",
+                       "strictly_coconnective")
+    a1_zero, a0 = flags["a1_zero"]["value"], flags["a0"]
+    if a1_zero and a0["equals_base"]:
+        return reflexive("coconnective-with-vanishing-degree-one", (
             nonnegative,
-            Hypothesis("the degree one component vanishes",
-                       _scope_tag(a1["scope"]),
-                       replay=lambda: classify(t)["a1_zero"]["value"]),
-            Hypothesis("the degree zero component is exactly the span of "
-                       "the vertices", _scope_tag(a0["scope"]),
-                       replay=lambda: classify(t)["a0"]["equals_base"]),
-            Hypothesis("cohomology is finite dimensional in each computed "
-                       "degree", _scope_tag(proper["scope"]),
-                       replay=lambda: classify(t)
-                       ["locally_proper_within_window"]["value"]),
-        )
-        certificate = Certificate(
-            "coconnective-with-vanishing-degree-one", hypotheses,
-            witness="degree zero dimension %d over %d vertices"
+            flag("the degree one component vanishes", "a1_zero"),
+            flag("the degree zero component is exactly the span of the "
+                 "vertices", "a0", "equals_base"),
+            proper,
+        ), "degree zero dimension %d over %d vertices"
             % (a0["dim"], len(t.presentation.vertices)))
-        return ReflexivityVerdict("Reflexive", certificate, characteristic)
-    if not a1["value"]:
-        diagnostics.append("the degree one component does not vanish")
+    if not a1_zero:
+        misses.append("the degree one component does not vanish")
     if not a0["equals_base"]:
-        diagnostics.append("the degree zero component is bigger than the "
-                           "span of the vertices (dimension %d)" % a0["dim"])
+        misses.append("the degree zero component is bigger than the span of "
+                      "the vertices (dimension %d)" % a0["dim"])
     if not t.certified_finite_dimensional:
-        diagnostics.append("the basis is not certified finite, so properness "
-                           "stays window-bound")
-        return None
-    try:
-        h0 = h0_algebra(t)
-        info = h0.algebra.radical()
-    except (NotStabilized, RadicalComputationError) as miss:
-        diagnostics.append("the H^0 semisimplicity check failed: %s" % miss)
-        return None
-    if info.dimension:
-        diagnostics.append("H^0 has a radical of dimension %d, so it is not "
-                           "semisimple" % info.dimension)
-        return None
-    hypotheses = (
-        nonnegative,
-        Hypothesis("the basis is finite and complete below the weight bound",
-                   VERIFIED_EXACTLY,
-                   replay=lambda: t.certified_finite_dimensional),
-        Hypothesis("H^0 is semisimple", VERIFIED_EXACTLY,
-                   replay=lambda: h0_algebra(t).algebra.radical()
-                   .dimension == 0),
-    )
-    certificate = Certificate(
-        "proper-coconnective", hypotheses,
-        witness="total dimension %d inside the window" % sum(t.dims().values()))
-    return ReflexivityVerdict("Reflexive", certificate, characteristic)
+        misses.append("the basis is not certified finite, so properness "
+                      "stays window-bound")
+    elif isinstance(h0_and_radical(), Exception):
+        misses.append("the H^0 semisimplicity check failed: %s" % found[0])
+    elif found[0][1].dimension:
+        misses.append("H^0 has a radical of dimension %d, so it is not "
+                      "semisimple" % found[0][1].dimension)
+    else:
+        # the witness counts the whole certified finite basis, which may
+        # reach past the window
+        total = sum(t.dims().values())
+        if total == sum(t.reported_dims().values()):
+            witness = "total dimension %d inside the window" % total
+        else:
+            witness = ("total dimension %d over the whole certified finite "
+                       "basis" % total)
+        return reflexive("proper-coconnective", (
+            nonnegative,
+            Hypothesis("the basis is finite and complete below the weight "
+                       "bound", VERIFIED_EXACTLY,
+                       replay=lambda: t.certified_finite_dimensional),
+            Hypothesis("H^0 is semisimple", VERIFIED_EXACTLY,
+                       replay=lambda: radical_again().dimension == 0),
+        ), witness)
+    raise NoCriterionApplies(*misses)

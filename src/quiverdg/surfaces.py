@@ -29,12 +29,20 @@ from .dgalgebra import DgAlgebraPresentation
 from .quiver import Arrow, PathAlgebraElement, QuiverPresentation
 
 
-class MalformedRibbon(Exception):
-    """The combinatorial data does not describe a ribbon surface."""
+class MalformedRibbon(ValueError):
+    """The combinatorial data does not describe a ribbon surface.  It is a
+    ValueError, since the fault is in the input.
 
-    def __init__(self, message, slot=None):
+    `slot` is the slot at fault, if one is.  `key` is the path of the input
+    at fault among MarkedSurfaceArcSystem's arguments, such as
+    ("components", 1, "winding"); for a key that is missing it is the path
+    of the mapping that should hold it.
+    """
+
+    def __init__(self, message, slot=None, key=()):
         super().__init__(message)
         self.slot = slot
+        self.key = key
 
 
 class NotFormal(Exception):
@@ -76,6 +84,13 @@ class BoundaryComponent:
         if self.fully_marked:
             return len(self.slots)
         return sum(len(iv) for iv in self.intervals)
+
+    def _slot_keys(self):
+        """(key, slot) for each slot, key its path inside the component."""
+        if self.fully_marked:
+            return [(("slots", j), slot) for j, slot in enumerate(self.slots)]
+        return [(("intervals", k, j), slot) for k, iv in enumerate(self.intervals)
+                for j, slot in enumerate(iv)]
 
     def _stations(self):
         """The cyclic station list: slots, with None for each segment."""
@@ -120,42 +135,44 @@ class MarkedSurfaceArcSystem:
     def __init__(self, components, arcs, flow_degrees=None):
         self.components = tuple(components)
         seen = set()
-        for comp in self.components:
+        for i, comp in enumerate(self.components):
+            at = ("components", i)
             if comp.name in seen:
                 raise MalformedRibbon(
-                    "duplicate boundary component %r" % comp.name)
+                    "duplicate boundary component %r" % comp.name,
+                    key=at + ("name",))
             seen.add(comp.name)
             if comp.fully_marked:
                 if comp.intervals:
                     raise MalformedRibbon(
                         "fully marked component %r cannot carry marked "
-                        "intervals" % comp.name)
+                        "intervals" % comp.name, key=at + ("intervals",))
                 if not isinstance(comp.winding, int):
                     raise MalformedRibbon(
                         "fully marked component %r needs an integer winding "
-                        "number" % comp.name)
+                        "number" % comp.name, key=at)
             else:
                 if comp.slots:
                     raise MalformedRibbon(
                         "component %r is not fully marked; its slots belong "
-                        "inside intervals" % comp.name)
+                        "inside intervals" % comp.name, key=at + ("slots",))
                 if comp.winding is not None:
                     raise MalformedRibbon(
                         "winding numbers only apply to fully marked "
-                        "components, not %r" % comp.name)
+                        "components, not %r" % comp.name, key=at + ("winding",))
                 if not comp.intervals:
                     raise MalformedRibbon(
-                        "component %r has no marked region" % comp.name)
+                        "component %r has no marked region" % comp.name, key=at)
 
-        self._slot_component = {}
-        for comp in self.components:
-            for slot in comp._stations():
-                if slot is None:
-                    continue
+        self._slot_component, slot_keys = {}, {}
+        for i, comp in enumerate(self.components):
+            for key, slot in comp._slot_keys():
+                key = ("components", i) + key
                 if slot in self._slot_component:
                     raise MalformedRibbon(
-                        "slot %r appears on two marked regions" % slot, slot)
+                        "slot %r appears on two marked regions" % slot, slot, key)
                 self._slot_component[slot] = comp.name
+                slot_keys[slot] = key
 
         self.arcs = {}
         self._slot_arc = {}
@@ -168,25 +185,26 @@ class MarkedSurfaceArcSystem:
         for slot in self._slot_component:
             if slot not in self._slot_arc:
                 raise MalformedRibbon(
-                    "slot %r is not an arc endpoint" % slot, slot)
+                    "slot %r is not an arc endpoint" % slot, slot, slot_keys[slot])
 
-        for comp in self.components:
+        for i, comp in enumerate(self.components):
+            at = ("components", i)
             if comp.slot_count() == 0:
                 if len(self.components) == 1:
                     continue
                 if comp.enclosed_after_slot is None:
                     raise MalformedRibbon(
                         "component %r has no slots; name the slot after "
-                        "which its enclosing face runs" % comp.name)
+                        "which its enclosing face runs" % comp.name, key=at)
                 if comp.enclosed_after_slot not in self._slot_component:
                     raise MalformedRibbon(
                         "component %r is enclosed after unknown slot %r"
                         % (comp.name, comp.enclosed_after_slot),
-                        comp.enclosed_after_slot)
+                        comp.enclosed_after_slot, at + ("enclosed_after_slot",))
             elif comp.enclosed_after_slot is not None:
                 raise MalformedRibbon(
                     "component %r has its own slots and cannot be enclosed"
-                    % comp.name)
+                    % comp.name, key=at + ("enclosed_after_slot",))
 
         self._steps = []
         for comp in self.components:
@@ -206,7 +224,8 @@ class MarkedSurfaceArcSystem:
         for key in given:
             if key not in sources:
                 raise MalformedRibbon(
-                    "no irreducible flow starts at slot %r" % key, key)
+                    "no irreducible flow starts at slot %r" % key, key,
+                    ("flow_degrees", key))
         self.flow_degrees = {}
         for src, _ in self._steps:
             if src in given:
@@ -217,15 +236,17 @@ class MarkedSurfaceArcSystem:
                 self.flow_degrees[src] = comp.winding
             else:
                 raise MalformedRibbon(
-                    "missing degree for the flow leaving slot %r" % src, src)
+                    "missing degree for the flow leaving slot %r" % src, src,
+                    ("flow_degrees",))
 
-        for comp in self.components:
+        for i, comp in enumerate(self.components):
             if comp.fully_marked and comp.slots:
                 total = sum(self.flow_degrees[s] for s in comp.slots)
                 if total != comp.winding:
-                    raise ValueError(
+                    raise MalformedRibbon(
                         "flow degrees around %r add up to %d, not the "
-                        "winding number %d" % (comp.name, total, comp.winding))
+                        "winding number %d" % (comp.name, total, comp.winding),
+                        key=("components", i, "winding"))
 
     def _component(self, name):
         for comp in self.components:

@@ -284,6 +284,14 @@ ALGEBRA = {"characteristic": 0,
                                     [1, 0, {"1": "1"}]],
                       "unit": {"0": "1"}}}
 GRADED_ALGEBRA = mutated(ALGEBRA, ("object", "degrees"), [0, 0])
+# an annulus whose fully marked component B has no slots and is enclosed
+# after p1, so its one flow degree is not forced by a winding number
+ENCLOSED = mutated(ANNULUS, ("object",), {
+    "kind": "surface",
+    "components": [{"name": "C", "fully_marked": False, "intervals": [["p1", "p2"]]},
+                   {"name": "B", "fully_marked": True, "winding": 2,
+                    "enclosed_after_slot": "p1"}],
+    "arcs": {"g": ["p1", "p2"]}, "flow_degrees": {"p1": -1}})
 SHAPE_FAULTS = {
     "relations-not-a-list": (
         "koszul-dual", mutated(CIRCLE, ("object", "relations"), 5),
@@ -444,6 +452,38 @@ SHAPE_FAULTS = {
     "term-base-undeclared": (
         "koszul-dual", mutated(CIRCLE, ("object", "relations", 0, 0, 2), "w"),
         "document.object.relations[0][0]"),
+    # ribbon faults that span keys, each at the key its check names
+    "flow-degree-missing": (
+        "gentle", mutated(ENCLOSED, ("object", "flow_degrees"), None),
+        "document.object.flow_degrees"),
+    "flow-degrees-miss-the-winding": (
+        "gentle", mutated(ANNULUS, ("object", "flow_degrees", "q"), 2),
+        "document.object.components[1].winding"),
+    "flow-degree-of-no-flow": (
+        "gentle", mutated(ANNULUS, ("object", "flow_degrees", "p"), 0),
+        "document.object.flow_degrees.p"),
+    "interval-slot-no-arc-end": (
+        "gentle", mutated(ENCLOSED, ("object", "components", 0, "intervals"),
+                          [["p1", "p2", "p3"]]),
+        "document.object.components[0].intervals[0][2]"),
+    "fully-marked-slot-no-arc-end": (
+        "gentle", mutated(ANNULUS, ("object", "components", 1, "slots"), ["q", "r"]),
+        "document.object.components[1].slots[1]"),
+    "enclosed-after-slot-missing": (
+        "gentle", mutated(ENCLOSED, ("object", "components", 1, "enclosed_after_slot"), None),
+        "document.object.components[1]"),
+    "enclosed-after-an-unknown-slot": (
+        "gentle", mutated(ENCLOSED, ("object", "components", 1, "enclosed_after_slot"), "zz"),
+        "document.object.components[1].enclosed_after_slot"),
+    "enclosed-with-slots-of-its-own": (
+        "gentle", mutated(ENCLOSED, ("object", "components", 0, "enclosed_after_slot"), "p1"),
+        "document.object.components[0].enclosed_after_slot"),
+    "fully-marked-without-winding": (
+        "gentle", mutated(ANNULUS, ("object", "components", 1, "winding"), None),
+        "document.object.components[1]"),
+    "component-named-twice": (
+        "gentle", mutated(ANNULUS, ("object", "components", 1, "name"), "C"),
+        "document.object.components[1].name"),
 }
 
 
@@ -471,6 +511,14 @@ def test_the_algebra_document_of_the_shape_faults_runs(capsys, tmp_path):
     path.write_text(json.dumps(ALGEBRA))
     code, _, err = run_cli(["reflexive", str(path)], capsys)
     assert code == 0, err
+
+
+def test_the_enclosed_annulus_of_the_shape_faults_runs(capsys, tmp_path):
+    path = tmp_path / "enclosed.json"
+    path.write_text(json.dumps(ENCLOSED))
+    for command in ("gentle", "reflexive"):
+        code, _, err = run_cli([command, str(path)], capsys)
+        assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,8 +5,9 @@ square-zero completeness_report rung, the A5 and A2 realize rungs, the
 completions build rung, the square-zero double dual realize rung, the A5
 H^0 slice rung, the five verify_differential rungs, the local-factors rung,
 the three radical rungs, the Koszul pair rung, the L = 16 Jacobi rung of
-C^3, the selftest, verdict-table and finite-dimensional check rungs, two
-CLI rungs and the document-faults rung run here, to keep the suite fast."""
+C^3, the selftest, verdict-table, finite-dimensional and truncations
+check rungs, two CLI rungs and the document-faults rung run here, to keep
+the suite fast."""
 
 import importlib.util
 import json
@@ -42,6 +43,7 @@ JACOBI_RUNG = "jacobi_basis/C3-xyz-xzy/L16"
 SELFTEST_RUNG = "selftest"
 VERDICT_RUNG = "check/verdict-table"
 FINITE_DIMENSIONAL_RUNG = "check/finite-dimensional"
+TRUNCATIONS_RUNG = "check/truncations"
 COLD_RUNG = "cold-import/quiverdg"
 
 
@@ -287,6 +289,18 @@ def test_the_finite_dimensional_rung_writes_its_json(tmp_path, monkeypatch):
         ("Reflexive", "proper-coconnective"),
         ("Reflexive", "connective-local-finite-dimensional"),
     ]
+
+
+def test_the_truncations_rung_writes_its_json(tmp_path, monkeypatch):
+    assert_the_rung_writes_its_json(TRUNCATIONS_RUNG, tmp_path, monkeypatch)
+    # the rows of test_reflexivity.py's truncation verdict table, in its order
+    assert load_tool().RUNGS[TRUNCATIONS_RUNG]()() == [
+        ("Reflexive", "connective-with-local-degree-zero-cohomology"),
+        ("Reflexive", "connective-with-commutative-semisimple-quotient"),
+        ("Reflexive", "connective-with-commutative-semisimple-quotient"),
+        ("Reflexive", "coconnective-with-vanishing-degree-one"),
+        ("Reflexive", "proper-coconnective"),
+    ] + [("Unknown", "no-criterion-applies")] * 4
 
 
 # A cold-start rung times fresh processes under the caller's environment,

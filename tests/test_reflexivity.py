@@ -431,6 +431,167 @@ def test_an_unseen_splitting_is_assumed():
     assert replay_certificate(verdict.certificate) == []
 
 
+def idempotent_loop():
+    """k[x]/(x^2 - x), realized on (-2, 2) at L = 2."""
+    arrow = Arrow("x", "v", "v", 0)
+    q = QuiverPresentation(["v"], [arrow])
+    x = PathAlgebraElement.from_path(q.path(["x"]))
+    xx = PathAlgebraElement.from_path(q.path(["x", "x"]))
+    return realize(DgAlgebraPresentation(["v"], [arrow], relations=[xx - x],
+                                         field=QQ), (-2, 2), 2)
+
+
+def zero_products(generators, window, bound):
+    """Loops of the given (name, degree) on one vertex, every product of two
+    of them zero, realized on window at weight bound."""
+    arrows = [Arrow(name, "v", "v", degree) for name, degree in generators]
+    q = QuiverPresentation(["v"], arrows)
+    relations = [PathAlgebraElement.from_path(q.path([a.name, b.name]))
+                 for a in arrows for b in arrows]
+    return realize(DgAlgebraPresentation(["v"], arrows, relations=relations,
+                                         field=QQ), window, bound)
+
+
+def eps_and_g():
+    """eps in degree 1 and g in degree 3 on (0, 1) at L = 4: g lies outside
+    the window, inside the certified finite basis."""
+    return zero_products([("eps", 1), ("g", 3)], (0, 1), 4)
+
+
+def a2_over_f2():
+    return realize(DgAlgebraPresentation(["1", "2"], [Arrow("a", "1", "2", 0)],
+                                         field=F2), (-1, 1), 2)
+
+
+def cohomology_in_positive_degrees(tag):
+    return ("cohomology vanishes in positive degrees", tag)
+
+
+def finite_in_each_degree(tag):
+    return ("cohomology is finite dimensional in each computed degree", tag)
+
+
+def h0_agrees(bound):
+    return ("the H^0 dimension agrees between weight bounds %d and %d"
+            % (bound, bound + 1), VERIFIED_EXACTLY)
+
+
+EXACT, WINDOW = VERIFIED_EXACTLY, VERIFIED_WITHIN_WINDOW
+COMMUTATIVE_QUOTIENT = ("the semisimple quotient of H^0 is commutative", EXACT)
+NONNEGATIVE = ("no basis words sit in negative degrees", EXACT)
+A2_RESISTS = "trace-form certificate failed and the algebra is not commutative"
+
+# (fixture, verdict, criterion, characteristic, witness, hypotheses)
+TRUNCATION_TABLE = {
+    "local": (
+        lambda: truncated_polynomial_dg(3), "Reflexive",
+        "connective-with-local-degree-zero-cohomology", "0",
+        "H^0 has dimension 3 with radical of dimension 2",
+        [cohomology_in_positive_degrees(EXACT), finite_in_each_degree(EXACT),
+         h0_agrees(5), ("H^0 modulo its radical is one dimensional", EXACT)]),
+    "split-seen": (
+        lambda: realize(cy_completion(a2_quiver(), 2), (-4, 0), 4),
+        "Reflexive(window-conditional)",
+        "connective-with-commutative-semisimple-quotient", "0",
+        "semisimple quotient of H^0 has dimension 2",
+        [cohomology_in_positive_degrees(EXACT), finite_in_each_degree(WINDOW),
+         h0_agrees(4), COMMUTATIVE_QUOTIENT,
+         ("every degree zero generator projects into the radical of H^0, so "
+          "the semisimple quotient splits off", EXACT)]),
+    "split-assumed": (
+        idempotent_loop, "Reflexive",
+        "connective-with-commutative-semisimple-quotient", "0",
+        "semisimple quotient of H^0 has dimension 2",
+        [cohomology_in_positive_degrees(EXACT), finite_in_each_degree(EXACT),
+         h0_agrees(2), COMMUTATIVE_QUOTIENT,
+         ("the projection onto the semisimple quotient of H^0 admits a dg "
+          "algebra splitting", ASSUMED_BY_USER)]),
+    "vanishing-degree-one": (
+        lambda: truncated_polynomial_dg(2, degree=2), "Reflexive",
+        "coconnective-with-vanishing-degree-one", "0",
+        "degree zero dimension 1 over 1 vertices",
+        [NONNEGATIVE, ("the degree one component vanishes", EXACT),
+         ("the degree zero component is exactly the span of the vertices",
+          EXACT), finite_in_each_degree(EXACT)]),
+    "proper-coconnective": (
+        eps_and_g, "Reflexive", "proper-coconnective", "0",
+        "total dimension 3 over the whole certified finite basis",
+        [NONNEGATIVE,
+         ("the basis is finite and complete below the weight bound", EXACT),
+         ("H^0 is semisimple", EXACT)]),
+    "h0-not-stabilized": (
+        lambda: realize(DgAlgebraPresentation(["v"], [Arrow("x", "v", "v", 0)],
+                                              field=QQ), (-2, 2), 3),
+        "Unknown", "no-criterion-applies", "0",
+        "H^0 did not stabilize: H^0 dimension moved from 4 to 5 between "
+        "weight bounds 3 and 4; the degree zero component is bigger than the "
+        "span of the vertices (dimension 4); the basis is not certified "
+        "finite, so properness stays window-bound", []),
+    "neither-side": (
+        lambda: zero_products([("u", 1), ("w", -1)], (-2, 2), 3),
+        "Unknown", "no-criterion-applies", "0",
+        "not connective: classes survive in positive degrees; not "
+        "coconnective: words survive in negative degrees", []),
+    "h0-has-a-radical": (
+        lambda: zero_products([("x", 0), ("e", 1)], (0, 1), 3),
+        "Unknown", "no-criterion-applies", "0",
+        "not connective: classes survive in positive degrees; the degree one "
+        "component does not vanish; the degree zero component is bigger than "
+        "the span of the vertices (dimension 2); H^0 has a radical of "
+        "dimension 1, so it is not semisimple", []),
+    # both sides need the one radical, and each lists its resistance
+    "a2-f2": (
+        a2_over_f2, "Unknown", "no-criterion-applies", "2",
+        "the radical of H^0 resisted computation: %s; the degree zero "
+        "component is bigger than the span of the vertices (dimension 3); "
+        "the H^0 semisimplicity check failed: %s" % (A2_RESISTS, A2_RESISTS),
+        []),
+}
+
+
+@pytest.mark.parametrize("name", TRUNCATION_TABLE)
+def test_truncation_verdict_table(name):
+    build, verdict, criterion, characteristic, witness, hypotheses = \
+        TRUNCATION_TABLE[name]
+    result = check(build())
+    report = result.as_report()
+    assert report == {
+        "verdict": verdict, "criterion": criterion,
+        "characteristic": characteristic, "witness": witness,
+        "hypotheses": [{"statement": s, "tag": tag} for s, tag in hypotheses]}
+    assert replay_certificate(result.certificate) == []
+
+
+def test_the_proper_coconnective_witness_counts_the_whole_basis():
+    # g sits in degree 3, outside the window (0, 1); the witness counts the
+    # certified finite basis, g included, not the window
+    t = eps_and_g()
+    assert t.reported_dims() == {0: 1, 1: 1}
+    assert sum(t.dims().values()) == 3
+    assert check(t).certificate.witness \
+        == "total dimension 3 over the whole certified finite basis"
+    # k[eps]/eps^2 on (0, 2), as in tests/data/circle_pair.json: the whole
+    # basis lies inside the window, and the witness says so
+    inside = zero_products([("eps", 1)], (0, 2), 6)
+    assert check(inside).certificate.witness \
+        == "total dimension 2 inside the window"
+
+
+def test_h0_and_its_radical_are_found_once_on_a_truncation(monkeypatch):
+    # on A_2 over F_2 the connective rung and the proper coconnective rung
+    # both need the radical of H^0, which resists; it is sought once
+    calls = []
+    build = reflexivity.h0_algebra
+
+    def counted(t):
+        calls.append(t)
+        return build(t)
+    monkeypatch.setattr(reflexivity, "h0_algebra", counted)
+    verdict = check(a2_over_f2())
+    assert verdict.certificate.witness == TRUNCATION_TABLE["a2-f2"][4]
+    assert len(calls) == 1
+
+
 def test_bare_presentation_is_rejected():
     pres = DgAlgebraPresentation(["v"], [Arrow("x", "v", "v", 0)], field=QQ)
     with pytest.raises(TypeError, match="realize the presentation"):

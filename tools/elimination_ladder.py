@@ -87,6 +87,16 @@ rungs, over Q unless stated:
   built before the clock starts: the local noncommutative one on e, x, y,
   xy, M_2(Q), the upper triangular 2x2 matrices, and k[u]/u^2 with |u| = 2
   and with |u| = -3; it returns the (verdict, criterion) rows;
+- check/truncations: check on the nine realized truncations of the
+  reflexivity suite's truncation verdict table, realized before the clock
+  starts: k[x]/x^3 on (-2, 2) at L = 5, the rank-2 completion of A2 on
+  (-4, 0) at L = 4, k[x]/(x^2 - x) on (-2, 2) at L = 2, k[x]/x^2 with
+  |x| = 2 on (-4, 4) at L = 4, eps and g of degrees 1 and 3 with every
+  product zero on (0, 1) at L = 4, a free degree-0 loop on (-2, 2) at
+  L = 3, u and w of degrees 1 and -1 with every product zero on (-2, 2)
+  at L = 3, x and e of degrees 0 and 1 with every product zero on (0, 1)
+  at L = 3, and A2 over F_2 on (-1, 1) at L = 2; it returns the
+  (verdict, criterion) rows;
 - each command of the commands list of the six documents under tests/data,
   run in this process as `quiverdg COMMAND DOCUMENT --quiet --json PATH`
   through cli.main; the rung checks exit 0, and the report bytes against the
@@ -448,6 +458,39 @@ def finite_dimensional():
     return call
 
 
+def truncations():
+    """check on the nine truncations of the reflexivity suite's table."""
+    a2 = QuiverPresentation(("1", "2"), (Arrow("a", "1", "2"),))
+
+    def loops(generators, relations=lambda x: []):
+        """Loops of the (name, degree) generators on one vertex over Q, with
+        the relations relations(x), x(*labels) the path of the labels."""
+        arrows = [Arrow(name, "v", "v", degree) for name, degree in generators]
+        q = QuiverPresentation(("v",), arrows)
+        return DgAlgebraPresentation(("v",), arrows, relations=relations(
+            lambda *labels: PathAlgebraElement.from_path(q.path(list(labels)))))
+
+    def zero_products(*generators):
+        return loops(generators, lambda x: [x(a, b) for a, _ in generators
+                                            for b, _ in generators])
+    fixtures = [
+        realize(loops([("x", 0)], lambda x: [x("x", "x", "x")]), (-2, 2), 5),
+        realize(cy_completion(a2, 2), (-4, 0), 4),
+        realize(loops([("x", 0)], lambda x: [x("x", "x") - x("x")]), (-2, 2), 2),
+        realize(loops([("x", 2)], lambda x: [x("x", "x")]), (-4, 4), 4),
+        realize(zero_products(("eps", 1), ("g", 3)), (0, 1), 4),
+        realize(loops([("x", 0)]), (-2, 2), 3),
+        realize(zero_products(("u", 1), ("w", -1)), (-2, 2), 3),
+        realize(zero_products(("x", 0), ("e", 1)), (0, 1), 3),
+        realize(DgAlgebraPresentation(a2.vertices, a2.arrows, field=GroundField(2)),
+                (-1, 1), 2),
+    ]
+
+    def call():
+        return [(v.verdict, v.certificate.criterion) for v in map(check, fixtures)]
+    return call
+
+
 def object_nodes(value, path=("object",)):
     """The path of value and of every node under it."""
     yield path
@@ -589,6 +632,7 @@ RUNGS = {
     "selftest": selftest,
     "check/verdict-table": verdict_table,
     "check/finite-dimensional": finite_dimensional,
+    "check/truncations": truncations,
     **cli_rungs(),
     "document-faults/fixtures": document_faults,
     "cold-import/quiverdg": lambda: fresh_process("-c", "import quiverdg"),
